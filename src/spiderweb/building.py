@@ -441,23 +441,39 @@ def _nbr_set(L, color, fp):
     return hit
 
 
+def _fold(linkage):
+    """The linkage's constraints, one per vertex pair: nbrs[v][u] is the
+    required distance d(f(v), f(u)), so parallel edges count once.  None
+    when two parallel edges disagree, or an edge is a loop (a loop would
+    ask for a nonzero distance from a vertex to itself): then no
+    configuration exists."""
+    nbrs = {v: {} for v in linkage.vertices}
+    for u, v, lam in linkage.edges:
+        if u == v or nbrs[u].setdefault(v, lam) != lam:
+            return None
+        nbrs[v][u] = dual(lam)
+    return nbrs
+
+
 def _enumerate(linkage, fp, visit=None, rng=None):
     """Count (or visit) all label-preserving maps to the building with
-    the base at the standard lattice.  The search assigns the vertex with
-    the most already-assigned neighbors next (candidates generated from
-    one neighbor's sphere, verified by membership in the others'), which
-    is a spanning-tree DFS with non-tree-edge distance verification;
-    `rng` only shuffles tie-breaks, the result is schedule-independent.
+    the base at the standard lattice, by brute force.  This is the oracle
+    the peeled count (`_count`) is tested against, and the only counter
+    that can visit configurations.
+
+    The search assigns the vertex with the most already-assigned
+    neighbors next (candidates generated from one neighbor's sphere,
+    verified by membership in the others'), which is a spanning-tree DFS
+    with non-tree-edge distance verification; parallel edges are folded
+    into one constraint first (`_fold`).  `rng` only shuffles
+    tie-breaks, the result is schedule-independent.
 
     When the very first free vertex hangs off the base alone, the base
     stabilizer acts transitively on its sphere of candidates, so each
     candidate heads an isomorphic subtree: one representative is explored
     and the count carries the multiplicity.  Visits receive that
     multiplicity; distances from the base are stabilizer-invariant."""
-    nbrs = {v: [] for v in linkage.vertices}
-    for u, v, lam in linkage.edges:
-        nbrs[u].append((v, lam))
-        nbrs[v].append((u, dual(lam)))
+    nbrs = _fold(linkage)
     base = base_class(fp)
     assign = {linkage.base: base}
     for v, cls in linkage.fixed.items():
@@ -469,6 +485,8 @@ def _enumerate(linkage, fp, visit=None, rng=None):
         if u in assign and v in assign:
             if lattice_distance(assign[u], assign[v]) != lam:
                 return 0
+    if nbrs is None:
+        return 0
     order = list(linkage.vertices)
     if rng is not None:
         rng.shuffle(order)
@@ -486,14 +504,14 @@ def _enumerate(linkage, fp, visit=None, rng=None):
             return
         best_i, best_n = None, -1
         for i, v in enumerate(todo):
-            n = sum(1 for u, _lam in nbrs[v] if u in assign)
+            n = sum(1 for u in nbrs[v] if u in assign)
             if n > best_n:
                 best_i, best_n = i, n
         if best_n == 0:
             raise BuildingError("linkage is not connected to the base")
         v = todo[best_i]
         rest = todo[:best_i] + todo[best_i + 1:]
-        anchors = [(u, lam) for u, lam in nbrs[v] if u in assign]
+        anchors = [(u, lam) for u, lam in nbrs[v].items() if u in assign]
         u0, lam0 = anchors[0]
         cands = neighbors(assign[u0], dual(lam0), fp)
         if len(anchors) > 1:
@@ -516,17 +534,107 @@ def _enumerate(linkage, fp, visit=None, rng=None):
     return count
 
 
+def _ear_count(a, b, c, fp):
+    """Points z with d(u, z) = a and d(w, z) = b, for a pair with
+    d(u, w) = c: counted by `_enumerate` with u at the base and w pinned
+    at its first c-neighbor."""
+    w = neighbors(base_class(fp), c, fp)[0]
+    ear = Linkage("uwz", "u", [("u", "w", c), ("u", "z", a), ("w", "z", b)],
+                  fixed={"w": w})
+    return _enumerate(ear, fp)
+
+
+def _count(linkage, fp, rng=None):
+    """The number of based label-preserving maps of the linkage: peel off
+    the vertices whose placements can be counted from their labels alone,
+    then enumerate the rest.
+
+    PGL3(F_q((t))) preserves distances in the building and acts
+    transitively on ordered pairs of vertices at a given distance (the
+    Cartan decomposition).  So the number of ways to place a free vertex
+    v (not the base, not in `linkage.fixed`) given its neighbors' places
+    depends only on the labels when
+      - v has one remaining neighbor: q^2+q+1, the points of P^2(F_q),
+        which are the classes `neighbors` lists;
+      - v has two remaining neighbors u, w joined by an edge (a chamber
+        ear): the points at the two required distances from a pair at
+        distance d(u, w), counted once per labels by `_ear_count`.
+    Such vertices are removed (placed last) one at a time until none is
+    left, and the count is the product of their factors times the
+    `_enumerate` count (with `rng`) of the core: the unpeeled vertices
+    and every edge between them.  A linkage whose parallel edges
+    disagree, whose vertex list repeats, or with a vertex not connected
+    to the base or a pinned vertex goes whole to `_enumerate`, which
+    finds its zero or raises."""
+    nbrs = _fold(linkage)
+    pinned = {linkage.base} | set(linkage.fixed)
+    if nbrs is None or len(nbrs) != len(linkage.vertices):
+        return _enumerate(linkage, fp, rng=rng)
+    reached, stack = set(pinned), list(pinned)
+    while stack:
+        for u in nbrs.get(stack.pop(), ()):
+            if u not in reached:
+                reached.add(u)
+                stack.append(u)
+    if not reached >= nbrs.keys():
+        return _enumerate(linkage, fp, rng=rng)
+    q = fp.q
+    factor, ears = 1, {}
+    peeled = True
+    while peeled:
+        peeled = False
+        for v in linkage.vertices:
+            if v in pinned or v not in nbrs:
+                continue
+            around = nbrs[v]
+            if len(around) == 1:
+                factor *= q * q + q + 1
+            elif len(around) == 2:
+                (u, a), (w, b) = around.items()
+                c = nbrs[u].get(w)
+                if c is None:
+                    continue
+                # the same ear seen from w: (b, a, c*) for (a, b, c)
+                key = min((dual(a), dual(b), c), (dual(b), dual(a), dual(c)))
+                if key not in ears:
+                    ears[key] = _ear_count(*key, fp)
+                factor *= ears[key]
+            else:
+                continue
+            for u in around:
+                del nbrs[u][v]
+            del nbrs[v]
+            peeled = True
+    core = Linkage(list(nbrs), linkage.base,
+                   [e for e in linkage.edges if e[0] in nbrs and e[1] in nbrs],
+                   fixed=linkage.fixed)
+    return factor * _enumerate(core, fp, rng=rng)
+
+
 def count_configurations(linkage, fp=None, rng=None):
-    """Exact number of based label-preserving maps of the linkage."""
+    """Exact number of based label-preserving maps of the linkage.
+
+    Pendant vertices (factor q^2+q+1) and chamber ears (a factor that
+    depends only on the three labels) are peeled off first, since
+    PGL3(F_q((t))) is transitive on pairs at a given distance; only the
+    residual core is enumerated (see `_count`).  `_enumerate` is the
+    brute-force oracle for this count."""
     if fp is None:
         fp = FieldParam(2, auto_precision(linkage.labels()))
-    return ConfigCount(linkage, fp, _enumerate(linkage, fp, rng=rng))
+    return ConfigCount(linkage, fp, _count(linkage, fp, rng=rng))
 
 
 def count_fibre(D, boundary_config, fp):
     """Number of interior-vertex extensions of a boundary configuration
     of the diskoid D (boundary_config maps D's boundary vertices, and
-    the base, to lattice classes)."""
+    the base, to lattice classes).
+
+    The pinned vertices are never peeled; free interior vertices that
+    hang off one placed vertex (factor q^2+q+1) or off both ends of one
+    edge (a chamber ear, whose factor depends only on the labels, by
+    transitivity of PGL3(F_q((t))) on pairs at a given distance) are,
+    and only the residual core is enumerated (see `_count`).
+    `_enumerate` with the boundary in `fixed` is the oracle."""
     cfg = dict(boundary_config)
     cfg.setdefault(D.base, base_class(fp))
     if cfg[D.base] != base_class(fp):
@@ -539,7 +647,7 @@ def count_fibre(D, boundary_config, fp):
         if u in cfg and v in cfg and lattice_distance(cfg[u], cfg[v]) != lam:
             raise BuildingError("inconsistent boundary configuration")
     link.fixed = cfg
-    return _enumerate(link, fp)
+    return _count(link, fp)
 
 
 def satake_partition(signature, fp):
@@ -626,7 +734,12 @@ def euler_estimate(D, primes=(2, 3, 5, 7, 11), confirm=3, max_nodes=14,
     prime per round, to keep the largest prime that must be counted as
     small as possible).  If no polynomial with fewer than max_nodes
     nodes fits, a BuildingError is raised: that is a reportable finding,
-    not an extrapolation."""
+    not an extrapolation.
+
+    Each count peels pendant vertices (factor q^2+q+1) and chamber ears
+    (a factor that depends only on the labels, by transitivity of
+    PGL3(F_q((t))) on pairs at a given distance) and enumerates only the
+    residual core (see `_count`); `_enumerate` is its oracle."""
     link = diskoid_linkage(D)
     labels = link.labels()
     cache = {}
@@ -634,7 +747,7 @@ def euler_estimate(D, primes=(2, 3, 5, 7, 11), confirm=3, max_nodes=14,
     def count_at(p):
         if p not in cache:
             fp = FieldParam(p, auto_precision(labels))
-            cache[p] = _enumerate(link, fp)
+            cache[p] = _count(link, fp)
         return cache[p]
 
     nodes = sorted(set(primes))
