@@ -22,7 +22,7 @@ from spiderweb.weights import parse_signature
 fp = FieldParam(2, 10)
 L = base_class(fp)
 print("w1-neighbors of the base lattice at q = 2: %d (= q^2+q+1)"
-      % len(neighbors(L, (1, 0), fp)))
+      % len(neighbors(L, (1, 0))))
 
 print("\n== polygon point counts and the distance-vector partition ==")
 for text in ("w1,w2", "w1,w1,w1", "w1,w2,w1,w2"):

@@ -18,7 +18,7 @@ duality axiom d(x,y) = d(y,x)* holds.
 
 from __future__ import annotations
 
-import random
+import math
 from fractions import Fraction
 
 from .weights import W1, W2, ZERO, dual, rho_level
@@ -151,7 +151,7 @@ class LatticeClass:
     unique column Hermite normal form of a representative L with
     L contained in O^3 but not in t.O^3."""
 
-    __slots__ = ("fp", "cols", "_divisors")
+    __slots__ = ("fp", "cols")
 
     def __init__(self, fp, cols, _normalized=False):
         self.fp = fp
@@ -159,7 +159,6 @@ class LatticeClass:
             self.cols = cols
         else:
             self.cols = _normal_form(cols, fp)
-        self._divisors = None
 
     def __eq__(self, other):
         return isinstance(other, LatticeClass) and self.cols == other.cols
@@ -167,15 +166,9 @@ class LatticeClass:
     def __hash__(self):
         return hash(self.cols)
 
-    def divisors(self):
-        """Elementary divisor exponents (e1 <= e2 <= e3) of O^3 / L."""
-        if self._divisors is None:
-            self._divisors = _pair_divisors(_identity_cols(self.fp),
-                                            self.cols, self.fp)
-        return self._divisors
-
     def __repr__(self):
-        return "<LatticeClass divisors=%s>" % (self.divisors(),)
+        return "<LatticeClass d(base, L)=%s>" % (
+            lattice_distance(base_class(self.fp), self),)
 
 
 def _identity_cols(fp):
@@ -332,9 +325,10 @@ def _proj_plane(q):
 _NBR_CACHE = {}
 
 
-def neighbors(L, color, fp=None):
-    """All classes at distance exactly `color` (w1 or w2) from L."""
-    fp = fp or L.fp
+def neighbors(L, color):
+    """All classes at distance exactly `color` (w1 or w2) from L, one per
+    point of P^2(F_q)."""
+    fp = L.fp
     key = (L.cols, color, fp.q, fp.N)
     hit = _NBR_CACHE.get(key)
     if hit is not None:
@@ -432,27 +426,47 @@ class ConfigCount:
 _NBRSET_CACHE = {}
 
 
-def _nbr_set(L, color, fp):
-    key = (L.cols, color, fp.q, fp.N)
+def _nbr_set(L, color):
+    key = (L.cols, color, L.fp.q, L.fp.N)
     hit = _NBRSET_CACHE.get(key)
     if hit is None:
-        hit = frozenset(neighbors(L, color, fp))
+        hit = frozenset(neighbors(L, color))
         _NBRSET_CACHE[key] = hit
     return hit
 
 
 def _fold(linkage):
     """The linkage's constraints, one per vertex pair: nbrs[v][u] is the
-    required distance d(f(v), f(u)), so parallel edges count once.  None
-    when two parallel edges disagree, or an edge is a loop (a loop would
-    ask for a nonzero distance from a vertex to itself): then no
-    configuration exists."""
+    required distance d(f(v), f(u)), so parallel edges count once.
+
+    This is where both counters decide whether a linkage can be counted.
+    A repeated vertex, a `fixed` key that is not a vertex, or a vertex
+    connected to neither the base nor a pinned vertex raises
+    BuildingError.  None means that no configuration exists: two parallel
+    edges disagree, or an edge is a loop (asking for a nonzero distance
+    from a vertex to itself)."""
     nbrs = {v: {} for v in linkage.vertices}
+    if len(nbrs) != len(linkage.vertices):
+        raise BuildingError("repeated vertex in linkage")
+    pinned = {linkage.base, *linkage.fixed}
+    if not pinned <= nbrs.keys():
+        raise BuildingError("fixed vertex missing from linkage")
+    agree = True
     for u, v, lam in linkage.edges:
         if u == v or nbrs[u].setdefault(v, lam) != lam:
-            return None
+            agree = False
         nbrs[v][u] = dual(lam)
-    return nbrs
+    reached, stack = set(pinned), list(pinned)
+    while stack:
+        for u in nbrs[stack.pop()]:
+            if u not in reached:
+                reached.add(u)
+                stack.append(u)
+    for v in nbrs:
+        if v not in reached:
+            raise BuildingError("vertex %r is connected to neither the base "
+                                "nor a pinned vertex" % (v,))
+    return nbrs if agree else None
 
 
 def _enumerate(linkage, fp, visit=None, rng=None):
@@ -464,9 +478,9 @@ def _enumerate(linkage, fp, visit=None, rng=None):
     The search assigns the vertex with the most already-assigned
     neighbors next (candidates generated from one neighbor's sphere,
     verified by membership in the others'), which is a spanning-tree DFS
-    with non-tree-edge distance verification; parallel edges are folded
-    into one constraint first (`_fold`).  `rng` only shuffles
-    tie-breaks, the result is schedule-independent.
+    with non-tree-edge distance verification; `_fold` checks the linkage
+    and folds parallel edges into one constraint first.  `rng` only
+    shuffles tie-breaks, the result is schedule-independent.
 
     When the very first free vertex hangs off the base alone, the base
     stabilizer acts transitively on its sphere of candidates, so each
@@ -491,8 +505,6 @@ def _enumerate(linkage, fp, visit=None, rng=None):
     if rng is not None:
         rng.shuffle(order)
     todo = [v for v in order if v not in assign]
-    if len(assign) + len(todo) != len(linkage.vertices):
-        raise BuildingError("duplicate vertices in linkage")
     count = 0
 
     def rec(todo, assign, mult):
@@ -507,16 +519,13 @@ def _enumerate(linkage, fp, visit=None, rng=None):
             n = sum(1 for u in nbrs[v] if u in assign)
             if n > best_n:
                 best_i, best_n = i, n
-        if best_n == 0:
-            raise BuildingError("linkage is not connected to the base")
         v = todo[best_i]
         rest = todo[:best_i] + todo[best_i + 1:]
         anchors = [(u, lam) for u, lam in nbrs[v].items() if u in assign]
         u0, lam0 = anchors[0]
-        cands = neighbors(assign[u0], dual(lam0), fp)
+        cands = neighbors(assign[u0], dual(lam0))
         if len(anchors) > 1:
-            sets = [_nbr_set(assign[u], dual(lam), fp)
-                    for u, lam in anchors[1:]]
+            sets = [_nbr_set(assign[u], dual(lam)) for u, lam in anchors[1:]]
             cands = [c for c in cands if all(c in s for s in sets)]
         symmetric = (len(assign) == 1 and not linkage.fixed
                      and len(anchors) == 1 and assign[u0] == base)
@@ -538,7 +547,7 @@ def _ear_count(a, b, c, fp):
     """Points z with d(u, z) = a and d(w, z) = b, for a pair with
     d(u, w) = c: counted by `_enumerate` with u at the base and w pinned
     at its first c-neighbor."""
-    w = neighbors(base_class(fp), c, fp)[0]
+    w = neighbors(base_class(fp), c)[0]
     ear = Linkage("uwz", "u", [("u", "w", c), ("u", "z", a), ("w", "z", b)],
                   fixed={"w": w})
     return _enumerate(ear, fp)
@@ -562,22 +571,15 @@ def _count(linkage, fp, rng=None):
     Such vertices are removed (placed last) one at a time until none is
     left, and the count is the product of their factors times the
     `_enumerate` count (with `rng`) of the core: the unpeeled vertices
-    and every edge between them.  A linkage whose parallel edges
-    disagree, whose vertex list repeats, or with a vertex not connected
-    to the base or a pinned vertex goes whole to `_enumerate`, which
-    finds its zero or raises."""
+    and every edge between them.  Removing a pendant or an ear leaves
+    every other vertex connected to a pinned one.  `_fold` raises on a
+    malformed linkage; one whose parallel edges disagree or that has a
+    loop goes whole to `_enumerate`, which still raises on clashing
+    pinned classes and otherwise counts 0."""
     nbrs = _fold(linkage)
-    pinned = {linkage.base} | set(linkage.fixed)
-    if nbrs is None or len(nbrs) != len(linkage.vertices):
+    if nbrs is None:
         return _enumerate(linkage, fp, rng=rng)
-    reached, stack = set(pinned), list(pinned)
-    while stack:
-        for u in nbrs.get(stack.pop(), ()):
-            if u not in reached:
-                reached.add(u)
-                stack.append(u)
-    if not reached >= nbrs.keys():
-        return _enumerate(linkage, fp, rng=rng)
+    pinned = {linkage.base, *linkage.fixed}
     q = fp.q
     factor, ears = 1, {}
     peeled = True
@@ -612,13 +614,9 @@ def _count(linkage, fp, rng=None):
 
 
 def count_configurations(linkage, fp=None, rng=None):
-    """Exact number of based label-preserving maps of the linkage.
-
-    Pendant vertices (factor q^2+q+1) and chamber ears (a factor that
-    depends only on the three labels) are peeled off first, since
-    PGL3(F_q((t))) is transitive on pairs at a given distance; only the
-    residual core is enumerated (see `_count`).  `_enumerate` is the
-    brute-force oracle for this count."""
+    """Exact number of based label-preserving maps of the linkage,
+    counted by `_count` (pendants and chamber ears peeled, the core
+    enumerated); `_enumerate` is its brute-force oracle."""
     if fp is None:
         fp = FieldParam(2, auto_precision(linkage.labels()))
     return ConfigCount(linkage, fp, _count(linkage, fp, rng=rng))
@@ -627,14 +625,8 @@ def count_configurations(linkage, fp=None, rng=None):
 def count_fibre(D, boundary_config, fp):
     """Number of interior-vertex extensions of a boundary configuration
     of the diskoid D (boundary_config maps D's boundary vertices, and
-    the base, to lattice classes).
-
-    The pinned vertices are never peeled; free interior vertices that
-    hang off one placed vertex (factor q^2+q+1) or off both ends of one
-    edge (a chamber ear, whose factor depends only on the labels, by
-    transitivity of PGL3(F_q((t))) on pairs at a given distance) are,
-    and only the residual core is enumerated (see `_count`).
-    `_enumerate` with the boundary in `fixed` is the oracle."""
+    the base, to lattice classes), counted by `_count` with the boundary
+    in `fixed`, so it is never peeled; `_enumerate` is the oracle."""
     cfg = dict(boundary_config)
     cfg.setdefault(D.base, base_class(fp))
     if cfg[D.base] != base_class(fp):
@@ -646,8 +638,7 @@ def count_fibre(D, boundary_config, fp):
     for u, v, lam in link.edges:
         if u in cfg and v in cfg and lattice_distance(cfg[u], cfg[v]) != lam:
             raise BuildingError("inconsistent boundary configuration")
-    link.fixed = cfg
-    return _count(link, fp)
+    return _count(Linkage(link.vertices, link.base, link.edges, fixed=cfg), fp)
 
 
 def satake_partition(signature, fp):
@@ -684,7 +675,7 @@ def sample_polygon_config(signature, target_vector, fp, rng, max_tries=2000):
         cfg = {0: base}
         ok = True
         for k in range(n - 1):
-            cands = [x for x in neighbors(cfg[k], signature[k], fp)
+            cands = [x for x in neighbors(cfg[k], signature[k])
                      if lattice_distance(base, x) == tv[k + 1]]
             if not cands:
                 ok = False
@@ -736,10 +727,8 @@ def euler_estimate(D, primes=(2, 3, 5, 7, 11), confirm=3, max_nodes=14,
     nodes fits, a BuildingError is raised: that is a reportable finding,
     not an extrapolation.
 
-    Each count peels pendant vertices (factor q^2+q+1) and chamber ears
-    (a factor that depends only on the labels, by transitivity of
-    PGL3(F_q((t))) on pairs at a given distance) and enumerates only the
-    residual core (see `_count`); `_enumerate` is its oracle."""
+    Each count is a peeled count (`_count`); `_enumerate` is its
+    oracle."""
     link = diskoid_linkage(D)
     labels = link.labels()
     cache = {}
@@ -838,13 +827,8 @@ def _fraction_sqrt(a):
 
 
 def _isqrt_exact(n):
-    r = int(n ** 0.5)
-    for c in (r - 1, r, r + 1, r + 2):
-        if c >= 0 and c * c == n:
-            return c
-    import math
-    c = math.isqrt(n)
-    return c if c * c == n else None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def _cross(a, b, F):
@@ -873,40 +857,17 @@ def _solve3(cols, rhs, F):
     return tuple(sol)
 
 
-def hexagon_genericity(lines, points, field=None):
-    """The genericity condition: the three points are not collinear, the
-    three lines are not concurrent (both required, the strict reading),
-    the barycentric normalization exists, and the six coordinates that
-    enter the incidence equations (p11, p12, p22, p23, p33, p31) are all
-    nonzero."""
-    F = field or _Field()
-    lines = [tuple(F.of(x) for x in l) for l in lines]
+def _frame(lines, points, F):
+    """The points coerced into F, and the projective frame of the pairwise
+    line intersections e_1 = l1^l2, e_2 = l2^l3, e_3 = l3^l1."""
+    l1, l2, l3 = [tuple(F.of(x) for x in l) for l in lines]
     points = [tuple(F.of(x) for x in p) for p in points]
-    if not _dot(points[0], _cross(points[1], points[2], F), F):
-        return False  # collinear points
-    e = [_cross(lines[0], lines[1], F), _cross(lines[1], lines[2], F),
-         _cross(lines[2], lines[0], F)]
-    if not _dot(e[0], _cross(e[1], e[2], F), F):
-        return False  # concurrent lines
-    rows = []
-    for p in points:
-        bary = _solve3(e, p, F)
-        if bary is None:
-            return False
-        if not F.add(F.add(bary[0], bary[1]), bary[2]):
-            return False  # no affine normalization available
-        rows.append(bary)
-    used = (rows[0][0], rows[0][1], rows[1][1], rows[1][2],
-            rows[2][2], rows[2][0])
-    return all(used)
+    return points, [_cross(l1, l2, F), _cross(l2, l3, F), _cross(l3, l1, F)]
 
 
-def _barycentric(lines, points, F):
-    """Affine barycentric coordinates p_ij (rows: points; frame: the
-    pairwise line intersections e_1 = l1^l2, e_2 = l2^l3, e_3 = l3^l1,
-    normalized to sum to one)."""
-    e = [_cross(lines[0], lines[1], F), _cross(lines[1], lines[2], F),
-         _cross(lines[2], lines[0], F)]
+def _barycentric(points, e, F):
+    """Affine barycentric coordinates p_ij (rows: points) in the frame e,
+    normalized to sum to one."""
     rows = []
     for p in points:
         bary = _solve3(e, p, F)
@@ -920,6 +881,30 @@ def _barycentric(lines, points, F):
     return rows
 
 
+def _generic_rows(lines, points, F):
+    """The barycentric rows of a generic sample, None otherwise (see
+    `hexagon_genericity`)."""
+    points, e = _frame(lines, points, F)
+    if not _dot(points[0], _cross(points[1], points[2], F), F):
+        return None  # collinear points
+    try:
+        P = _barycentric(points, e, F)
+    except BuildingError:
+        return None
+    if not all(P[i][k] for i in range(3) for k in (i, (i + 1) % 3)):
+        return None
+    return P
+
+
+def hexagon_genericity(lines, points, field=None):
+    """The genericity condition: the three points are not collinear, the
+    barycentric normalization exists (so the three lines are not
+    concurrent, and no point lies on the frame's vanishing line), and the
+    six coordinates that enter the incidence equations (p11, p12, p22,
+    p23, p33, p31) are all nonzero."""
+    return _generic_rows(lines, points, field or _Field()) is not None
+
+
 def solve_hexagon_incidence(lines, points, field=None, return_roots=False):
     """Number of solutions, over the algebraic closure, of the hexagon
     incidence system: points p'_i on the lines l_i and lines l'_i through
@@ -928,11 +913,9 @@ def solve_hexagon_incidence(lines, points, field=None, return_roots=False):
     With return_roots=True also returns the t_1-roots that lie in the
     ground field itself (these index the rational solutions)."""
     F = field or _Field()
-    lines = [tuple(F.of(x) for x in l) for l in lines]
-    points = [tuple(F.of(x) for x in p) for p in points]
-    if not hexagon_genericity(lines, points, F):
+    P = _generic_rows(lines, points, F)
+    if P is None:
         raise BuildingError("degenerate sample: genericity fails")
-    P = _barycentric(lines, points, F)
     p11, p12 = P[0][0], P[0][1]
     p22, p23 = P[1][1], P[1][2]
     p33, p31 = P[2][2], P[2][0]
@@ -983,9 +966,8 @@ def hexagon_solution_points(lines, points, t1, field=None):
     """The full solution (p'_i, l'_i) determined by a ground-field root
     t1, in projective coordinates; raises on a non-solution."""
     F = field or _Field()
-    lines = [tuple(F.of(x) for x in l) for l in lines]
-    points = [tuple(F.of(x) for x in p) for p in points]
-    P = _barycentric(lines, points, F)
+    points, e = _frame(lines, points, F)
+    P = _barycentric(points, e, F)
     one = F.of(1)
     # chase the chain of equations to recover s_i and t_i
     p11, p12 = P[0][0], P[0][1]
@@ -999,8 +981,6 @@ def hexagon_solution_points(lines, points, t1, field=None):
     t[3] = F.div(p33, F.sub(one, s3))
     if F.mul(s1, F.sub(one, t[3])) != p12:
         raise BuildingError("t1 is not a root of the incidence system")
-    e = [_cross(lines[0], lines[1], F), _cross(lines[1], lines[2], F),
-         _cross(lines[2], lines[0], F)]
 
     def combo(coeffs):
         out = [F.of(0)] * 3
@@ -1020,53 +1000,3 @@ def hexagon_solution_points(lines, points, t1, field=None):
         if _dot(lp[i], pp[(i - 1) % 3], F):
             raise BuildingError("recovered lines miss p'_{i-1}")
     return pp, lp
-
-
-# ----------------------------------------------------------------------
-# bridges between the projective plane and the building
-
-
-def functional_class(fp, coeffs):
-    """The w1-neighbor of the base cut out by the functional with the
-    given coordinates: the sublattice { x : coeffs . x = 0 mod t }."""
-    q, N = fp.q, fp.N
-    rep = tuple(int(c) % q for c in coeffs)
-    if not any(rep):
-        raise BuildingError("zero functional")
-    p = next(i for i in range(3) if rep[i])
-    inv = pow(rep[p], q - 2, q)
-    v = _identity_cols(fp)
-    cols = []
-    for j in range(3):
-        if j == p:
-            cols.append(tuple(_pshift(x, 1, N) for x in v[p]))
-        else:
-            f = (rep[j] * inv) % q
-            fpoly = (f,) + (0,) * (N - 1)
-            cols.append(_col_sub(v[j], fpoly, v[p], q, N))
-    return LatticeClass(fp, tuple(cols))
-
-
-def vector_class(fp, coords):
-    """The w2-neighbor of the base spanned by the given reduction vector
-    together with t.O^3."""
-    q, N = fp.q, fp.N
-    rep = tuple(int(c) % q for c in coords)
-    if not any(rep):
-        raise BuildingError("zero vector")
-    p = next(i for i in range(3) if rep[i])
-    u = tuple((rep[i],) + (0,) * (N - 1) for i in range(3))
-    v = _identity_cols(fp)
-    cols = [u] + [tuple(_pshift(x, 1, N) for x in v[j])
-                  for j in range(3) if j != p]
-    return LatticeClass(fp, tuple(cols))
-
-
-def random_class(fp, rng, steps=3):
-    """A random class reached by a short minuscule walk from the base."""
-    cur = base_class(fp)
-    for _ in range(steps):
-        color = W1 if rng.random() < 0.5 else W2
-        opts = neighbors(cur, color, fp)
-        cur = opts[rng.randrange(len(opts))]
-    return cur

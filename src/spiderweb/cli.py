@@ -615,7 +615,7 @@ def _st_building():
     fp = FieldParam(2, 8)
     buckets = satake_partition((W1, W2), fp)
     checks.append(sum(buckets.values()) == 7 and len(buckets) == 1)
-    L = next(iter(neighbors(base_class(fp), W1, fp)))
+    L = next(iter(neighbors(base_class(fp), W1)))
     checks.append(lattice_distance(base_class(fp), L) == W1)
     rng = random.Random(1)
     ls, ps = _random_hexagon_sample(rng, _Field())

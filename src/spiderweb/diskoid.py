@@ -60,9 +60,6 @@ class Diskoid:
     def n_triangles(self):
         return len(self.triangles)
 
-    def is_sphere(self):
-        return not self.boundary
-
     def interior_vertices(self):
         bset = set(self.boundary)
         return [v for v in self.names if v not in bset]

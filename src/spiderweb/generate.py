@@ -96,9 +96,6 @@ class Grower:
             return False
         return self.frontier[i][1] != self.frontier[i + 1][1]
 
-    def can_split(self, i):
-        return self.mode == "a2" and i < len(self.frontier)
-
     # -- moves ---------------------------------------------------------
 
     def cap(self, i):
@@ -188,25 +185,6 @@ class Grower:
         if validate:
             w.validate(strict=True)
         return w
-
-    def as_pseudo_web(self):
-        """The partial state as an honest web: the unbuilt region is a
-        disk whose boundary is the original legs followed by the frontier
-        right-to-left, pending darts closed off with pseudo-legs."""
-        theta = dict(self.theta)
-        heads = set(self.heads)
-        pseudo = []
-        k = 0
-        for d, f in self.frontier:
-            p = ("p", k)
-            k += 1
-            theta[d] = p
-            theta[p] = d
-            if self.mode == "a2":
-                heads.add(d if f else p)
-            pseudo.append(p)
-        bd = list(self.boundary) + list(reversed(pseudo))
-        return Web(self.mode, theta, self.vertices, bd, heads, 0, check=False)
 
     def state_key(self):
         """Canonical key of the partial state (for search memoization).
@@ -315,15 +293,14 @@ def random_signature(rng, mode="a2", max_legs=12):
             return sig
 
 
-def grown_webs(signature, mode="a2", max_vertices=None, nonelliptic_only=True):
+def grown_webs(signature, mode="a2", max_vertices=None):
     """All webs reachable by caps, merges, and H moves within a vertex
     budget, deduplicated by canonical key (memoized on partial states).
 
-    With nonelliptic_only (the default) any partial state that has
-    already completed an internal face of degree < 6 is pruned.  A face,
-    once closed off by growth, is a face of every completion, so this
-    prunes exactly the growth paths leading to elliptic webs: the output
-    is the set of reachable non-elliptic webs.
+    Any partial state that has already completed an internal face of
+    degree < 6 is pruned.  A face, once closed off by growth, is a face of
+    every completion, so this prunes exactly the growth paths leading to
+    elliptic webs: the output is the set of reachable non-elliptic webs.
     """
     if max_vertices is None:
         n = len(signature)
@@ -332,7 +309,7 @@ def grown_webs(signature, mode="a2", max_vertices=None, nonelliptic_only=True):
     seen_states = set()
 
     def admit(g, new_darts):
-        if nonelliptic_only and g.closed_small_face(new_darts):
+        if g.closed_small_face(new_darts):
             return False
         key = g.state_key()
         if key in seen_states:

@@ -104,9 +104,6 @@ class Web:
             self._dart_vertex = m
         return self._dart_vertex.get(d)
 
-    def is_boundary_dart(self, d):
-        return self.vertex_of(d) is None
-
     def vertex_is_out(self, i):
         """True if interior vertex i is all-out (w1 flow leaving on all darts)."""
         tri = self.vertices[i]
@@ -146,13 +143,6 @@ class Web:
         if self.circles:
             return False
         return all(f.degree >= 6 for f in self.internal_faces())
-
-    def region_of(self, d):
-        """The face containing dart d (for boundary darts: its region)."""
-        for i, f in enumerate(self.faces()):
-            if d in f.darts:
-                return i
-        raise WebError("dart %r not found" % (d,))
 
     # ------------------------------------------------------------------
     # validation

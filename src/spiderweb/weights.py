@@ -99,13 +99,6 @@ def minuscule_orbit(lam, mode="a2"):
     return list(table[lam])
 
 
-def norm2(w):
-    """Squared length under the standard A2 inner product, times 3 (integer)."""
-    a, b = w
-    # Gram matrix of (w1, w2) is (1/3) * [[2,1],[1,2]]
-    return 2 * a * a + 2 * a * b + 2 * b * b
-
-
 def signature_rho_level(sig):
     """d(lambda-vec) = <lambda_1 + ... + lambda_n, rho-check>."""
     return sum(rho_level(w) for w in sig)

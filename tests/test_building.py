@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from spiderweb import building, corpus
 from spiderweb.basis import minuscule_paths, path_tag
 from spiderweb.building import (
-    BuildingError, FieldParam, Linkage, _Field, _count, _enumerate,
-    auto_precision, base_class, count_configurations, count_fibre,
-    diskoid_linkage, edge_linkage, euler_estimate, functional_class,
+    BuildingError, FieldParam, LatticeClass, Linkage, _Field, _count,
+    _enumerate, auto_precision, base_class, count_configurations,
+    count_fibre, diskoid_linkage, edge_linkage, euler_estimate,
     hexagon_genericity, hexagon_solution_points, lattice_distance,
-    neighbors, polygon_linkage, random_class, sample_polygon_config,
-    satake_partition, solve_hexagon_incidence, vector_class)
+    neighbors, polygon_linkage, sample_polygon_config, satake_partition,
+    solve_hexagon_incidence)
 from spiderweb.diskoid import DiskoidError, dual_diskoid
 from spiderweb.generate import random_signature, random_web
 from spiderweb.skein import evaluate_closed
@@ -42,7 +42,7 @@ def test_neighbor_counts_and_distances():
         fp = fp_(q)
         L = base_class(fp)
         for color in (W1, W2):
-            nbrs = neighbors(L, color, fp)
+            nbrs = neighbors(L, color)
             assert len(nbrs) == q * q + q + 1
             assert len(set(nbrs)) == len(nbrs)
             for M in nbrs:
@@ -51,16 +51,21 @@ def test_neighbor_counts_and_distances():
 
 
 def test_functional_and_vector_classes():
+    # built as columns, independently of `neighbors`: the kernel of the
+    # functional x0 + 2 x1 on L/tL, and the line (0, 1, 1) plus t.L
     fp = fp_(3)
     L = base_class(fp)
-    F = functional_class(fp, (1, 2, 0))
-    V = vector_class(fp, (0, 1, 1))
+    zero, one = (0,) * fp.N, (1,) + (0,) * (fp.N - 1)
+    t = (0, 1) + (0,) * (fp.N - 2)
+    F = LatticeClass(fp, ((t, zero, zero), (one, one, zero),
+                          (zero, zero, one)))
+    V = LatticeClass(fp, ((zero, one, one), (t, zero, zero),
+                          (zero, t, zero)))
     assert lattice_distance(L, F) == W1
     assert lattice_distance(L, V) == W2
-    assert F in set(neighbors(L, W1, fp))
-    assert V in set(neighbors(L, W2, fp))
-    with pytest.raises(BuildingError):
-        functional_class(fp, (0, 0, 0))
+    assert F in set(neighbors(L, W1)) and F not in set(neighbors(L, W2))
+    assert V in set(neighbors(L, W2)) and V not in set(neighbors(L, W1))
+    assert "(1, 0)" in repr(F)
 
 
 def test_edge_and_polygon_counts():
@@ -113,7 +118,7 @@ def test_count_fibre_bigon():
         other = [v for v in D.boundary if v != D.base][0]
         lam = next(lam for (u, v, lam) in D.edges.values()
                    if {u, v} == {D.base, other})
-        for M in neighbors(base, lam, fp):
+        for M in neighbors(base, lam):
             n = count_fibre(D, {D.base: base, other: M}, fp)
             assert n == q + 1
             break
@@ -150,13 +155,6 @@ def test_euler_estimate_single_triangle():
     assert val == 6
 
 
-def test_random_class_deterministic():
-    fp = fp_(3)
-    a = random_class(fp, random.Random(5))
-    b = random_class(fp, random.Random(5))
-    assert a == b
-
-
 HEX_LINES = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 HEX_POINTS = [(1, 2, 3), (3, 1, 2), (2, 5, 1)]
 
@@ -184,6 +182,12 @@ def test_hexagon_finite_field():
             continue
         assert solve_hexagon_incidence(lines, points, F) == 2
         seen += 1
+
+
+def test_hexagon_huge_rational_sample():
+    # the discriminant's square root is taken far beyond float range
+    points = [(1, 2, 3), (3, 10 ** 100 + 1, 2), (2, 5, 10 ** 100 + 7)]
+    assert solve_hexagon_incidence(HEX_LINES, points) == 2
 
 
 def test_diskoid_linkage_shape():
@@ -252,7 +256,7 @@ def test_peeled_fibre_matches_oracle_on_bigon(q, k):
     other = [v for v in D.boundary if v != D.base][0]
     lam = next(lam for (u, v, lam) in D.edges.values()
                if (u, v) == (D.base, other))
-    cands = neighbors(base, lam, fp)
+    cands = neighbors(base, lam)
     cfg = {D.base: base, other: cands[k % len(cands)]}
     pinned = Linkage(link.vertices, link.base, link.edges, fixed=cfg)
     assert count_fibre(D, cfg, fp) == _enumerate(pinned, fp) == q + 1
@@ -293,17 +297,28 @@ def test_contradictory_parallel_labels():
 
 
 def test_component_off_the_base_raises():
-    link = Linkage([0, 1, 2, 3], 0, [(0, 1, W1), (2, 3, W2)])
     fp = fp_(2)
-    for count in (_enumerate, _count):
-        with pytest.raises(BuildingError):
-            count(link, fp)
-    # the oracle meets the stray part only after a configuration of the
-    # rest, and the triangle w1 w1 w2 has none: the peeled count must
-    # not raise where the oracle does not
-    link = Linkage(range(5), 0, [(0, 1, W1), (1, 2, W1), (0, 2, W1),
-                                 (3, 4, W1)])
-    assert same_count(link, fp) == 0
+    # the second linkage's base triangle has no configuration: the stray
+    # edge 3-4 must still raise, before any search
+    for link in (Linkage([0, 1, 2, 3], 0, [(0, 1, W1), (2, 3, W2)]),
+                 Linkage(range(5), 0, [(0, 1, W1), (1, 2, W1), (0, 2, W1),
+                                       (3, 4, W1)])):
+        for count in (_enumerate, _count, count_configurations):
+            with pytest.raises(BuildingError):
+                count(link, fp)
+    # a component is countable once one of its vertices is pinned
+    link = Linkage([0, 1, 2, 3], 0, [(0, 1, W1), (2, 3, W2)],
+                   fixed={2: base_class(fp)})
+    assert same_count(link, fp) == 7 * 7
+
+
+def test_malformed_linkages_raise():
+    fp = fp_(2)
+    for link in (Linkage([0, 1, 1], 0, [(0, 1, W1)]),
+                 Linkage([0, 1], 0, [(0, 1, W1)], fixed={2: base_class(fp)})):
+        for count in (_enumerate, _count, count_configurations):
+            with pytest.raises(BuildingError):
+                count(link, fp)
 
 
 def test_seed77_sphere_peels_to_its_base(monkeypatch):
