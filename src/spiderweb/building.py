@@ -2,11 +2,15 @@
 
 Points are homothety classes of full rank-3 lattices over the discrete
 valuation ring F_q[[t]], computed exactly in the truncated polynomial
-ring F_q[t]/t^N.  Minuscule neighbor generation, elementary-divisor
-distances, exhaustive configuration and fibre counting for polygons and
-diskoids, counting-polynomial interpolation with an Euler-characteristic
-estimate at q = 1, and the projective incidence solver for the twelve-leg
-hexagon web all live here.
+ring F_q[t]/t^N.  An element of F_q[t]/t^N is the tuple of its
+coefficients without trailing zeros (zero is ``()``): the form is
+canonical, and the arithmetic costs follow the degrees, not N (only the
+inverse of a non-constant unit, a power series, runs to t^N).  Minuscule
+neighbor generation, elementary-divisor distances, exhaustive
+configuration and fibre counting for polygons and diskoids,
+counting-polynomial interpolation with an Euler-characteristic estimate
+at q = 1, and the projective incidence solver for the twelve-leg hexagon
+web all live here.
 
 The color calibration is fixed once: the w1-neighbors of a class L are
 the kernels of the q^2+q+1 functionals on L/tL (codimension one), the
@@ -67,35 +71,45 @@ def auto_precision(labels):
     return 2 * sum(rho_level(lam) for lam in labels) + 2
 
 
-def _pzero(N):
-    return (0,) * N
-
-
-def _pone(N):
-    return (1,) + (0,) * (N - 1)
+def _trim(a):
+    """The canonical form: no trailing zero coefficients."""
+    n = len(a)
+    while n and not a[n - 1]:
+        n -= 1
+    return a[:n]
 
 
 def _padd(a, b, q):
-    return tuple((x + y) % q for x, y in zip(a, b))
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim(tuple([(x + y) % q for x, y in zip(a, b)]) + a[len(b):])
 
 
 def _psub(a, b, q):
-    return tuple((x - y) % q for x, y in zip(a, b))
+    if len(a) < len(b):
+        a += (0,) * (len(b) - len(a))
+    return _trim(tuple([(x - y) % q for x, y in zip(a, b)]) + a[len(b):])
 
 
 def _pneg(a, q):
-    return tuple((-x) % q for x in a)
+    return tuple([(-x) % q for x in a])
 
 
 def _pmul(a, b, q, N):
-    out = [0] * N
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return ()
+    if len(a) == 1:
+        x = a[0]
+        return b if x == 1 else tuple([x * y % q for y in b])
+    n = min(len(a) + len(b) - 1, N)
+    out = [0] * n
     for i, x in enumerate(a):
         if x:
-            for j in range(N - i):
-                y = b[j]
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % q
-    return tuple(out)
+            for j, y in enumerate(b[:n - i], i):
+                out[j] += x * y
+    return _trim(tuple([c % q for c in out]))
 
 
 def _pval(a):
@@ -109,28 +123,29 @@ def _pval(a):
 def _pshift(a, k, N):
     """Multiply by t^k (k >= 0) or divide exactly by t^-k (k < 0)."""
     if k >= 0:
-        return (0,) * k + a[:N - k]
+        a = _trim(a[:N - k])
+        return (0,) * k + a if a else ()
     k = -k
     if any(a[:k]):
         raise BuildingError("inexact division by t^%d" % k)
-    return a[k:] + (0,) * k
+    return a[k:]
 
 
 def _pinv_unit(a, q, N):
     """Inverse of a unit (valuation 0) mod t^N."""
-    c0 = a[0]
-    if c0 == 0:
+    if not a or not a[0]:
         raise BuildingError("not a unit")
-    inv0 = pow(c0, q - 2, q)
-    out = [0] * N
-    out[0] = inv0
+    inv0 = pow(a[0], q - 2, q)
+    if len(a) == 1:
+        return (inv0,)
+    out = [inv0]
     # out satisfies a*out = 1 mod t^k, extended one coefficient at a time
     for k in range(1, N):
         s = 0
-        for i in range(1, k + 1):
+        for i in range(1, min(k, len(a) - 1) + 1):
             s += a[i] * out[k - i]
-        out[k] = (-s * inv0) % q
-    return tuple(out)
+        out.append((-s * inv0) % q)
+    return _trim(tuple(out))
 
 
 def _pscale_col(col, f, q, N):
@@ -149,7 +164,8 @@ def _col_sub(col, f, other, q, N):
 class LatticeClass:
     """A homothety class of full lattices in F_q((t))^3, stored as the
     unique column Hermite normal form of a representative L with
-    L contained in O^3 but not in t.O^3."""
+    L contained in O^3 but not in t.O^3.  Its entries are trimmed
+    coefficient tuples; given `cols` may carry trailing zeros."""
 
     __slots__ = ("fp", "cols")
 
@@ -158,7 +174,8 @@ class LatticeClass:
         if _normalized:
             self.cols = cols
         else:
-            self.cols = _normal_form(cols, fp)
+            self.cols = _normal_form(
+                tuple(tuple(_trim(p) for p in c) for c in cols), fp)
 
     def __eq__(self, other):
         return isinstance(other, LatticeClass) and self.cols == other.cols
@@ -172,8 +189,7 @@ class LatticeClass:
 
 
 def _identity_cols(fp):
-    N = fp.N
-    z, o = _pzero(N), _pone(N)
+    z, o = (), (1,)
     return ((o, z, z), (z, o, z), (z, z, o))
 
 
@@ -185,7 +201,9 @@ def base_class(fp):
 def _hnf(cols, fp):
     """Column Hermite normal form over the truncated DVR: lower
     triangular, diagonal t^{e_i} with unit pivots normalized away, and
-    entries left of each pivot reduced modulo the pivot."""
+    entries left of each pivot reduced modulo the pivot.  On trimmed
+    entries its cost follows their degrees, not N: the lattices reached
+    by neighbour steps have entries of low degree at any precision."""
     q, N = fp.q, fp.N
     M = [[cols[j][i] for j in range(len(cols))] for i in range(3)]  # rows
 
@@ -219,8 +237,8 @@ def _hnf(cols, fp):
             if j > i:
                 f = _pshift(entry, -e, N)          # full elimination
             else:
-                f = _pshift((0,) * e + entry[e:], -e, N)  # reduce mod t^e
-            if _pval(f) is not None:
+                f = entry[e:]                      # reduce mod t^e
+            if f:
                 set_col(j, _col_sub(col(j), f, col(i), q, N))
     return tuple(col(j) for j in range(3))
 
@@ -262,7 +280,7 @@ def _matmul(A, B, q, N):
     for j in range(3):
         col = []
         for i in range(3):
-            s = _pzero(N)
+            s = ()
             for k in range(3):
                 s = _padd(s, _pmul(A[k][i], B[j][k], q, N), q)
             col.append(s)
@@ -322,6 +340,7 @@ def _proj_plane(q):
     return pts
 
 
+# (cols, color, q, N) -> the neighbour list and its frozenset
 _NBR_CACHE = {}
 
 
@@ -332,7 +351,7 @@ def neighbors(L, color):
     key = (L.cols, color, fp.q, fp.N)
     hit = _NBR_CACHE.get(key)
     if hit is not None:
-        return hit
+        return hit[0]
     if color not in (W1, W2):
         raise BuildingError("neighbor color must be minuscule")
     q, N = fp.q, fp.N
@@ -349,20 +368,19 @@ def neighbors(L, color):
                     cols.append(tuple(_pshift(x, 1, N) for x in v[p]))
                 else:
                     f = (rep[j] * inv) % q
-                    fpoly = (f,) + (0,) * (N - 1)
-                    cols.append(_col_sub(v[j], fpoly, v[p], q, N))
+                    cols.append(_col_sub(v[j], (f,), v[p], q, N) if f
+                                else v[j])
         else:
             # span of one vector of L/tL plus t.L
-            u = tuple(_pzero(N) for _ in range(3))
+            u = ((), (), ())
             for j in range(3):
                 if rep[j]:
-                    fpoly = (rep[j],) + (0,) * (N - 1)
-                    u = tuple(_padd(x, _pmul(fpoly, y, q, N), q)
+                    u = tuple(_padd(x, _pmul((rep[j],), y, q, N), q)
                               for x, y in zip(u, v[j]))
             cols = [u] + [tuple(_pshift(x, 1, N) for x in v[j])
                           for j in range(3) if j != p]
         out.append(LatticeClass(fp, tuple(cols)))
-    _NBR_CACHE[key] = out
+    _NBR_CACHE[key] = out, frozenset(out)
     return out
 
 
@@ -423,16 +441,11 @@ class ConfigCount:
         return "<ConfigCount q=%d: %d>" % (self.fp.q, self.count)
 
 
-_NBRSET_CACHE = {}
-
-
 def _nbr_set(L, color):
     key = (L.cols, color, L.fp.q, L.fp.N)
-    hit = _NBRSET_CACHE.get(key)
-    if hit is None:
-        hit = frozenset(neighbors(L, color))
-        _NBRSET_CACHE[key] = hit
-    return hit
+    if key not in _NBR_CACHE:
+        neighbors(L, color)
+    return _NBR_CACHE[key][1]
 
 
 def _fold(linkage):
@@ -543,16 +556,6 @@ def _enumerate(linkage, fp, visit=None, rng=None):
     return count
 
 
-def _ear_count(a, b, c, fp):
-    """Points z with d(u, z) = a and d(w, z) = b, for a pair with
-    d(u, w) = c: counted by `_enumerate` with u at the base and w pinned
-    at its first c-neighbor."""
-    w = neighbors(base_class(fp), c)[0]
-    ear = Linkage("uwz", "u", [("u", "w", c), ("u", "z", a), ("w", "z", b)],
-                  fixed={"w": w})
-    return _enumerate(ear, fp)
-
-
 def _count(linkage, fp, rng=None):
     """The number of based label-preserving maps of the linkage: peel off
     the vertices whose placements can be counted from their labels alone,
@@ -565,9 +568,11 @@ def _count(linkage, fp, rng=None):
     depends only on the labels when
       - v has one remaining neighbor: q^2+q+1, the points of P^2(F_q),
         which are the classes `neighbors` lists;
-      - v has two remaining neighbors u, w joined by an edge (a chamber
-        ear): the points at the two required distances from a pair at
-        distance d(u, w), counted once per labels by `_ear_count`.
+      - v has two remaining neighbors u, w joined by an edge (an ear):
+        q+1 when v, u, w span a chamber, d(v, u) = d(u, w) = d(w, v),
+        since each panel lies in q+1 chambers (for tu < w < u with u/w
+        a line, the q+1 lines of the plane w/tu); 0 for other labels,
+        since three pairwise adjacent vertices always span a chamber.
     Such vertices are removed (placed last) one at a time until none is
     left, and the count is the product of their factors times the
     `_enumerate` count (with `rng`) of the core: the unpeeled vertices
@@ -581,7 +586,7 @@ def _count(linkage, fp, rng=None):
         return _enumerate(linkage, fp, rng=rng)
     pinned = {linkage.base, *linkage.fixed}
     q = fp.q
-    factor, ears = 1, {}
+    factor = 1
     peeled = True
     while peeled:
         peeled = False
@@ -596,11 +601,7 @@ def _count(linkage, fp, rng=None):
                 c = nbrs[u].get(w)
                 if c is None:
                     continue
-                # the same ear seen from w: (b, a, c*) for (a, b, c)
-                key = min((dual(a), dual(b), c), (dual(b), dual(a), dual(c)))
-                if key not in ears:
-                    ears[key] = _ear_count(*key, fp)
-                factor *= ears[key]
+                factor *= q + 1 if a == c == dual(b) else 0
             else:
                 continue
             for u in around:

@@ -450,6 +450,9 @@ def cmd_partition(args):
 
 
 def cmd_euler(args):
+    if args.precision not in (None, "auto"):
+        raise CliError("euler chooses its own precision at each prime; "
+                       "--precision must be 'auto'")
     primes = tuple(int(p) for p in args.primes.split(",")) \
         if args.primes else (2, 3, 5, 7, 11)
     w = load_web_arg(args.web)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,8 @@ from spiderweb import building, corpus
 from spiderweb.basis import minuscule_paths, path_tag
 from spiderweb.building import (
     BuildingError, FieldParam, LatticeClass, Linkage, _Field, _count,
-    _enumerate, auto_precision, base_class, count_configurations,
+    _enumerate, _padd, _pinv_unit, _pmul, _pneg, _pshift, _psub,
+    auto_precision, base_class, count_configurations,
     count_fibre, diskoid_linkage, edge_linkage, euler_estimate,
     hexagon_genericity, hexagon_solution_points, lattice_distance,
     neighbors, polygon_linkage, sample_polygon_config, satake_partition,
@@ -336,3 +338,142 @@ def test_seed77_sphere_peels_to_its_base(monkeypatch):
     link = diskoid_linkage(D)
     assert _count(link, fp_(2)) == 3 ** 3 * 7
     assert cores[-1] == 1
+
+
+@pytest.mark.parametrize("q", (2, 3, 5, 7))
+def test_ear_factor_table(q):
+    # z with d(u, z) = a and d(w, z) = b for a pinned pair d(u, w) = c:
+    # q+1 exactly when u, w, z span a chamber, as `_count` assumes
+    fp = FieldParam(q, 8)
+    for a, b, c in itertools.product((W1, W2), repeat=3):
+        ear = [("u", "w", c), ("u", "z", a), ("w", "z", b)]
+        pinned = Linkage("uwz", "u", ear,
+                         fixed={"w": neighbors(base_class(fp), c)[0]})
+        expect = q + 1 if (a, b, c) in ((W1, W2, W2), (W2, W1, W1)) else 0
+        assert _enumerate(pinned, fp) == expect
+        free = Linkage("uwz", "u", ear)
+        assert _count(free, fp) == _enumerate(free, fp) == \
+            (q * q + q + 1) * expect
+
+
+# ----------------------------------------------------------------------
+# the trimmed F_q[t]/t^N kernel against a dense reference
+
+
+def dense(a, N):
+    return tuple(a) + (0,) * (N - len(a))
+
+
+def trimmed(a):
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return tuple(a)
+
+
+def ref_mul(a, b, q, N):
+    out = [0] * N
+    for i in range(N):
+        for j in range(N - i):
+            out[i + j] = (out[i + j] + a[i] * b[j]) % q
+    return tuple(out)
+
+
+def ref_shift(a, k, N):
+    if k >= 0:
+        return (0,) * k + a[:N - k]
+    if any(a[:-k]):
+        raise BuildingError("inexact division")
+    return a[-k:] + (0,) * -k
+
+
+def ref_inv(a, q, N):
+    inv0 = pow(a[0], q - 2, q)
+    out = [inv0] + [0] * (N - 1)
+    for k in range(1, N):
+        s = sum(a[i] * out[k - i] for i in range(1, k + 1))
+        out[k] = (-s * inv0) % q
+    return tuple(out)
+
+
+@st.composite
+def kernel_operands(draw):
+    q = draw(st.sampled_from((2, 3, 5)))
+    N = draw(st.integers(2, 12))
+    # short operands, like the entries of reached lattices, and full ones
+    size = st.integers(0, N).flatmap(lambda n: st.lists(
+        st.integers(0, q - 1), min_size=n, max_size=n))
+    a, b = dense(draw(size), N), dense(draw(size), N)
+    unit = (draw(st.integers(1, q - 1)),) + b[1:]
+    return q, N, a, b, unit, draw(st.integers(-(N - 1), N - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_operands())
+def test_trimmed_kernel_matches_dense_reference(ops):
+    q, N, a, b, unit, k = ops
+    ta, tb = trimmed(a), trimmed(b)
+    results = [
+        (_padd(ta, tb, q), tuple((x + y) % q for x, y in zip(a, b))),
+        (_psub(ta, tb, q), tuple((x - y) % q for x, y in zip(a, b))),
+        (_pneg(ta, q), tuple(-x % q for x in a)),
+        (_pmul(ta, tb, q, N), ref_mul(a, b, q, N)),
+        (_pinv_unit(trimmed(unit), q, N), ref_inv(unit, q, N)),
+    ]
+    try:
+        results.append((_pshift(ta, k, N), ref_shift(a, k, N)))
+    except BuildingError:
+        with pytest.raises(BuildingError):
+            _pshift(ta, k, N)
+    for got, expect in results:
+        assert got == trimmed(expect)
+        assert not got or got[-1]
+    assert _pmul(trimmed(unit), _pinv_unit(trimmed(unit), q, N), q, N) == (1,)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from((2, 3, 5)),
+       st.lists(st.tuples(st.sampled_from((W1, W2)), st.integers(0, 10 ** 6)),
+                max_size=4))
+def test_reached_lattices_do_not_depend_on_precision(q, steps):
+    # the entries stay of low degree, so N = 12 and N = 86 store the
+    # same columns along the walk and for every neighbour
+    walk = [base_class(FieldParam(q, 12)), base_class(FieldParam(q, 86))]
+    for color, i in steps:
+        walk = [neighbors(L, color)[i % (q * q + q + 1)] for L in walk]
+        assert walk[0].cols == walk[1].cols
+    for color in (W1, W2):
+        lo, hi = (neighbors(L, color) for L in walk)
+        assert [M.cols for M in lo] == [M.cols for M in hi]
+
+
+# ----------------------------------------------------------------------
+# the precision boundary
+
+
+@pytest.mark.parametrize("sig, enough, sizes", [
+    ((W1, W2, W1, W2), 4, [42, 49]),
+    ((W1, W1, W1, W2, W2, W2), 6, [112, 168, 252, 252, 378, 441]),
+])
+def test_partition_precision_boundary(sig, enough, sizes):
+    # below the boundary the arithmetic runs out of t-adic digits and
+    # says so; from it on the partition no longer depends on N
+    for N in range(2, enough):
+        with pytest.raises(BuildingError, match="precision exhausted"):
+            satake_partition(sig, FieldParam(2, N))
+    for N in range(enough, 9):
+        assert sorted(satake_partition(sig, FieldParam(2, N)).values()) \
+            == sizes
+
+
+def test_w_mu_fibre_stable_above_auto_precision():
+    w = corpus.load_web("w-mu")
+    D = dual_diskoid(w)
+    N = auto_precision(diskoid_linkage(D).labels())
+    sig = w.boundary_signature()
+    counts = []
+    for fp in (FieldParam(2, N), FieldParam(2, N + 1)):
+        cfg = sample_polygon_config(sig, path_tag(w), fp, random.Random(5))
+        counts.append(count_fibre(
+            D, {D.boundary[i]: cfg[i] for i in range(len(sig))}, fp))
+    assert counts[0] == counts[1] >= 1

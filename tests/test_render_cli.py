@@ -90,6 +90,14 @@ def test_euler_theta(capsys):
     assert "chi = 6; skein(q=-1) = 6; MATCH" in out
 
 
+def test_euler_rejects_numeric_precision(capsys):
+    # euler takes auto_precision at each prime; a number would be ignored
+    code, out, err = run(capsys, "euler", corpus_path("theta"),
+                         "--precision", "2")
+    assert code == 1 and out == ""
+    assert "euler chooses its own precision" in err
+
+
 def test_count_digon(capsys):
     code, out, _ = run(capsys, "count", "--boundary", "w1,w2", "--q", "2")
     assert code == 0 and "7" in out
