@@ -170,15 +170,16 @@ def _rewrite_square(w, face, verts):
 # ----------------------------------------------------------------------
 # normal form and evaluation
 
-def normal_form(s, strategy="default", _cache=None):
-    """Reduce every supported web to non-elliptic normal form."""
+def normal_form(s, strategy="default"):
+    """Reduce every supported web to non-elliptic normal form.
+
+    The memo of reduced webs, keyed by canonical key, lasts one call."""
     if isinstance(s, Web):
         s = WebSum.single(s)
-    if _cache is None:
-        _cache = {}
+    cache = {}
     out = WebSum(s.mode)
     for w, c in s.items():
-        for w2, c2 in _nf_web(w, strategy, _cache):
+        for w2, c2 in _nf_web(w, strategy, cache):
             out._bump(w2, c2 * c)
     return out
 

@@ -80,8 +80,8 @@ class Web:
     def is_empty(self):
         return not self.theta and self.circles == 0
 
-    def sigma(self, d):
-        """Counterclockwise successor of d around its attachment point."""
+    def _sigma_map(self):
+        """dart -> counterclockwise successor around its attachment point."""
         if self._sigma is None:
             s = {}
             for tri in self.vertices:
@@ -92,17 +92,18 @@ class Web:
             for i, d0 in enumerate(self.boundary):
                 s[d0] = self.boundary[(i + 1) % nb]
             self._sigma = s
-        return self._sigma[d]
+        return self._sigma
+
+    def _vertex_map(self):
+        """dart -> index of the interior vertex holding it."""
+        if self._dart_vertex is None:
+            self._dart_vertex = {d0: i for i, tri in enumerate(self.vertices)
+                                 for d0 in tri}
+        return self._dart_vertex
 
     def vertex_of(self, d):
         """Index of the interior vertex holding dart d, or None."""
-        if self._dart_vertex is None:
-            m = {}
-            for i, tri in enumerate(self.vertices):
-                for d0 in tri:
-                    m[d0] = i
-            self._dart_vertex = m
-        return self._dart_vertex.get(d)
+        return self._vertex_map().get(d)
 
     def vertex_is_out(self, i):
         """True if interior vertex i is all-out (w1 flow leaving on all darts)."""
@@ -117,9 +118,10 @@ class Web:
         if self._faces is not None:
             return self._faces
         bset = set(self.boundary)
+        theta, sigma = self.theta, self._sigma_map()
         seen = set()
         out = []
-        for d0 in self.theta:
+        for d0 in theta:
             if d0 in seen:
                 continue
             orbit = []
@@ -127,7 +129,7 @@ class Web:
             while d not in seen:
                 seen.add(d)
                 orbit.append(d)
-                d = self.sigma(self.theta[d])
+                d = sigma[theta[d]]
             if d != d0:
                 raise WebError("rotation system is inconsistent at dart %r" % d)
             internal = not any(x in bset for x in orbit)
@@ -241,45 +243,75 @@ class Web:
     # ------------------------------------------------------------------
     # canonicalization
 
-    def _encode_from(self, seeds, cset=None):
-        """Canonical traversal encoding seeded by the given dart order."""
+    def _encode_from(self, seeds, size, best=None):
+        """Breadth-first code of the darts reached from ``seeds``.
+
+        Darts are numbered in the order the traversal first meets them: the
+        seeds, then, for each numbered dart in turn, its edge partner and the
+        partner's vertex counterclockwise.  Record i of the code describes
+        dart i as (partner, ccw successor or -1 off a vertex, head, on the
+        boundary), in numbers.  Returns ``(code, numbering)``; raises if
+        fewer than ``size`` darts are reached.
+
+        With ``best``, a code of the same length, the records are compared
+        with it as they are made, and None is returned once the code cannot
+        be less than ``best`` (equal counts as not less).
+        """
+        theta, sigma, dv = self.theta, self._sigma_map(), self._vertex_map()
+        heads, bset = self.heads, set(self.boundary)
         num = {}
         order = []
-
-        def see(d):
-            if d not in num:
-                num[d] = len(order)
-                order.append(d)
-
         for s in seeds:
-            see(s)
+            num[s] = len(order)
+            order.append(s)
+        code = []
         i = 0
         while i < len(order):
-            d = order[i]
+            e = theta[order[i]]
+            if e not in num:
+                num[e] = len(order)
+                order.append(e)
+            if e in dv:
+                x = sigma[e]
+                while x != e:
+                    if x not in num:
+                        num[x] = len(order)
+                        order.append(x)
+                    x = sigma[x]
+            # After step i >= 1 records 0..i are known: dart i's partner is
+            # numbered at step i, and its vertex was numbered on entry, or at
+            # step 1 for a seed.
+            while i and len(code) <= i:
+                d = order[len(code)]
+                r = (num[theta[d]], num[sigma[d]] if d in dv else -1,
+                     1 if d in heads else 0, 1 if d in bset else 0)
+                if best is not None:
+                    b = best[len(code)]
+                    if r > b:
+                        return None
+                    if r < b:
+                        best = None
+                code.append(r)
             i += 1
-            e = self.theta[d]
-            see(e)
-            vi = self.vertex_of(e)
-            if vi is not None:
-                tri = self.vertices[vi]
-                j = tri.index(e)
-                for k in range(1, len(tri)):
-                    see(tri[(j + k) % len(tri)])
-        if cset is not None and len(order) != len(cset):
+        if len(order) != size:
             raise WebError("traversal did not cover the component")
-        rec = []
-        bset = set(self.boundary)
-        for d in order:
-            vi = self.vertex_of(d)
-            rec.append((num[self.theta[d]],
-                        num[self.sigma(d)] if vi is not None else -1,
-                        1 if d in self.heads else 0,
-                        1 if d in bset else 0))
-        return tuple(rec), num
+        if best is not None:
+            return None
+        return tuple(code), num
 
     def canonical_key(self):
         """Equal keys iff isomorphic by a based, orientation-preserving map
-        isomorphism (free circles counted)."""
+        isomorphism (free circles counted).
+
+        The key lists the mode, the circle count, the breadth-first code of
+        the boundary component seeded by the boundary darts in order, and
+        the code of each closed component, sorted.  A closed component's
+        code is the least over its darts as the single seed; on a tie the
+        first seed in ``str`` order gives the numbering.  The search drops a
+        seed at its first record greater than the best code so far: codes
+        of one component have one length and compare record by record, so a
+        prefix that is already greater cannot become least.
+        """
         if self._ckey is None:
             self._ckey, self._crank = self._canonicalize()
         return self._ckey
@@ -292,37 +324,27 @@ class Web:
 
     def _canonicalize(self):
         bset = set(self.boundary)
+        comps = self._components()
+        closed = [c for c in comps if bset.isdisjoint(c)]
         parts = []
         rank = {}
-        offset = 0
         if self.boundary:
-            comps = self._components()
-            covered = set()
-            for comp in comps:
-                if set(comp) & bset:
-                    covered |= set(comp)
-            seeds = list(self.boundary)
-            enc, num = self._encode_from(seeds, covered)
-            parts.append(("bd", len(self.boundary), enc))
-            rank.update(num)
-            offset = len(num)
-            closed = [c for c in comps if not (set(c) & bset)]
-        else:
-            closed = self._components()
-        closed_encs = []
+            size = len(self.theta) - sum(len(c) for c in closed)
+            code, rank = self._encode_from(self.boundary, size)
+            parts.append(("bd", len(self.boundary), code))
+        found = []
         for comp in closed:
-            best = None
-            for seed in sorted(comp, key=lambda d: str(d)):
-                enc, num = self._encode_from([seed], set(comp))
-                if best is None or enc < best[0]:
-                    best = (enc, num)
-            closed_encs.append(best)
-        closed_encs.sort(key=lambda t: t[0])
-        for enc, num in closed_encs:
-            parts.append(("cl", enc))
+            seeds = sorted(comp, key=str)
+            best = self._encode_from(seeds[:1], len(comp))
+            for s in seeds[1:]:
+                best = self._encode_from([s], len(comp), best[0]) or best
+            found.append(best)
+        found.sort(key=lambda t: t[0])
+        for code, num in found:
+            parts.append(("cl", code))
+            offset = len(rank)
             for d, k in num.items():
                 rank[d] = offset + k
-            offset += len(num)
         key = repr((self.mode, self.circles, parts)).encode()
         return key, rank
 

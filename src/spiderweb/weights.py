@@ -15,8 +15,6 @@ combination of simple roots.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 ZERO = (0, 0)
 W1 = (1, 0)
 W2 = (0, 1)
@@ -62,29 +60,17 @@ def rho_level(w):
     return w[0] + w[1]
 
 
-def root_coordinates(w, mode="a2"):
-    """Express w as (i, j) with w = i*alpha1 + j*alpha2, exactly.
-
-    Returns a pair of Fractions (j is always 0 in A1 mode), or None when
-    w is not in the root lattice's rational span with b != 0 in A1 mode.
-    """
-    a, b = w
-    if mode == "a1":
-        if b != 0:
-            return None
-        return (Fraction(a, 2), Fraction(0))
-    # invert [[2,-1],[-1,2]]: det 3
-    return (Fraction(2 * a + b, 3), Fraction(a + 2 * b, 3))
-
-
 def dominance_leq(mu, lam, mode="a2"):
-    """True iff lam - mu is a non-negative integer combination of simple roots."""
-    d = sub(lam, mu)
-    rc = root_coordinates(d, mode)
-    if rc is None:
-        return False
-    i, j = rc
-    return i.denominator == 1 and j.denominator == 1 and i >= 0 and j >= 0
+    """True iff lam - mu is a non-negative integer combination of simple roots.
+
+    lam - mu = (a, b) is i*alpha1 + j*alpha2 with i = (2a+b)/3 and
+    j = (a+2b)/3 in A2 (both integers iff 3 divides 2a+b), and with
+    i = a/2, b = 0 in A1.
+    """
+    a, b = lam[0] - mu[0], lam[1] - mu[1]
+    if mode == "a1":
+        return b == 0 and a % 2 == 0 and a >= 0
+    return (2 * a + b) % 3 == 0 and 2 * a + b >= 0 and a + 2 * b >= 0
 
 
 def dominance_lt(mu, lam, mode="a2"):

@@ -6,6 +6,8 @@ import itertools
 import pytest
 
 from spiderweb.basis import enumerate_basis
+from spiderweb.generate import random_signature, random_web
+from spiderweb.webs import Web, glue, mirror
 from spiderweb.weights import W1, W2
 
 SIG12 = (W1, W2, W2, W1) * 3
@@ -45,3 +47,22 @@ def catalogs_le8():
 @pytest.fixture(scope="session")
 def catalog12():
     return enumerate_basis(SIG12)
+
+
+def random_closed_web(rng, max_legs=6, max_vertices=6):
+    """glue(a, mirror(b)) for random webs a, b of one random signature;
+    sometimes with a second such web beside it (glue of two closed webs
+    is their disjoint union) and sometimes with free circles."""
+    def pairing():
+        sig = random_signature(rng, max_legs=max_legs)
+        a = random_web(sig, rng, max_vertices=max_vertices)
+        b = random_web(sig, rng, max_vertices=max_vertices)
+        return glue(a, mirror(b))
+
+    g = pairing()
+    if rng.random() < 0.3:
+        g = glue(g, pairing())
+    if rng.random() < 0.3:
+        g = Web(g.mode, g.theta, g.vertices, g.boundary, g.heads,
+                g.circles + rng.randrange(1, 3), check=False)
+    return g

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import random_closed_web
 from spiderweb import corpus
 from spiderweb.laurent import BIGON_A2, LOOP_A1, LOOP_A2, Laurent
+from spiderweb.oracle import contract_closed
 from spiderweb.skein import (
     WebSum, evaluate_closed, find_elliptic, normal_form, pair, rewrite)
 from spiderweb.webs import (
@@ -100,6 +103,15 @@ def test_confluence_small_sample():
         sig = random_signature(rng, max_legs=8)
         w = random_web(sig, rng, max_vertices=10)
         assert normal_form(w) == normal_form(w, strategy="alternate")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_closed_web_confluence_and_oracle(seed):
+    g = random_closed_web(random.Random(seed))
+    val = evaluate_closed(g)
+    assert evaluate_closed(g, strategy="alternate") == val
+    assert contract_closed(g) == val.evaluate(-1) == evaluate_closed(g, -1)
 
 
 def test_closed_reduction_values_palindromic():

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spiderweb import corpus
+from conftest import random_closed_web
+from spiderweb import corpus, skein
 from spiderweb.generate import grown_webs, random_signature, random_web
 from spiderweb.webs import (
-    WebBuilder, WebError, empty_web, glue, mirror, parse_web, reflect,
+    Web, WebBuilder, WebError, empty_web, glue, mirror, parse_web, reflect,
     rotate, serialize_web)
 from spiderweb.weights import W1, W2, dual_reverse_signature
 
@@ -94,14 +96,142 @@ def test_builder_validation():
     assert w.boundary_signature() == (W1, W1, W1)
 
 
-def test_canonical_key_invariance():
-    # relabelling darts must not change the canonical key
-    rng = random.Random(7)
-    for _ in range(20):
-        sig = random_signature(rng, max_legs=6)
-        w = random_web(sig, rng, max_vertices=6, split_bias=0.0)
-        # rotating all the way around is a relabelled copy
-        assert rotate(w, len(sig)).canonical_key() == w.canonical_key()
+def relabelled(w, rng):
+    """w with every dart renamed by a random bijection, the dart and
+    vertex lists shuffled and each vertex triple rotated cyclically."""
+    names = list(w.theta)
+    rng.shuffle(names)
+    m = {d: ("x", k) for k, d in enumerate(names)}
+    verts = []
+    for tri in w.vertices:
+        i = rng.randrange(3)
+        verts.append(tuple(m[d] for d in tri[i:] + tri[:i]))
+    rng.shuffle(verts)
+    return Web(w.mode, {m[d]: m[w.theta[d]] for d in names}, verts,
+               [m[d] for d in w.boundary], {m[d] for d in w.heads},
+               w.circles)
+
+
+def random_boundary_web(rng):
+    sig = random_signature(rng, max_legs=6)
+    return random_web(sig, rng, max_vertices=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_canonical_key_invariance(seed):
+    rng = random.Random(seed)
+    for w in (random_boundary_web(rng), random_closed_web(rng)):
+        assert relabelled(w, rng).canonical_key() == w.canonical_key()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_rotation_keys(seed):
+    rng = random.Random(seed)
+    w = random_boundary_web(rng)
+    sig = w.boundary_signature()
+    n = len(sig)
+    assert rotate(rotate(w, 1), n - 1).canonical_key() == w.canonical_key()
+    if sig[1:] + sig[:1] != sig:
+        assert rotate(w, 1).canonical_key() != w.canonical_key()
+
+
+# ----------------------------------------------------------------------
+# the pruned canonical search against the exhaustive one
+
+
+def exhaustive_code(w, seeds):
+    """Breadth-first code of w from the seeds, encoded in full."""
+    num = {}
+    order = []
+
+    def see(d):
+        if d not in num:
+            num[d] = len(order)
+            order.append(d)
+
+    for s in seeds:
+        see(s)
+    i = 0
+    while i < len(order):
+        e = w.theta[order[i]]
+        i += 1
+        see(e)
+        tri = next((t for t in w.vertices if e in t), None)
+        if tri is not None:
+            j = tri.index(e)
+            for k in range(1, len(tri)):
+                see(tri[(j + k) % len(tri)])
+    succ = {t[k]: t[(k + 1) % len(t)] for t in w.vertices for k in range(len(t))}
+    bset = set(w.boundary)
+    code = tuple((num[w.theta[d]],
+                  num[succ[d]] if d in succ else -1,
+                  1 if d in w.heads else 0,
+                  1 if d in bset else 0) for d in order)
+    return code, num
+
+
+def exhaustive_canonical_form(w):
+    """(key, rank) with every closed component encoded from every dart,
+    keeping the least code and, on ties, the first seed in str order."""
+    bset = set(w.boundary)
+    comps = w._components()
+    parts = []
+    rank = {}
+    if w.boundary:
+        code, num = exhaustive_code(w, w.boundary)
+        parts.append(("bd", len(w.boundary), code))
+        rank.update(num)
+    found = []
+    for comp in comps:
+        if bset & set(comp):
+            continue
+        best = None
+        for seed in sorted(comp, key=lambda d: str(d)):
+            code, num = exhaustive_code(w, [seed])
+            if best is None or code < best[0]:
+                best = (code, num)
+        found.append(best)
+    found.sort(key=lambda t: t[0])
+    for code, num in found:
+        parts.append(("cl", code))
+        offset = len(rank)
+        for d, k in num.items():
+            rank[d] = offset + k
+    return repr((w.mode, w.circles, parts)).encode(), rank
+
+
+def beside(w, g):
+    """w with a disjoint copy of the closed web g inside its disk."""
+    a = {d: ("a", d) for d in w.theta}
+    b = {d: ("b", d) for d in g.theta}
+    theta = {a[d]: a[e] for d, e in w.theta.items()}
+    theta.update({b[d]: b[e] for d, e in g.theta.items()})
+    verts = ([tuple(a[d] for d in t) for t in w.vertices]
+             + [tuple(b[d] for d in t) for t in g.vertices])
+    heads = {a[d] for d in w.heads} | {b[d] for d in g.heads}
+    return Web(w.mode, theta, verts, [a[d] for d in w.boundary], heads,
+               w.circles + g.circles)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_pruned_canonical_form_matches_exhaustive(seed):
+    rng = random.Random(seed)
+    g = random_closed_web(rng)
+    tops = [g, beside(random_boundary_web(rng), g)]
+    webs = list(tops)
+    for w in tops:
+        memo = {}
+        skein._nf_web(w, "default", memo)
+        webs += memo
+    for w in webs:
+        key, rank = exhaustive_canonical_form(w)
+        fresh = Web(w.mode, w.theta, w.vertices, w.boundary, w.heads,
+                    w.circles, check=False)
+        assert fresh.canonical_key() == key
+        assert fresh.canonical_rank() == rank
 
 
 def test_grown_webs_deduplicates():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,9 +7,29 @@ from spiderweb.weights import (
     W1, W2, add, dominance_leq, dominance_lt, dual, dual_reverse_signature,
     format_signature, format_weight, is_dominant, is_minuscule,
     minuscule_orbit, parse_signature, parse_weight, rho_level,
-    root_coordinates, rotate_signature, signature_rho_level, sub)
+    rotate_signature, signature_rho_level, sub)
 
 weights_st = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+def root_coordinates(w, mode="a2"):
+    """Reference: w as (i, j) with w = i*alpha1 + j*alpha2, in Fractions;
+    None in A1 mode when b != 0."""
+    a, b = w
+    if mode == "a1":
+        if b != 0:
+            return None
+        return (Fraction(a, 2), Fraction(0))
+    # invert [[2,-1],[-1,2]]: det 3
+    return (Fraction(2 * a + b, 3), Fraction(a + 2 * b, 3))
+
+
+def reference_dominance_leq(mu, lam, mode="a2"):
+    rc = root_coordinates(sub(lam, mu), mode)
+    if rc is None:
+        return False
+    i, j = rc
+    return i.denominator == 1 and j.denominator == 1 and i >= 0 and j >= 0
 
 
 def test_basics():
@@ -45,6 +67,14 @@ def test_root_coordinates_and_dominance():
     assert dominance_lt((0, 0), (1, 1))
     assert not dominance_lt(W1, W1)
     assert dominance_leq(W1, W1)
+    assert dominance_leq((0, 0), (2, 0), mode="a1")
+    assert not dominance_leq((0, 0), (1, 0), mode="a1")
+    assert not dominance_leq((0, 0), (2, 1), mode="a1")
+
+
+@given(weights_st, weights_st, st.sampled_from(["a1", "a2"]))
+def test_dominance_matches_root_coordinates(mu, lam, mode):
+    assert dominance_leq(mu, lam, mode) == reference_dominance_leq(mu, lam, mode)
 
 
 def test_rho_levels():
