@@ -1,19 +1,19 @@
 """Minuscule paths, invariant dimensions, and the non-elliptic basis.
 
 The non-elliptic webs with a fixed boundary signature form a basis of
-the invariant space; each one is tagged by the distance vector of its
-dual diskoid read from the base region, and this tagging is a bijection
-onto the minuscule paths of the signature.  The path count therefore
-certifies completeness of the web enumeration.
+the invariant space, one web per minuscule path: the path of a web is
+its tag, the distance vector of its dual diskoid read from the base
+region.  ``web_from_path`` grows the web of a path by Khovanov and
+Kuperberg's algorithm, and ``enumerate_basis`` certifies each web by
+its tag.
 """
 
 from __future__ import annotations
 
-from . import weights
-from .weights import W1, is_dominant, add, minuscule_orbit, rotate_signature
+from .weights import add, is_dominant, minuscule_orbit, rotate_signature, sub
 from .webs import Web, WebError, rotate
 from .diskoid import dual_diskoid, mu_vector
-from .generate import grown_webs
+from .generate import Grower
 from .skein import WebSum, normal_form
 
 
@@ -80,59 +80,63 @@ def path_tag(w):
     return ((0, 0),) + mu_vector(dual_diskoid(w), 0)
 
 
-_CATALOGS = {}
-
-
-def enumerate_basis(signature, mode="a2", max_boundary=12, max_vertices=None):
-    """Enumerate all non-elliptic webs with the given boundary, tagged by
-    minuscule paths; completeness is certified against the path count.
-
-    The growth search runs with an escalating interior-vertex budget
-    until the web count matches the path count (raising if a generous
-    budget still disagrees, which would signal a real defect).  Catalogs
-    are cached per signature."""
-    hit = _CATALOGS.get((tuple(signature), mode))
-    if hit is not None:
-        return hit
-    n = len(signature)
-    if n > max_boundary:
-        raise WebError("boundary budget exceeded (%d > %d)" % (n, max_boundary))
-    paths = minuscule_paths(signature, mode)
-    budget = max_vertices if max_vertices is not None else max(6, n * n // 6 + 2)
-    for attempt in range(3):
-        webs = grown_webs(signature, mode, max_vertices=budget)
-        if len(webs) == len(paths):
-            break
-        if len(webs) > len(paths):
-            raise WebError("more non-elliptic webs than paths: enumeration "
-                           "or tagging is broken")
-        budget += max(4, budget // 2)
-    else:
-        raise WebError("basis enumeration incomplete: %d webs vs %d paths"
-                       % (len(webs), len(paths)))
+def enumerate_basis(signature, mode="a2", max_boundary=12):
+    """The non-elliptic basis: ``web_from_path`` of each minuscule path.
+    Certificate: every web is non-elliptic and tagged by its own path
+    (else ``WebError``), so the tags are the paths, one each, and the
+    catalog is the whole basis."""
+    if len(signature) > max_boundary:
+        raise WebError("boundary budget exceeded (%d > %d)"
+                       % (len(signature), max_boundary))
     entries = []
-    for w in webs:
-        tag = path_tag(w)
-        entries.append((tag, w, w.canonical_key()))
-    tagset = {t for t, _w, _k in entries}
-    if len(tagset) != len(entries) or tagset != set(paths):
-        raise WebError("path tagging is not a bijection onto the paths")
-    cat = BasisCatalog(signature, mode, entries)
-    _CATALOGS[(cat.signature, mode)] = cat
-    return cat
+    for p in minuscule_paths(signature, mode):
+        w = web_from_path(signature, p, mode)
+        if path_tag(w) != p or not w.is_nonelliptic():
+            raise WebError("the web grown from path %r is not its basis web"
+                           % (p,))
+        entries.append((p, w, w.canonical_key()))
+    return BasisCatalog(signature, mode, entries)
 
 
-def web_from_path(signature, path, mode="a2", catalog=None):
-    """The unique non-elliptic web whose tag is the given path."""
-    if catalog is None:
-        catalog = enumerate_basis(signature, mode)
+def web_from_path(signature, path, mode="a2"):
+    """The non-elliptic web tagged by a minuscule path, grown by Khovanov
+    and Kuperberg's algorithm ("Web bases for sl(3) are not dual
+    canonical", Pacific J. Math. 188, 1999).
+
+    Leg k has the state 1, 0 or -1 as mu_k - mu_{k-1} is the first,
+    second or third weight of its minuscule orbit.  Until the frontier
+    is empty, the leftmost adjacent states a > b get a cap in A1 or when
+    the flags differ and a + b = 0 (both go), a merge when the flags
+    agree (one state a + b), and an H otherwise (the states swap).
+    Raises ``WebError`` unless the path is a minuscule path of the
+    signature."""
+    g = Grower(mode, signature)
     path = tuple(path)
-    if path and path[0] != (0, 0):
-        path = ((0, 0),) + path
-    w = catalog.by_path.get(path)
-    if w is None:
+    if len(path) != len(signature) + 1 or not path[0] == path[-1] == (0, 0):
         raise WebError("path is not a minuscule path of this signature")
-    return w
+    state = []
+    for lam, a, b in zip(signature, path, path[1:]):
+        orbit = minuscule_orbit(lam, mode)
+        if sub(b, a) not in orbit or not is_dominant(b):
+            raise WebError("path is not a minuscule path of this signature")
+        state.append(1 - orbit.index(sub(b, a)))
+    while state:
+        i = next((i for i in range(len(state) - 1)
+                  if state[i] > state[i + 1]), None)
+        if i is None:
+            raise WebError("growth stuck at states %r" % (state,))
+        a, b = state[i], state[i + 1]
+        same = g.frontier[i][1] == g.frontier[i + 1][1]
+        if mode == "a1" or (not same and a + b == 0):
+            g.cap(i)
+            del state[i:i + 2]
+        elif same:
+            g.merge(i)
+            state[i:i + 2] = [a + b]
+        else:
+            g.aitch(i)
+            state[i:i + 2] = [b, a]
+    return g.build()
 
 
 def expand_in_basis(s, catalog=None):
@@ -179,6 +183,4 @@ def rotated_catalog_check(catalog, i=1):
     if len(tagset) != len(entries2) or \
             tagset != set(minuscule_paths(sig2, catalog.mode)):
         raise WebError("rotated tags are not a bijection onto the paths")
-    cat2 = BasisCatalog(sig2, catalog.mode, entries2)
-    _CATALOGS[(cat2.signature, catalog.mode)] = cat2
-    return cat2
+    return BasisCatalog(sig2, catalog.mode, entries2)

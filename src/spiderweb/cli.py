@@ -31,7 +31,7 @@ from .diskoid import (DiskoidError, diamond_move, diamond_sites,
                       complete_extension, distance, dual_diskoid, geodesics,
                       is_cat0, leq_S, mu_vector, parse_diskoid,
                       serialize_diskoid)
-from .generate import grown_webs, random_signature, random_web
+from .generate import random_signature, random_web
 from .basis import (dim_invariants, enumerate_basis, expand_in_basis,
                     minuscule_paths, path_tag, rotated_catalog_check)
 from .oracle import (contract_closed, in_invariant_kernel,
@@ -342,9 +342,7 @@ def cmd_dim(args):
 
 def cmd_basis(args):
     sig = parse_signature(args.boundary)
-    cat = enumerate_basis(sig, args.mode,
-                          max_boundary=args.budget_boundary,
-                          max_vertices=args.budget_vertices)
+    cat = enumerate_basis(sig, args.mode, max_boundary=args.budget_boundary)
     lines, entries = [], []
     for p, w, _k in cat.entries:
         lines.append("%s   (%d vertices)" % (format_path(p), w.n_vertices()))
@@ -708,16 +706,12 @@ def _add_global_flags(p, suppress):
     arg("--seed", type=int, help="random seed (default 0)")
     arg("--json", action="store_true", help="shorthand for --format json")
     if not suppress:
-        p.add_argument("--budget-vertices", type=int, default=None,
-                       help="interior-vertex budget for searches")
         p.add_argument("--budget-boundary", type=int, default=12,
-                       help="boundary-leg budget for searches")
+                       help="boundary-leg budget for the basis")
         p.add_argument("--format", default="text",
                        choices=("text", "json", "svg", "tikz"))
         p.add_argument("--out", help="write output to this file")
     else:
-        p.add_argument("--budget-vertices", type=int,
-                       default=argparse.SUPPRESS)
         p.add_argument("--budget-boundary", type=int,
                        default=argparse.SUPPRESS)
         p.add_argument("--format", choices=("text", "json", "svg", "tikz"),

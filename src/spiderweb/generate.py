@@ -3,16 +3,19 @@
 A web in the disk is grown downward from its boundary legs.  The state
 is a left-to-right frontier of darts still missing their edge partner,
 each flagged True when the w1 flow should arrive at that dart (its edge
-head).  Three local moves act on adjacent frontier positions:
+head).  Four local moves act on the frontier:
 
     cap(i)    join darts i and i+1 by an edge (opposite flags in A2),
     merge(i)  attach darts i and i+1 to a new trivalent vertex, leaving
               one new frontier dart (equal flags, flag negated),
+    aitch(i)  attach darts i and i+1 (opposite flags) to an H, leaving
+              two new frontier darts with the flags swapped,
     split(i)  attach dart i to a new trivalent vertex, leaving two new
               frontier darts (both with the negated flag).
 
-Caps and merges alone generate every non-elliptic web; splits introduce
-elliptic faces and are used for randomized reduction corpora.
+``basis.web_from_path`` grows each non-elliptic web by caps, merges and
+H moves (caps and merges alone miss a basis web of (w1 w2)^3); splits
+make elliptic faces and serve randomized reduction corpora.
 """
 
 from __future__ import annotations
@@ -177,13 +180,12 @@ class Grower:
     def done(self):
         return not self.frontier
 
-    def build(self, validate=True):
+    def build(self):
         if self.frontier:
             raise WebError("frontier is not empty")
         w = Web(self.mode, self.theta, self.vertices, self.boundary,
                 self.heads, 0, check=False)
-        if validate:
-            w.validate(strict=True)
+        w.validate(strict=True)
         return w
 
     def state_key(self):

@@ -1,6 +1,8 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spiderweb import corpus
 from spiderweb.basis import (
@@ -12,7 +14,7 @@ from spiderweb.skein import WebSum, normal_form
 from spiderweb.webs import WebError, rotate
 from spiderweb.weights import W1, W2
 
-from conftest import MU, NU, SIG12
+from conftest import MU, NU, SIG12, all_signatures, is_gluable
 
 
 def test_minuscule_paths_small():
@@ -53,9 +55,18 @@ def test_web_from_path_roundtrip():
     sig = (W1, W2) * 3
     cat = enumerate_basis(sig)
     for p in cat.paths():
-        assert path_tag(web_from_path(sig, p, catalog=cat)) == p
+        assert path_tag(web_from_path(sig, p)) == p
+    bad = [
+        ((0, 0), (9, 9)),                                   # too short
+        cat.paths()[0][:-1],                                # too short
+        ((0, 0), (1, 0), (2, -1), (1, 0), (0, 0), (1, 0), (0, 0)),  # not dominant
+        ((0, 0), (1, 0), (0, 0), (1, 0), (0, 0), (1, 0), (1, 1)),   # ends off 0
+    ]
+    for path in bad:
+        with pytest.raises(WebError):
+            web_from_path(sig, path)
     with pytest.raises(WebError):
-        web_from_path(sig, ((0, 0), (9, 9)), catalog=cat)
+        web_from_path((W2, W1), ((0, 0), (1, 0), (0, 0)))   # w1 step on w2
 
 
 def test_frozen_catalog_entries():
@@ -98,6 +109,47 @@ def test_grown_webs_are_nonelliptic():
     for w in grown_webs((W2, W2, W2)):
         assert w.is_nonelliptic()
         assert w.boundary_signature() == (W2, W2, W2)
+
+
+def _grown_keys(sig, mode="a2"):
+    return {w.canonical_key() for w in grown_webs(sig, mode)}
+
+
+def test_construction_matches_growth_search(catalogs_le8):
+    # the exhaustive growth search is the oracle for the path construction;
+    # a signature of nonzero mod-3 charge bounds no web, and the search
+    # would spend most of its time proving that, so it only asserts empty
+    for sig in all_signatures(8):
+        built = {k for _p, _w, k in catalogs_le8[sig].entries}
+        if not is_gluable(sig):
+            assert not built, sig
+            continue
+        assert built == _grown_keys(sig), sig
+    for n in range(0, 9, 2):
+        sig = (W1,) * n
+        built = {k for _p, _w, k in enumerate_basis(sig, "a1").entries}
+        assert built == _grown_keys(sig, "a1"), n
+
+
+def test_construction_matches_growth_search_n12(catalog12):
+    # sha256 of the sorted canonical keys of grown_webs(SIG12), computed
+    # once with the search (about 45 s) and frozen here
+    keys = sorted(k for _p, _w, k in catalog12.entries)
+    assert hashlib.sha256(b"\n".join(keys)).hexdigest() == (
+        "a99d42284afe2068b5c0e4a5ac01bc201ec0cfbdccc3ccdf962bc774a03bdf56")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_web_from_path_property(seed):
+    rng = random.Random(seed)
+    mode = "a1" if rng.random() < 0.2 else "a2"
+    sig = random_signature(rng, mode, max_legs=12)
+    p = rng.choice(minuscule_paths(sig, mode))
+    w = web_from_path(sig, p, mode)
+    assert w.boundary_signature() == sig
+    assert w.is_nonelliptic()
+    assert path_tag(w) == p
 
 
 def test_a1_catalog():

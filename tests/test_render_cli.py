@@ -66,6 +66,15 @@ def test_usage_error_exit_2(capsys):
     assert e.value.code == 2
 
 
+def test_budget_vertices_flag_is_gone(capsys):
+    # the basis is built from its paths; no vertex budget is accepted
+    for argv in (["--budget-vertices", "8", "basis", "--boundary", "w1,w2"],
+                 ["basis", "--boundary", "w1,w2", "--budget-vertices", "8"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+
+
 def test_reduce_square(capsys):
     code, out, _ = run(capsys, "reduce", corpus_path("square"), "--q=-1")
     assert code == 0

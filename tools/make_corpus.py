@@ -17,8 +17,7 @@ from spiderweb.weights import W1, W2, format_signature
 from spiderweb.webs import Web, WebBuilder, glue, mirror, parse_web, serialize_web
 from spiderweb.skein import WebSum, normal_form, evaluate_closed
 from spiderweb.diskoid import dual_diskoid, is_cat0
-from spiderweb.generate import grown_webs
-from spiderweb.basis import enumerate_basis, minuscule_paths, path_tag
+from spiderweb.basis import minuscule_paths, path_tag, web_from_path
 from spiderweb.oracle import contract_closed
 from spiderweb.building import euler_estimate
 
@@ -32,9 +31,8 @@ SIG12 = (W1, W2, W2, W1) * 3
 
 
 def single_y():
-    webs = grown_webs((W1, W1, W1))
-    assert len(webs) == 1
-    return webs[0]
+    (path,) = minuscule_paths((W1, W1, W1))
+    return web_from_path((W1, W1, W1), path)
 
 
 class GeometricBuilder:
@@ -257,10 +255,10 @@ def main():
     assert a2.is_nonelliptic() and is_cat0(dual_diskoid(a2))
     items["a2-example"] = (a2, basis_extras(a2))
 
-    print("enumerating the 12-leg catalog (this takes about a minute)...")
-    cat = enumerate_basis(SIG12)
-    wmu = cat.by_path[MU]
-    wnu = cat.by_path[NU]
+    wmu = web_from_path(SIG12, MU)
+    wnu = web_from_path(SIG12, NU)
+    for w, p in ((wmu, MU), (wnu, NU)):
+        assert w.is_nonelliptic() and path_tag(w) == p
     items["w-mu"] = (wmu, basis_extras(wmu))
     items["w-nu"] = (wnu, basis_extras(wnu))
 
