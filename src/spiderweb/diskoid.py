@@ -33,7 +33,7 @@ class Geodesic:
 
 class Diskoid:
     __slots__ = ("mode", "names", "base", "boundary", "edges", "triangles",
-                 "_adj", "_tris_at", "_tri_vsets")
+                 "_adj", "_tris_at", "_tri_vsets", "_boundary_rows")
 
     def __init__(self, mode, names, base, boundary, edges, triangles,
                  check=True):
@@ -46,6 +46,7 @@ class Diskoid:
         self._adj = None
         self._tris_at = None
         self._tri_vsets = None
+        self._boundary_rows = {}
         if check:
             self.validate()
 
@@ -73,6 +74,16 @@ class Diskoid:
                 adj[v].append((u, dual(lam, self.mode), e, False))
             self._adj = adj
         return self._adj
+
+    def boundary_row(self, i):
+        """Pareto sets from boundary vertex i to boundary vertices
+        0, ..., n-1, computed once per i."""
+        row = self._boundary_rows.get(i)
+        if row is None:
+            sets = distance_sets(self, self.boundary[i])
+            row = tuple(tuple(sets[b]) for b in self.boundary)
+            self._boundary_rows[i] = row
+        return row
 
     def triangle_vertices(self, t):
         """The vertex set of triangle index t."""
@@ -438,11 +449,11 @@ def mu_vector(D, i=0):
     n = len(D.boundary)
     if n == 0:
         raise DiskoidError("mu_vector needs a boundary")
-    src = D.boundary[i % n]
-    sets = distance_sets(D, src)
+    i %= n
+    row = D.boundary_row(i)
     out = []
     for k in range(1, n + 1):
-        pareto = sets[D.boundary[(i + k) % n]]
+        pareto = row[(i + k) % n]
         if len(pareto) != 1:
             raise DiskoidError("non-coherent distance in mu_vector")
         out.append(pareto[0])
@@ -456,13 +467,13 @@ def leq_S(D, E):
     if len(E.boundary) != n:
         raise DiskoidError("boundary sizes differ")
     for i in range(n):
-        dd = distance_sets(D, D.boundary[i])
-        de = distance_sets(E, E.boundary[i])
+        dd = D.boundary_row(i)
+        de = E.boundary_row(i)
         for j in range(n):
             if i == j:
                 continue
-            a = dd[D.boundary[j]]
-            b = de[E.boundary[j]]
+            a = dd[j]
+            b = de[j]
             if len(a) != 1 or len(b) != 1:
                 raise DiskoidError("non-coherent distance in leq_S")
             if not dominance_leq(a[0], b[0], D.mode):

@@ -8,16 +8,18 @@ multiply by the dimension.  All arithmetic is exact (Python integers via
 object-dtype arrays); the resulting closed-web scalars equal the skein
 evaluation at q = -1 with no correction factor.
 
-The invariant dimension of a boundary signature is computed by exact or
-modular null-space calculation for the raising operators restricted to
-the weight-zero subspace: a weight-zero vector killed by e1 and e2 is a
-sum of weight-zero highest-weight vectors, hence invariant, so this
-kernel is exactly the invariant space.
+The invariant dimension of a boundary signature is the dimension of the
+kernel of the raising operators on the weight-zero subspace: a
+weight-zero vector killed by e1 and e2 is a sum of weight-zero
+highest-weight vectors, hence invariant.  The kernel is found by one
+sparse elimination over the prime field F_p, p = 2147483629, which is
+exact for every signature with at most p - 2 legs (see
+`invariant_kernel_dim`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -31,7 +33,7 @@ for _i, _j, _k, _s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
 _ID3 = np.eye(3, dtype=object)
 _EPS2 = np.array([[0, 1], [-1, 0]], dtype=object)
 
-_PRIMES = (2147483629, 2147483587, 2147483563)
+_P = 2147483629
 
 
 def _dim(mode):
@@ -210,8 +212,12 @@ def apply_raising(vec, signature, which, mode="a2"):
 
 
 def in_invariant_kernel(vec, signature, mode="a2"):
-    """True iff the exact tensor is killed by both raising operators and
-    (A2) by weight: used to certify oracle vectors."""
+    """True iff every nonzero entry of the exact tensor has total weight
+    zero and the tensor is killed by the raising operators (e1 and e2;
+    e1 alone in A1): used to certify oracle vectors."""
+    zero = set(_tuples_of_weight(signature, mode, (0, 0)))
+    if any(tuple(idx) not in zero for idx in np.argwhere(vec)):
+        return False
     for which in ((1,) if mode == "a1" else (1, 2)):
         if np.any(apply_raising(vec, signature, which, mode)):
             return False
@@ -253,118 +259,67 @@ def _tuples_of_weight(signature, mode, target):
     return out
 
 
-def _rank_mod(M, p):
-    M = np.array(M, dtype=np.int64) % p
-    r, c = M.shape
-    rank = 0
-    row = 0
-    for col in range(c):
-        if row >= r:
-            break
-        piv = None
-        for i in range(row, r):
-            if M[i, col] % p:
-                piv = i
+def _rank(rows):
+    """Rank over F_p (p = _P) of sparse integer rows, each a dict
+    {column: int}, reducing each row by the pivot of its largest
+    column."""
+    pivots = {}
+    for row in rows:
+        row = {c: v % _P for c, v in row.items() if v % _P}
+        while row:
+            c = max(row)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(row[c], _P - 2, _P)
+                pivots[c] = {k: v * inv % _P for k, v in row.items()}
                 break
-        if piv is None:
-            continue
-        M[[row, piv]] = M[[piv, row]]
-        inv = pow(int(M[row, col]), p - 2, p)
-        M[row] = (M[row] * inv) % p
-        mask = M[row + 1:, col] != 0
-        if mask.any():
-            M[row + 1:][mask] = (M[row + 1:][mask]
-                                 - np.outer(M[row + 1:, col][mask], M[row])) % p
-        row += 1
-        rank += 1
-    return rank
+            f = row[c]
+            for k, v in piv.items():
+                x = (row.get(k, 0) - f * v) % _P
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+    return len(pivots)
 
 
-def _rank_exact(M):
-    M = [[Fraction(x) for x in row] for row in M]
-    r = len(M)
-    c = len(M[0]) if r else 0
-    rank = 0
-    row = 0
-    for col in range(c):
-        if row >= r:
-            break
-        piv = next((i for i in range(row, r) if M[i][col]), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        pv = M[row][col]
-        for i in range(row + 1, r):
-            f = M[i][col]
-            if f:
-                ratio = f / pv
-                M[i] = [a - ratio * b for a, b in zip(M[i], M[row])]
-        row += 1
-        rank += 1
-    return rank
-
-
-_KERNEL_CACHE = {}
-
-
-def invariant_kernel_dim(signature, mode="a2", exact=None):
-    """dim of the invariant subspace of the boundary tensor product.
-
-    Permuting tensor factors is an equivariant isomorphism, so the
-    answer depends only on the multiset of leg labels; computations are
-    cached on the sorted signature.  Ranks are exact rational for small
-    weight-zero spaces and modular (two large primes, required to agree)
-    beyond that unless ``exact`` forces a method.
-    """
-    signature = tuple(signature)
-    key = (mode, tuple(sorted(signature)))
-    if exact is None and key in _KERNEL_CACHE:
-        return _KERNEL_CACHE[key]
-    sig = key[1]
+@cache
+def _kernel_dim(mode, sig):
     zero = _tuples_of_weight(sig, mode, (0, 0))
-    if not zero:
-        _KERNEL_CACHE[key] = 0
-        return 0
-    col = {t: i for i, t in enumerate(zero)}
-    rows = []
-    whiches = (1,) if mode == "a1" else (1, 2)
-    for which in whiches:
-        # target space: weight alpha_which
-        alpha = ((2, 0) if mode == "a1" else ((2, -1) if which == 1 else (-1, 2)))
-        targets = _tuples_of_weight(sig, mode, alpha)
-        tix = {t: i for i, t in enumerate(targets)}
-        block = [[0] * len(zero) for _ in targets]
-        for t in zero:
-            j = col[t]
+    rows = {}
+    for which in ((1,) if mode == "a1" else (1, 2)):
+        for j, t in enumerate(zero):
             for leg, lam in enumerate(sig):
                 for src, dst, coeff in _e_moves(lam, mode, which):
                     if t[leg] == src:
                         t2 = t[:leg] + (dst,) + t[leg + 1:]
-                        block[tix[t2]][j] += coeff
-        rows.extend(block)
-    if not rows:
-        dim = len(zero)
-    elif exact is True or (exact is None and len(zero) <= 200):
-        dim = len(zero) - _rank_exact(rows)
-    else:
-        r1 = _rank_mod(rows, _PRIMES[0])
-        r2 = _rank_mod(rows, _PRIMES[1])
-        if r1 != r2:
-            r3 = _rank_mod(rows, _PRIMES[2])
-            if r3 != max(r1, r2):
-                raise WebError("modular ranks disagree; use exact=True")
-            r1 = max(r1, r2)
-        dim = len(zero) - r1
-    _KERNEL_CACHE[key] = dim
-    return dim
+                        rows.setdefault(t2, {})[j] = coeff
+    return len(zero) - _rank(rows.values())
 
 
-def vectors_rank(vectors, exact=True):
-    """Exact rank of a family of integer web vectors (flattened)."""
-    M = [np.asarray(v, dtype=object).reshape(-1).tolist() for v in vectors]
-    if not M:
-        return 0
-    if exact:
-        return _rank_exact(M)
-    return _rank_mod([[int(x) % _PRIMES[0] for x in row] for row in M],
-                     _PRIMES[0])
+def invariant_kernel_dim(signature, mode="a2"):
+    """dim of the invariant subspace of the boundary tensor product.
+
+    Permuting tensor factors is an equivariant isomorphism, so the
+    answer depends only on the multiset of leg labels and is memoised
+    on the sorted signature.
+
+    The e1/e2 matrix on the weight-zero tuples has integer entries and
+    is reduced mod one prime p.  Its F_p rank is at most its rational
+    rank, so the F_p kernel can only over-count; it never does when
+    p >= n + 2 for n legs.  Then every dominant weight of the n-fold
+    tensor product of V and V* has lambda_1 + lambda_2 <= n <= p - 2
+    (lambda <= p - 1 in A1), so it lies in the closure of the bottom
+    p-alcove.  V and V* are tilting, so the product is tilting, and
+    tilting modules with highest weights there are direct sums of Weyl
+    modules Delta(lambda) = L(lambda) with the characteristic-zero
+    multiplicities (Jantzen, Representations of Algebraic Groups,
+    II.5.6 and II.E).  A weight-zero vector killed by e1 and e2 is
+    killed by every divided power e_i^(k): for k < p, e_i^(k) = e_i^k/k!,
+    and for k >= p, k alpha_i has a coordinate 2k > n, so is not a weight.
+    So it is a maximal vector, i.e. lies in the sum of the trivial
+    summands L(0), and dim_Fp ker = dim_Q ker.
+    """
+    # w1 legs first: with largest-column pivots this leg order makes
+    # the elimination of mixed signatures about three times faster
+    return _kernel_dim(mode, tuple(sorted(signature, reverse=True)))

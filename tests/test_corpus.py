@@ -1,4 +1,10 @@
-"""Every sidecar value in the shipped corpus is recomputed from scratch."""
+"""Every sidecar value in the shipped corpus is recomputed from scratch,
+and the generator reproduces the shipped files byte for byte."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +16,9 @@ from spiderweb.oracle import contract_closed
 from spiderweb.skein import normal_form, evaluate_closed
 from spiderweb.webs import parse_web, serialize_web
 from spiderweb.weights import format_signature
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "src" / "spiderweb" / "corpus"
 
 EXPECTED_NAMES = {"single-y", "bigon", "square", "loop", "theta",
                   "a1-example", "a2-example", "w-mu", "w-nu"}
@@ -52,3 +61,18 @@ def test_sidecar_values(name):
         assert len(nf) == exp["reduction_terms"]
         assert sorted(str(c) for _w, c in nf.items()) == \
             exp["reduction_coefficients"]
+
+
+def test_make_corpus_reproduces_shipped_files(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    tool = ROOT / "tools" / "make_corpus.py"
+    proc = subprocess.run([sys.executable, str(tool), str(tmp_path)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    shipped = sorted(p.name for p in CORPUS.iterdir()
+                     if p.suffix in (".web", ".json"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == shipped
+    for name in shipped:
+        assert (tmp_path / name).read_bytes() == \
+            (CORPUS / name).read_bytes(), name

@@ -8,7 +8,7 @@ from spiderweb.diskoid import (
     diamond_sites, distance, distance_sets, dual_diskoid, geodesics, is_cat0,
     leq_S, mu_vector, parse_diskoid, serialize_diskoid)
 from spiderweb.generate import random_signature, random_web
-from spiderweb.weights import W1, W2, dual as dual_weight
+from spiderweb.weights import W1, W2, dominance_leq, dual as dual_weight
 
 from conftest import MU, NU
 
@@ -142,6 +142,37 @@ def test_leq_S():
     assert leq_S(Dnu, Dmu)
     assert not leq_S(Dmu, Dnu)
     assert leq_S(Dmu, Dmu)
+
+
+def test_boundary_rows_match_fresh_distances():
+    # mu_vector and leq_S read the memoised boundary rows; recompute every
+    # boundary distance from scratch and compare, reading each row twice
+    rng = random.Random(8)
+    duals = {}
+    while sum(map(len, duals.values())) < 12:
+        sig = random_signature(rng, max_legs=6)
+        w = random_web(sig, rng, max_vertices=6, split_bias=0.0)
+        if not w.circles:
+            duals.setdefault(len(sig), []).append(dual_diskoid(w))
+    for Ds in duals.values():
+        n = len(Ds[0].boundary)
+        for D in Ds:
+            for _ in range(2):
+                for i in range(n):
+                    assert mu_vector(D, i) == tuple(
+                        distance(D, D.boundary[i], D.boundary[(i + k) % n])
+                        for k in range(1, n + 1))
+        for D in Ds:
+            for E in Ds:
+                assert leq_S(D, E) == all(
+                    dominance_leq(distance(D, D.boundary[i], D.boundary[j]),
+                                  distance(E, E.boundary[i], E.boundary[j]))
+                    for i in range(n) for j in range(n) if i != j)
+
+
+def test_leq_S_needs_equal_boundaries():
+    with pytest.raises(DiskoidError):
+        leq_S(D_of("w-mu"), D_of("single-y"))
 
 
 def test_cat0_criterion():

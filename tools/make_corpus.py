@@ -1,6 +1,8 @@
 """Regenerate the shipped corpus: named webs plus expected-value sidecars.
 
-Run from the repository root:  python3 tools/make_corpus.py
+Run from the repository root:  python3 tools/make_corpus.py [OUTDIR]
+
+OUTDIR defaults to the shipped corpus, src/spiderweb/corpus.
 
 Every expected value in the sidecars is computed here by the engine and
 then frozen; the test suite recomputes them independently and compares.
@@ -229,8 +231,8 @@ def reduction_extras(w):
             "reduction_coefficients": coeff_strings(nf)}
 
 
-def main():
-    os.makedirs(OUT, exist_ok=True)
+def main(out=OUT):
+    os.makedirs(out, exist_ok=True)
     items = {}
 
     y = single_y()
@@ -267,9 +269,9 @@ def main():
         webtext = serialize_web(w)
         w2 = parse_web(webtext, strict=False)
         assert w2 == w, name
-        with open(os.path.join(OUT, name + ".web"), "w") as f:
+        with open(os.path.join(out, name + ".web"), "w") as f:
             f.write(webtext)
-        with open(os.path.join(OUT, name + ".json"), "w") as f:
+        with open(os.path.join(out, name + ".json"), "w") as f:
             json.dump(sidecar(name, w, extra), f, indent=1, sort_keys=True)
             f.write("\n")
         index.append(name)
@@ -278,4 +280,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:])
