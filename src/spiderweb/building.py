@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .weights import W1, W2, ZERO, dual, rho_level
-from .diskoid import Diskoid
+from .basis import minuscule_paths
 
 
 class BuildingError(Exception):
@@ -188,14 +188,11 @@ class LatticeClass:
             lattice_distance(base_class(self.fp), self),)
 
 
-def _identity_cols(fp):
-    z, o = (), (1,)
-    return ((o, z, z), (z, o, z), (z, z, o))
-
-
 def base_class(fp):
     """The standard lattice O^3."""
-    return LatticeClass(fp, _identity_cols(fp), _normalized=True)
+    z, o = (), (1,)
+    return LatticeClass(fp, ((o, z, z), (z, o, z), (z, z, o)),
+                        _normalized=True)
 
 
 def _hnf(cols, fp):
@@ -245,19 +242,11 @@ def _hnf(cols, fp):
 
 def _normal_form(cols, fp):
     h = _hnf(cols, fp)
-    m = min(v for v in (_pval(p) for c in h for p in c) if v is not None)
+    m = _least_val(h)
     if m:
         h = tuple(tuple(_pshift(p, -m, fp.N) for p in c) for c in h)
         h = _hnf(h, fp)
     return h
-
-
-def _det3(cols, q, N):
-    (a, d, g), (b, e, h), (c, f, i) = cols
-    t1 = _pmul(a, _psub(_pmul(e, i, q, N), _pmul(f, h, q, N), q), q, N)
-    t2 = _pmul(b, _psub(_pmul(d, i, q, N), _pmul(f, g, q, N), q), q, N)
-    t3 = _pmul(c, _psub(_pmul(d, h, q, N), _pmul(e, g, q, N), q), q, N)
-    return _padd(_psub(t1, t2, q), t3, q)
 
 
 def _adjugate(cols, q, N):
@@ -288,44 +277,31 @@ def _matmul(A, B, q, N):
     return tuple(out)
 
 
-def _minor_valuations(C, q, N):
-    """(d1, d2, d3): minimum valuations of 1x1, 2x2 minors and of det."""
-    vals1 = [_pval(p) for c in C for p in c]
-    vals1 = [v for v in vals1 if v is not None]
-    if not vals1:
-        raise BuildingError("precision exhausted: zero matrix")
-    d1 = min(vals1)
-    m = [[C[j][i] for j in range(3)] for i in range(3)]
-    d2 = None
-    for r0 in range(3):
-        for r1 in range(r0 + 1, 3):
-            for c0 in range(3):
-                for c1 in range(c0 + 1, 3):
-                    v = _pval(_psub(_pmul(m[r0][c0], m[r1][c1], q, N),
-                                    _pmul(m[r0][c1], m[r1][c0], q, N), q))
-                    if v is not None and (d2 is None or v < d2):
-                        d2 = v
-    d3 = _pval(_det3(C, q, N))
-    if d2 is None or d3 is None:
-        raise BuildingError("precision exhausted in minor valuations")
-    return d1, d2, d3
-
-
-def _pair_divisors(A, B, fp):
-    """Exponents (0 = e1 <= e2 <= e3) of the invariant factors comparing
-    the lattices spanned by columns A and B."""
-    q, N = fp.q, fp.N
-    C = _matmul(_adjugate(A, q, N), B, q, N)
-    d1, d2, d3 = _minor_valuations(C, q, N)
-    f1, f2, f3 = d1, d2 - d1, d3 - d2
-    e = sorted((f1, f2, f3))
-    return (0, e[1] - e[0], e[2] - e[0])
+def _least_val(M):
+    """The least valuation of an entry of M; None if every entry is 0."""
+    return min((v for c in M for v in map(_pval, c) if v is not None),
+               default=None)
 
 
 def lattice_distance(L, Lp):
-    """The dominant-weight distance d(L, L') from elementary divisors."""
-    e1, e2, e3 = _pair_divisors(L.cols, Lp.cols, L.fp)
-    return (e3 - e2, e2 - e1)
+    """The dominant-weight distance d(L, L') from elementary divisors:
+    with d_k the least valuation of the k x k minors of C = adj(L).L'
+    (the entries of C, the entries of adj(C), and det C), the invariant
+    factors of L' relative to L are t^(d_k - d_{k-1}), up to homothety."""
+    q, N = L.fp.q, L.fp.N
+    C = _matmul(_adjugate(L.cols, q, N), Lp.cols, q, N)
+    d1 = _least_val(C)
+    if d1 is None:
+        raise BuildingError("precision exhausted: zero matrix")
+    A = _adjugate(C, q, N)
+    det = ()  # the (0, 0) entry of adj(C).C
+    for k in range(3):
+        det = _padd(det, _pmul(A[k][0], C[0][k], q, N), q)
+    d2, d3 = _least_val(A), _pval(det)
+    if d2 is None or d3 is None:
+        raise BuildingError("precision exhausted in minor valuations")
+    e = sorted((d1, d2 - d1, d3 - d2))
+    return (e[2] - e[1], e[1] - e[0])
 
 
 # ----------------------------------------------------------------------
@@ -360,16 +336,14 @@ def neighbors(L, color):
     for rep in _proj_plane(q):
         p = next(i for i in range(3) if rep[i])
         if color == W1:
-            # kernel of the functional rep on L/tL
-            inv = pow(rep[p], q - 2, q)
+            # kernel of the functional rep on L/tL (rep[p] = 1)
             cols = []
             for j in range(3):
                 if j == p:
                     cols.append(tuple(_pshift(x, 1, N) for x in v[p]))
                 else:
-                    f = (rep[j] * inv) % q
-                    cols.append(_col_sub(v[j], (f,), v[p], q, N) if f
-                                else v[j])
+                    cols.append(_col_sub(v[j], (rep[j],), v[p], q, N)
+                                if rep[j] else v[j])
         else:
             # span of one vector of L/tL plus t.L
             u = ((), (), ())
@@ -442,10 +416,8 @@ class ConfigCount:
 
 
 def _nbr_set(L, color):
-    key = (L.cols, color, L.fp.q, L.fp.N)
-    if key not in _NBR_CACHE:
-        neighbors(L, color)
-    return _NBR_CACHE[key][1]
+    neighbors(L, color)
+    return _NBR_CACHE[L.cols, color, L.fp.q, L.fp.N][1]
 
 
 def _fold(linkage):
@@ -485,8 +457,8 @@ def _fold(linkage):
 def _enumerate(linkage, fp, visit=None, rng=None):
     """Count (or visit) all label-preserving maps to the building with
     the base at the standard lattice, by brute force.  This is the oracle
-    the peeled count (`_count`) is tested against, and the only counter
-    that can visit configurations.
+    of the peeled count (`_count`) and of `satake_partition`, and the only
+    counter that can visit configurations.
 
     The search assigns the vertex with the most already-assigned
     neighbors next (candidates generated from one neighbor's sphere,
@@ -642,21 +614,58 @@ def count_fibre(D, boundary_config, fp):
     return _count(Linkage(link.vertices, link.base, link.edges, fixed=cfg), fp)
 
 
+def _on_sphere(base, classes, nu):
+    """The classes y among `classes` with d(base, y) = nu = (a, b), in
+    order.  The pivot exponents of y's normal form add up to val det y,
+    the sum e2 + e3 of its elementary divisors against the base (e1 = 0),
+    so a pivot sum other than a + 2b rules y out before any distance."""
+    s = nu[0] + 2 * nu[1]
+    return [y for y in classes
+            if sum(_pval(y.cols[i][i]) for i in range(3)) == s
+            and lattice_distance(base, y) == nu]
+
+
 def satake_partition(signature, fp):
     """Bucket the points of F(signature)(F_q) by their distance vectors
-    from the base; nonzero buckets are keyed exactly by minuscule paths
-    (in the same ((0,0), mu_1, ..., (0,0)) format as minuscule_paths)."""
-    link = polygon_linkage(signature)
-    n = len(signature)
+    from the base, keyed by the minuscule paths (`minuscule_paths`).
+
+    The stabilizer of the base is transitive on each sphere
+    {x : d(base, x) = mu} (the argument of `_count`), so the number
+    c(mu, lam, nu) of lam-neighbours of x at distance nu from the base
+    does not depend on x: for minuscule lam, a spherical Hecke structure
+    constant (Haines, IMRN 2003).  A path's bucket is the product of its
+    factors, each counted once from one x (the base, or the first point
+    found at mu), bar the last, which is 1: only the base lies at 0.
+    Nothing is enumerated (`_enumerated_partition` is the oracle), and a
+    zero factor, impossible for a minuscule step, raises BuildingError."""
     base = base_class(fp)
-    buckets = {}
+    reps, factors, buckets = {ZERO: base}, {}, {}
+    for path in minuscule_paths(signature):
+        size = 1
+        for step in zip(path, signature, path[1:-1]):  # bar the last
+            if step not in factors:
+                mu, lam, nu = step
+                ys = _on_sphere(base, neighbors(reps[mu], lam), nu)
+                if not ys:
+                    raise BuildingError("no %s-neighbour of a point at %s "
+                                        "lies at %s" % step)
+                reps.setdefault(nu, ys[0])
+                factors[step] = len(ys)
+            size *= factors[step]
+        buckets[path] = size
+    return buckets
+
+
+def _enumerated_partition(signature, fp):
+    """`satake_partition` by brute force, its oracle: the configurations
+    `_enumerate` visits, bucketed by their distance vectors."""
+    n, base, buckets = len(signature), base_class(fp), {}
 
     def visit(assign, mult):
-        key = tuple([ZERO] + [lattice_distance(base, assign[k])
-                              for k in range(1, n)] + [ZERO])
+        key = (*(lattice_distance(base, assign[k]) for k in range(n)), ZERO)
         buckets[key] = buckets.get(key, 0) + mult
 
-    _enumerate(link, fp, visit=visit)
+    _enumerate(polygon_linkage(signature), fp, visit=visit)
     return buckets
 
 
@@ -674,16 +683,15 @@ def sample_polygon_config(signature, target_vector, fp, rng, max_tries=2000):
                             "length %d" % (n + 1,))
     for _ in range(max_tries):
         cfg = {0: base}
-        ok = True
         for k in range(n - 1):
-            cands = [x for x in neighbors(cfg[k], signature[k])
-                     if lattice_distance(base, x) == tv[k + 1]]
+            cands = _on_sphere(base, neighbors(cfg[k], signature[k]),
+                               tv[k + 1])
             if not cands:
-                ok = False
                 break
             cfg[k + 1] = cands[rng.randrange(len(cands))]
-        if ok and lattice_distance(cfg[n - 1], base) == signature[n - 1]:
-            return cfg
+        else:
+            if lattice_distance(cfg[n - 1], base) == signature[n - 1]:
+                return cfg
     raise BuildingError("could not sample the requested stratum")
 
 
@@ -818,18 +826,11 @@ class _Field:
 
 
 def _fraction_sqrt(a):
-    if a == 0:
-        return Fraction(0)
-    n, d = a.numerator, a.denominator
-    rn, rd = _isqrt_exact(n), _isqrt_exact(d)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _isqrt_exact(n):
-    r = math.isqrt(n)
-    return r if r * r == n else None
+    """The rational square root of a >= 0, or None."""
+    rn, rd = math.isqrt(a.numerator), math.isqrt(a.denominator)
+    if rn * rn == a.numerator and rd * rd == a.denominator:
+        return Fraction(rn, rd)
+    return None
 
 
 def _cross(a, b, F):

@@ -36,12 +36,12 @@ from .basis import (dim_invariants, enumerate_basis, expand_in_basis,
                     minuscule_paths, path_tag, rotated_catalog_check)
 from .oracle import (contract_closed, in_invariant_kernel,
                      invariant_kernel_dim, web_vector)
-from .building import (BuildingError, FieldParam, auto_precision,
-                       base_class, count_configurations, count_fibre,
-                       diskoid_linkage, euler_estimate, hexagon_genericity,
-                       lattice_distance, neighbors, polygon_linkage,
-                       sample_polygon_config, satake_partition,
-                       solve_hexagon_incidence, _Field)
+from .building import (BuildingError, FieldParam, _enumerated_partition,
+                       _Field, auto_precision, base_class,
+                       count_configurations, count_fibre, diskoid_linkage,
+                       euler_estimate, hexagon_genericity, lattice_distance,
+                       neighbors, polygon_linkage, sample_polygon_config,
+                       satake_partition, solve_hexagon_incidence)
 from .render import render_diskoid, render_web
 
 
@@ -429,19 +429,16 @@ def cmd_fibre(args):
 
 def cmd_partition(args):
     sig = parse_signature(args.boundary)
-    fp = _fieldparam(args, sig)
-    buckets = satake_partition(sig, fp)
-    paths = set(minuscule_paths(sig))
-    lines, data = [], []
-    total = 0
-    for key in sorted(buckets):
-        lines.append("%s : %d" % (format_path(key), buckets[key]))
-        data.append({"path": [list(x) for x in key], "size": buckets[key]})
-        total += buckets[key]
-    exact = set(buckets) == paths
+    buckets = satake_partition(sig, _fieldparam(args, sig))
+    items = sorted(buckets.items())
+    total = sum(buckets.values())
+    exact = set(buckets) == set(minuscule_paths(sig))
+    lines = ["%s : %d" % (format_path(key), size) for key, size in items]
     lines.append("total %d points in %d buckets; buckets %s the "
                  "minuscule paths" % (total, len(buckets),
                                       "match" if exact else "DO NOT match"))
+    data = [{"path": [list(x) for x in key], "size": size}
+            for key, size in items]
     emit(args, lines, {"buckets": data, "total": total,
                        "buckets_match_paths": exact})
     return 0 if exact else 1
@@ -614,8 +611,10 @@ def _st_oracle():
 def _st_building():
     checks = []
     fp = FieldParam(2, 8)
-    buckets = satake_partition((W1, W2), fp)
-    checks.append(sum(buckets.values()) == 7 and len(buckets) == 1)
+    sig = (W1, W2, W1, W2)
+    buckets = satake_partition(sig, fp)
+    checks.append(buckets == _enumerated_partition(sig, fp)
+                  and sorted(buckets.values()) == [42, 49])
     L = next(iter(neighbors(base_class(fp), W1)))
     checks.append(lattice_distance(base_class(fp), L) == W1)
     rng = random.Random(1)

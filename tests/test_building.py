@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +9,8 @@ from spiderweb import building, corpus
 from spiderweb.basis import minuscule_paths, path_tag
 from spiderweb.building import (
     BuildingError, FieldParam, LatticeClass, Linkage, _Field, _count,
-    _enumerate, _padd, _pinv_unit, _pmul, _pneg, _pshift, _psub,
-    auto_precision, base_class, count_configurations,
+    _enumerate, _enumerated_partition, _padd, _pinv_unit, _pmul, _pneg,
+    _pshift, _psub, auto_precision, base_class, count_configurations,
     count_fibre, diskoid_linkage, edge_linkage, euler_estimate,
     hexagon_genericity, hexagon_solution_points, lattice_distance,
     neighbors, polygon_linkage, sample_polygon_config, satake_partition,
@@ -93,6 +94,66 @@ def test_satake_partition_digon():
     buckets = satake_partition((W1, W2), fp_(2))
     assert buckets == {((0, 0), W1, (0, 0)): 7}
     assert set(buckets) == set(minuscule_paths((W1, W2)))
+
+
+def gluable(*lengths):
+    return [sig for n in lengths
+            for sig in itertools.product((W1, W2), repeat=n)
+            if minuscule_paths(sig)]
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_satake_partition_matches_enumeration(q):
+    # every gluable signature of length at most 5, against the
+    # configurations `_enumerate` visits
+    for sig in gluable(1, 2, 3, 4, 5):
+        fp = FieldParam(q, auto_precision(sig))
+        assert satake_partition(sig, fp) == _enumerated_partition(sig, fp)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from(gluable(6)))
+def test_satake_partition_matches_enumeration_length6(sig):
+    fp = FieldParam(2, auto_precision(sig))
+    assert satake_partition(sig, fp) == _enumerated_partition(sig, fp)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from((2, 3, 5)),
+       st.lists(st.tuples(st.sampled_from((W1, W2)), st.integers(0, 10 ** 6)),
+                max_size=5))
+def test_pivot_sum_is_base_distance_level(q, steps):
+    # the pivot exponents of a normal form add up to a + 2b for the
+    # distance (a, b) from the base, the test `_on_sphere` makes first
+    base = L = base_class(FieldParam(q, 16))
+    for color, i in steps:
+        L = neighbors(L, color)[i % (q * q + q + 1)]
+    for M in neighbors(L, W1) + neighbors(L, W2):
+        a, b = lattice_distance(base, M)
+        pivots = [M.cols[i][i] for i in range(3)]
+        assert sum(p.index(1) for p in pivots) == a + 2 * b
+        assert all(not any(p[:p.index(1)]) for p in pivots)
+
+
+def test_hexagonal_partition_q5_is_a_product():
+    # (w1 w2)^3 at q = 5: 166,501 configurations, none enumerated.  On
+    # the path 0, w1, 0, w1, 0, w1, 0 each w1 step leaves the base for
+    # any of its q^2+q+1 neighbours and each w2 step must return to it
+    sig, q = (W1, W2) * 3, 5
+    t0 = time.perf_counter()
+    buckets = satake_partition(sig, FieldParam(q, auto_precision(sig)))
+    assert time.perf_counter() - t0 < 1
+    assert set(buckets) == set(minuscule_paths(sig))
+    zero = (0, 0)
+    assert buckets[(zero, W1) * 3 + (zero,)] == (q * q + q + 1) ** 3 == 29791
+
+
+def test_satake_partition_zero_factor_raises(monkeypatch):
+    # a minuscule step always has a neighbour on its target sphere, so
+    # an empty one is a fault, not an empty bucket
+    monkeypatch.setattr(building, "neighbors", lambda L, color: [])
+    with pytest.raises(BuildingError, match="neighbour"):
+        satake_partition((W1, W2), fp_(2))
 
 
 def test_sample_polygon_config_hits_stratum():
@@ -453,7 +514,7 @@ def test_reached_lattices_do_not_depend_on_precision(q, steps):
 
 @pytest.mark.parametrize("sig, enough, sizes", [
     ((W1, W2, W1, W2), 4, [42, 49]),
-    ((W1, W1, W1, W2, W2, W2), 6, [112, 168, 252, 252, 378, 441]),
+    ((W1, W1, W1, W2, W2, W2), 4, [112, 168, 252, 252, 378, 441]),
 ])
 def test_partition_precision_boundary(sig, enough, sizes):
     # below the boundary the arithmetic runs out of t-adic digits and
@@ -464,6 +525,19 @@ def test_partition_precision_boundary(sig, enough, sizes):
     for N in range(enough, 9):
         assert sorted(satake_partition(sig, FieldParam(2, N)).values()) \
             == sizes
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_partition_below_auto_precision_raises_or_is_exact(q):
+    for sig in gluable(1, 2, 3, 4, 5):
+        N0 = auto_precision(sig)
+        exact = satake_partition(sig, FieldParam(q, N0))
+        for N in range(2, N0):
+            try:
+                got = satake_partition(sig, FieldParam(q, N))
+            except BuildingError:
+                continue
+            assert got == exact, (sig, N)
 
 
 def test_w_mu_fibre_stable_above_auto_precision():
