@@ -22,8 +22,8 @@ from fractions import Fraction
 from . import corpus, weights
 from .weights import (W1, W2, format_signature, format_weight,
                       parse_signature, parse_weight)
-from .webs import (Web, WebError, glue, mirror, parse_web, rotate,
-                   serialize_web)
+from .webs import (Web, WebError, empty_web, glue, mirror, parse_web,
+                   rotate, serialize_web)
 from .skein import (WebSum, evaluate_closed, normal_form, pair,
                     websum_to_text)
 from .laurent import Laurent
@@ -572,6 +572,13 @@ def _st_skein():
         w = random_web(sig, rng, max_vertices=10)
         checks.append(normal_form(WebSum.single(w), "default")
                       == normal_form(WebSum.single(w), "alternate"))
+    webs = enumerate_basis((W1, W2, W1, W2)).webs()
+    for a in webs:
+        for b in webs:
+            g = glue(a, mirror(b))
+            checks.append(normal_form(g, "alternate")
+                          == WebSum.single(empty_web("a2"), evaluate_closed(g)))
+            checks.append(evaluate_closed(g, -1) == contract_closed(g))
     return checks
 
 

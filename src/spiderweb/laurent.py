@@ -65,14 +65,20 @@ class Laurent:
     __rmul__ = __mul__
 
     def evaluate(self, q0):
-        """Exact evaluation at a rational q0 != 0."""
+        """Exact evaluation at a rational q0 = n/d != 0, as one Fraction:
+        q0^e = n^(e-lo) d^(hi-e) * n^lo / d^hi, with lo and hi the least
+        and greatest exponents, so the sum is taken in integers."""
         q0 = Fraction(q0)
         if q0 == 0:
             raise ZeroDivisionError("cannot evaluate a Laurent polynomial at q=0")
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            total += c * q0 ** e
-        return total
+        if not self.coeffs:
+            return Fraction(0)
+        n, d = q0.numerator, q0.denominator
+        lo, hi = min(self.coeffs), max(self.coeffs)
+        num = sum(c * n ** (e - lo) * d ** (hi - e)
+                  for e, c in self.coeffs.items())
+        return Fraction(num * n ** max(lo, 0) * d ** max(-hi, 0),
+                        n ** max(-lo, 0) * d ** max(hi, 0))
 
     def is_palindromic(self):
         """True iff invariant under q -> 1/q."""

@@ -44,10 +44,9 @@ def _dim(mode):
 # network contraction
 
 def _build_network(w):
-    """Nodes as [tensor, axis keys]; axis keys are darts at the node."""
+    """Nodes as [tensor, axis keys], axis keys being the darts at the
+    node, and the interior edges as dart pairs."""
     nodes = []
-    rank = w.canonical_rank()
-    bset = set(w.boundary)
     for i, tri in enumerate(w.vertices):
         # all-out vertices are read counterclockwise, all-in ones
         # clockwise (the reflected reading of the dual copy of epsilon);
@@ -57,19 +56,12 @@ def _build_network(w):
             nodes.append([_EPS3, list(tri)])
         else:
             nodes.append([_EPS3, list(reversed(tri))])
-    done = set()
-    for d in sorted(w.theta, key=lambda x: rank[x]):
+    # boundary-to-boundary edges, each read from its first leg
+    pos = {d: k for k, d in enumerate(w.boundary)}
+    for k, d in enumerate(w.boundary):
         e = w.theta[d]
-        if d in done:
-            continue
-        done.add(d)
-        done.add(e)
-        if d in bset and e in bset:
-            if w.mode == "a1":
-                i, j = sorted((d, e), key=lambda x: w.boundary.index(x))
-                nodes.append([_EPS2, [i, j]])
-            else:
-                nodes.append([_ID3, [d, e]])
+        if pos.get(e, -1) > k:
+            nodes.append([_EPS2 if w.mode == "a1" else _ID3, [d, e]])
     pairs = []
     seen = set()
     for d in w.theta:
@@ -78,25 +70,18 @@ def _build_network(w):
             continue
         seen.add(d)
         seen.add(e)
-        if d not in bset and e not in bset:
+        if d not in pos and e not in pos:
             pairs.append((d, e))
     return nodes, pairs
 
 
-def _self_contract(tensor, axes, pairs):
-    """Trace out any contraction pairs living on a single node."""
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(pairs):
-            if a in axes and b in axes:
-                i, j = axes.index(a), axes.index(b)
-                tensor = np.trace(tensor, axis1=i, axis2=j)
-                axes = [k for k in axes if k not in (a, b)]
-                pairs.remove((a, b))
-                changed = True
-                break
-    return tensor, axes
+def _self_contract(nodes, where, pairs):
+    """Trace out the pairs whose two darts lie on one node."""
+    for a, b in [p for p in pairs if where[p[0]] == where[p[1]]]:
+        t, ax = nodes[where[a]]
+        t = np.trace(t, axis1=ax.index(a), axis2=ax.index(b))
+        nodes[where[a]] = [t, [k for k in ax if k not in (a, b)]]
+        del pairs[a, b]
 
 
 def _contract(w):
@@ -105,42 +90,36 @@ def _contract(w):
     scalar = _dim(w.mode) ** w.circles
     if not nodes:
         return np.array(scalar, dtype=object), []
-    # tidy self-contractions first
-    nodes = [list(_self_contract(t, a, pairs)) for t, a in nodes]
+    nodes = dict(enumerate(nodes))
+    where = {d: i for i, (_t, ax) in nodes.items() for d in ax}
+    pairs = dict.fromkeys(pairs)
+    _self_contract(nodes, where, pairs)
+    # A merge takes every pair between its two nodes, so a merged node
+    # never carries a pair of its own.
+    new = len(nodes)
     while pairs:
-        # pick the contraction whose merged node is smallest
-        best = None
-        for (a, b) in pairs:
-            ia = next(i for i, (_t, ax) in enumerate(nodes) if a in ax)
-            ib = next(i for i, (_t, ax) in enumerate(nodes) if b in ax)
-            shared = [(x, y) for (x, y) in pairs
-                      if ((x in nodes[ia][1] and y in nodes[ib][1])
-                          or (y in nodes[ia][1] and x in nodes[ib][1]))]
-            size = (nodes[ia][0].ndim + nodes[ib][0].ndim - 2 * len(shared))
-            if best is None or size < best[0]:
-                best = (size, ia, ib, shared)
-        _sz, ia, ib, shared = best
-        ta, axa = nodes[ia]
-        tb, axb = nodes[ib]
-        ax1, ax2 = [], []
-        for (x, y) in shared:
-            if x in axa:
-                ax1.append(axa.index(x))
-                ax2.append(axb.index(y))
-            else:
-                ax1.append(axa.index(y))
-                ax2.append(axb.index(x))
-            pairs.remove((x, y))
-        t = np.tensordot(ta, tb, axes=(ax1, ax2))
-        ax = ([k for i, k in enumerate(axa) if i not in ax1]
-              + [k for i, k in enumerate(axb) if i not in ax2])
-        for i in sorted((ia, ib), reverse=True):
-            del nodes[i]
-        t, ax = _self_contract(t, ax, pairs)
-        nodes.append([t, ax])
+        groups = {}
+        for a, b in pairs:
+            ia, ib = where[a], where[b]
+            key = (ib, ia) if (ib, ia) in groups else (ia, ib)
+            groups.setdefault(key, []).append((a, b))
+        # the first node pair whose merged node is smallest
+        (ia, ib), shared = min(groups.items(), key=lambda g: (
+            nodes[g[0][0]][0].ndim + nodes[g[0][1]][0].ndim - 2 * len(g[1])))
+        (ta, axa), (tb, axb) = nodes.pop(ia), nodes.pop(ib)
+        ends = [(x, y) if where[x] == ia else (y, x) for x, y in shared]
+        t = np.tensordot(ta, tb, axes=([axa.index(x) for x, _y in ends],
+                                       [axb.index(y) for _x, y in ends]))
+        for p in shared:
+            del pairs[p]
+        done = {d for p in shared for d in p}
+        ax = [k for k in axa + axb if k not in done]
+        nodes[new] = [t, ax]
+        where.update(dict.fromkeys(ax, new))
+        new += 1
     # tensor the disconnected remainder together
-    t, ax = nodes[0]
-    for t2, ax2 in nodes[1:]:
+    (t, ax), *rest = nodes.values()
+    for t2, ax2 in rest:
         t = np.tensordot(t, t2, axes=0)
         ax = ax + ax2
     if scalar != 1:

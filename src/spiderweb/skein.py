@@ -1,4 +1,4 @@
-"""Confluent skein reduction of webs to non-elliptic normal form.
+"""Skein reduction of webs to non-elliptic normal form.
 
 Reduction applies the defining local relations with exact Laurent
 coefficients:
@@ -9,17 +9,24 @@ coefficients:
     A2 square   ->  (one smoothing) + (other smoothing)
 
 Every relation strictly decreases (vertex count, edge count + circles)
-lexicographically, so reduction terminates; confluence is established
-empirically by the test corpus (two independent site-selection
-strategies always meet).
+lexicographically, so reduction terminates.  The relations are
+consistent and the non-elliptic webs form a basis (Kuperberg, "Spiders
+for rank 2 Lie algebras", Comm. Math. Phys. 180, 1996), so the order in
+which sites are reduced cannot change a normal form or a closed web's
+value; the "alternate" strategy is kept to cross-check this.
+
+The memo of one reduction is keyed by canonical key and holds only the
+two smoothings of each square, the one rewrite with two terms and so
+the only place where two branches can meet; chains of circle, loop and
+bigon rewrites are followed without computing any key.
 """
 
 from __future__ import annotations
 
 import json
 
-from .laurent import Laurent, ONE, LOOP_A1, LOOP_A2, BIGON_A2
-from .webs import Web, WebError, empty_web, glue, parse_web, serialize_web, splice
+from .laurent import Laurent, ONE, ZERO, LOOP_A1, LOOP_A2, BIGON_A2
+from .webs import Web, WebError, glue, serialize_web, splice
 
 
 class WebSum:
@@ -86,30 +93,21 @@ def websum_to_text(s):
 def find_elliptic(w, strategy="default"):
     """A reducible site: ("circle",) or ("face", darts), or None.
 
-    The default strategy removes free circles first, then the internal
-    face of smallest degree (bigons before squares), ties broken by the
-    least canonical dart rank.  The "alternate" strategy works from the
-    other end (largest degree, greatest rank, circles last); it exists so
-    the test suite can certify confluence.
+    The choice looks only at face degree, ties going to the first face
+    in ``w.faces()`` order.  The default strategy removes free circles
+    first, then the internal face of smallest degree (bigons before
+    squares).  The "alternate" strategy takes the largest, circles last;
+    it exists so the test suite can cross-check the two.
     """
+    if strategy not in ("default", "alternate"):
+        raise ValueError("unknown strategy %r" % (strategy,))
     faces = [f for f in w.internal_faces() if f.degree < 6]
-    if strategy == "default":
-        if w.circles:
-            return ("circle",)
-        if not faces:
-            return None
-        rank = w.canonical_rank()
-        best = min(faces, key=lambda f: (f.degree, min(rank[d] for d in f.darts)))
-        return ("face", best.darts)
-    if strategy == "alternate":
-        if faces:
-            rank = w.canonical_rank()
-            best = max(faces, key=lambda f: (f.degree, max(rank[d] for d in f.darts)))
-            return ("face", best.darts)
-        if w.circles:
-            return ("circle",)
+    if w.circles and (strategy == "default" or not faces):
+        return ("circle",)
+    if not faces:
         return None
-    raise ValueError("unknown strategy %r" % (strategy,))
+    pick = min if strategy == "default" else max
+    return ("face", pick(faces, key=lambda f: f.degree).darts)
 
 
 def _loop_value(mode):
@@ -120,13 +118,14 @@ def _loop_value(mode):
 # rewriting
 
 def rewrite(w, site):
-    """Apply one relation at the given site, returning a WebSum."""
+    """Apply one relation at the given site, returning its terms as a
+    list of (web, Laurent) pairs."""
     if site[0] == "circle":
         if not w.circles:
             raise WebError("stale site: no free circle present")
         out = Web(w.mode, w.theta, w.vertices, w.boundary, w.heads,
                   w.circles - 1, check=False)
-        return WebSum.single(out, _loop_value(w.mode))
+        return [(out, _loop_value(w.mode))]
     if site[0] != "face":
         raise WebError("unknown site %r" % (site,))
     darts = site[1]
@@ -156,24 +155,21 @@ def _external_darts(w, face, verts):
 
 def _rewrite_bigon(w, face, verts):
     a, b = _external_darts(w, face, verts)
-    out = splice(w, verts, [(a, b)])
-    return WebSum.single(out, BIGON_A2)
+    return [(splice(w, verts, [(a, b)]), BIGON_A2)]
 
 
 def _rewrite_square(w, face, verts):
     e = _external_darts(w, face, verts)
-    wa = splice(w, verts, [(e[0], e[1]), (e[2], e[3])])
-    wb = splice(w, verts, [(e[1], e[2]), (e[3], e[0])])
-    return WebSum.single(wa) + WebSum.single(wb)
+    return [(splice(w, verts, [(e[0], e[1]), (e[2], e[3])]), ONE),
+            (splice(w, verts, [(e[1], e[2]), (e[3], e[0])]), ONE)]
 
 
 # ----------------------------------------------------------------------
 # normal form and evaluation
 
 def normal_form(s, strategy="default"):
-    """Reduce every supported web to non-elliptic normal form.
-
-    The memo of reduced webs, keyed by canonical key, lasts one call."""
+    """Reduce every supported web to non-elliptic normal form; the memo
+    of square smoothings lasts one call."""
     if isinstance(s, Web):
         s = WebSum.single(s)
     cache = {}
@@ -185,25 +181,29 @@ def normal_form(s, strategy="default"):
 
 
 def _nf_web(w, strategy, cache):
-    hit = cache.get(w)
-    if hit is not None:
-        return hit
-    site = find_elliptic(w, strategy)
-    if site is None:
-        result = [(w, ONE)]
-    else:
+    """The normal form of one web as a list of (web, Laurent) pairs."""
+    coeff = ONE
+    while True:
+        site = find_elliptic(w, strategy)
+        if site is None:
+            return [(w, coeff)]
+        terms = rewrite(w, site)
+        if len(terms) == 1:
+            (w, c), = terms
+            coeff = coeff * c
+            continue
         acc = {}
-        for w1, c1 in rewrite(w, site).items():
-            for w2, c2 in _nf_web(w1, strategy, cache):
-                c = acc.get(w2)
-                c = c2 * c1 if c is None else c + c2 * c1
+        for w1, c1 in terms:
+            hit = cache.get(w1)
+            if hit is None:
+                hit = cache[w1] = _nf_web(w1, strategy, cache)
+            for w2, c2 in hit:
+                c = acc.get(w2, ZERO) + c2 * c1
                 if c:
                     acc[w2] = c
-                elif w2 in acc:
-                    del acc[w2]
-        result = list(acc.items())
-    cache[w] = result
-    return result
+                else:
+                    acc.pop(w2, None)
+        return [(w2, c * coeff) for w2, c in acc.items()]
 
 
 def evaluate_closed(w, q0=None, strategy="default"):
@@ -211,14 +211,12 @@ def evaluate_closed(w, q0=None, strategy="default"):
     exact rational specialization at q0."""
     if w.boundary:
         raise WebError("evaluate_closed requires an empty boundary")
-    nf = normal_form(WebSum.single(w), strategy)
-    for w2 in nf.terms:
+    val = ZERO
+    for w2, c in _nf_web(w, strategy, {}):
         if not w2.is_empty():
             raise WebError("closed web did not reduce to the empty web")
-    val = nf.terms.get(empty_web(w.mode), Laurent())
-    if q0 is None:
-        return val
-    return val.evaluate(q0)
+        val += c
+    return val if q0 is None else val.evaluate(q0)
 
 
 def pair(w, wp, q0=None):

@@ -66,3 +66,19 @@ def random_closed_web(rng, max_legs=6, max_vertices=6):
         g = Web(g.mode, g.theta, g.vertices, g.boundary, g.heads,
                 g.circles + rng.randrange(1, 3), check=False)
     return g
+
+
+def relabelled(w, rng):
+    """w with every dart renamed by a random bijection, the dart and
+    vertex lists shuffled and each vertex triple rotated cyclically."""
+    names = list(w.theta)
+    rng.shuffle(names)
+    m = {d: ("x", k) for k, d in enumerate(names)}
+    verts = []
+    for tri in w.vertices:
+        i = rng.randrange(3)
+        verts.append(tuple(m[d] for d in tri[i:] + tri[:i]))
+    rng.shuffle(verts)
+    return Web(w.mode, {m[d]: m[w.theta[d]] for d in names}, verts,
+               [m[d] for d in w.boundary], {m[d] for d in w.heads},
+               w.circles)

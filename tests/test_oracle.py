@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import random_closed_web, relabelled
 from spiderweb import corpus
 from spiderweb.basis import dim_invariants, enumerate_basis
 from spiderweb.oracle import (
@@ -157,3 +159,27 @@ def test_basis_vectors_linearly_independent():
     cat = enumerate_basis(sig)
     vecs = [web_vector(w) for w in cat.webs()]
     assert vectors_rank(vecs) == len(cat) == invariant_kernel_dim(sig)
+
+
+def test_web_vector_digest_of_small_catalogs():
+    # every catalog web with at most six legs, the bare arcs (the A1
+    # epsilon and the A2 identity) among them; the digest is frozen
+    h = hashlib.sha256()
+    sigs = [(sig, "a2") for n in range(1, 7)
+            for sig in itertools.product((W1, W2), repeat=n)]
+    sigs += [((W1,) * n, "a1") for n in range(1, 7)]
+    count = 0
+    for sig, mode in sigs:
+        for w in enumerate_basis(sig, mode).webs():
+            v = np.asarray(web_vector(w), dtype=object)
+            h.update(repr((mode, sig, v.shape, v.reshape(-1).tolist())).encode())
+            count += 1
+    assert count == 184
+    assert h.hexdigest()[:16] == "6aa11c3390abc002"
+
+
+def test_contract_closed_ignores_dart_names():
+    rng = random.Random(31)
+    for _ in range(25):
+        g = random_closed_web(rng)
+        assert contract_closed(relabelled(g, rng)) == contract_closed(g)

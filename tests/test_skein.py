@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_closed_web
-from spiderweb import corpus
+from conftest import random_closed_web, relabelled
+from spiderweb import corpus, skein
+from spiderweb.basis import enumerate_basis
 from spiderweb.laurent import BIGON_A2, LOOP_A1, LOOP_A2, Laurent
 from spiderweb.oracle import contract_closed
 from spiderweb.skein import (
@@ -13,7 +14,7 @@ from spiderweb.skein import (
 from spiderweb.webs import (
     Web, WebError, empty_web, glue, mirror, parse_web, serialize_web)
 from spiderweb.generate import random_signature, random_web
-from spiderweb.weights import W1
+from spiderweb.weights import W1, W2
 
 
 def test_laurent_arithmetic():
@@ -28,6 +29,18 @@ def test_laurent_arithmetic():
     with pytest.raises(ZeroDivisionError):
         LOOP_A2.evaluate(0)
     assert LOOP_A2.evaluate(Fraction(1, 2)) == Fraction(21, 4)
+
+
+laurents = st.dictionaries(st.integers(-8, 8), st.integers(-50, 50),
+                           max_size=6).map(Laurent)
+nonzero_rationals = st.fractions().filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurents, nonzero_rationals)
+def test_laurent_evaluate_equals_termwise_sum(p, q0):
+    assert p.evaluate(q0) == sum((c * q0 ** e for e, c in p.coeffs.items()),
+                                 Fraction(0))
 
 
 def test_loop_value():
@@ -111,6 +124,7 @@ def test_closed_web_confluence_and_oracle(seed):
     g = random_closed_web(random.Random(seed))
     val = evaluate_closed(g)
     assert evaluate_closed(g, strategy="alternate") == val
+    assert normal_form(g, "alternate") == WebSum.single(empty_web(g.mode), val)
     assert contract_closed(g) == val.evaluate(-1) == evaluate_closed(g, -1)
 
 
@@ -133,3 +147,50 @@ def test_closed_reduction_values_palindromic():
 def test_evaluate_closed_rejects_boundary():
     with pytest.raises(WebError):
         evaluate_closed(corpus.load_web("single-y"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_dart_names_do_not_change_reduction(seed):
+    # sites are chosen in dart order, so a renamed copy reduces another way
+    rng = random.Random(seed)
+    g = random_closed_web(rng)
+    assert evaluate_closed(relabelled(g, rng)) == evaluate_closed(g)
+    w = random_web(random_signature(rng, max_legs=8), rng, max_vertices=10)
+    assert normal_form(relabelled(w, rng)) == normal_form(w)
+
+
+def test_closed_reduction_keys_only_square_smoothings_and_leaves(monkeypatch):
+    count = {"canon": 0, "square": 0, "leaf": 0}
+    canonicalize = Web._canonicalize
+    rewrite_, find = skein.rewrite, skein.find_elliptic
+
+    def counted_canonicalize(w):
+        count["canon"] += 1
+        return canonicalize(w)
+
+    def counted_rewrite(w, site):
+        terms = rewrite_(w, site)
+        count["square"] += len(terms) == 2
+        return terms
+
+    def counted_find(w, strategy="default"):
+        site = find(w, strategy)
+        count["leaf"] += site is None
+        return site
+
+    monkeypatch.setattr(Web, "_canonicalize", counted_canonicalize)
+    monkeypatch.setattr(skein, "rewrite", counted_rewrite)
+    monkeypatch.setattr(skein, "find_elliptic", counted_find)
+    webs = enumerate_basis((W1, W1, W1, W2, W1, W2, W2, W2)).webs()
+    total = squares = 0
+    for a in webs:
+        for b in webs:
+            g = glue(a, mirror(b))
+            count.update(canon=0, square=0, leaf=0)
+            evaluate_closed(g)
+            assert count["canon"] <= 2 * count["square"] + count["leaf"]
+            total += count["canon"]
+            squares += count["square"]
+    assert squares > 0
+    assert total <= 1000

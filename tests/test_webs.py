@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_closed_web
+from conftest import random_closed_web, relabelled
 from spiderweb import corpus, skein
 from spiderweb.generate import grown_webs, random_signature, random_web
 from spiderweb.webs import (
@@ -94,22 +94,6 @@ def test_builder_validation():
     b.boundary = [l1, l3, l2]
     w = b.build()
     assert w.boundary_signature() == (W1, W1, W1)
-
-
-def relabelled(w, rng):
-    """w with every dart renamed by a random bijection, the dart and
-    vertex lists shuffled and each vertex triple rotated cyclically."""
-    names = list(w.theta)
-    rng.shuffle(names)
-    m = {d: ("x", k) for k, d in enumerate(names)}
-    verts = []
-    for tri in w.vertices:
-        i = rng.randrange(3)
-        verts.append(tuple(m[d] for d in tri[i:] + tri[:i]))
-    rng.shuffle(verts)
-    return Web(w.mode, {m[d]: m[w.theta[d]] for d in names}, verts,
-               [m[d] for d in w.boundary], {m[d] for d in w.heads},
-               w.circles)
 
 
 def random_boundary_web(rng):
@@ -221,11 +205,15 @@ def test_pruned_canonical_form_matches_exhaustive(seed):
     rng = random.Random(seed)
     g = random_closed_web(rng)
     tops = [g, beside(random_boundary_web(rng), g)]
-    webs = list(tops)
-    for w in tops:
-        memo = {}
-        skein._nf_web(w, "default", memo)
-        webs += memo
+    # every web the default reduction passes through, once per key
+    webs, todo = {}, list(tops)
+    while todo:
+        w = todo.pop()
+        if w not in webs:
+            webs[w] = None
+            site = skein.find_elliptic(w)
+            if site is not None:
+                todo += [w1 for w1, _c in skein.rewrite(w, site)]
     for w in webs:
         key, rank = exhaustive_canonical_form(w)
         fresh = Web(w.mode, w.theta, w.vertices, w.boundary, w.heads,
