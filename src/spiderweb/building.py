@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .weights import W1, W2, ZERO, dual, rho_level
+from .weights import W1, W2, ZERO, dual, minuscule_orbit, rho_level
 from .basis import minuscule_paths
 
 
@@ -625,35 +625,33 @@ def _on_sphere(base, classes, nu):
             and lattice_distance(base, y) == nu]
 
 
+def _hecke_factor(mu, lam, nu, q):
+    """The number c(mu, lam, nu) of lam-neighbours at distance nu from the
+    base of any point x at distance mu, at any integer q: the sum of
+    q^(e1 + e2 + 1) over the e in `minuscule_orbit(lam)` whose dominant
+    W-conjugate dom(mu + e) is nu (Haines, IMRN 2003).  Why: the lam-sphere
+    around x is P^2(F_q); its orbits under the stabilizer of the base and x
+    are the Bruhat cells relative to the flag the base induces at x (full
+    for regular mu, partial on a wall, none at mu = 0), and the cell of
+    dimension e1 + e2 + 1 lands at dom(mu + e)."""
+    total = 0
+    for e in minuscule_orbit(lam):
+        a, b = mu[0] + e[0], mu[1] + e[1]
+        while a < 0 or b < 0:  # reflect into the dominant chamber
+            a, b = (-a, a + b) if a < 0 else (a + b, -b)
+        total += q ** (e[0] + e[1] + 1) if (a, b) == nu else 0
+    return total
+
+
 def satake_partition(signature, fp):
     """Bucket the points of F(signature)(F_q) by their distance vectors
-    from the base, keyed by the minuscule paths (`minuscule_paths`).
-
-    The stabilizer of the base is transitive on each sphere
-    {x : d(base, x) = mu} (the argument of `_count`), so the number
-    c(mu, lam, nu) of lam-neighbours of x at distance nu from the base
-    does not depend on x: for minuscule lam, a spherical Hecke structure
-    constant (Haines, IMRN 2003).  A path's bucket is the product of its
-    factors, each counted once from one x (the base, or the first point
-    found at mu), bar the last, which is 1: only the base lies at 0.
-    Nothing is enumerated (`_enumerated_partition` is the oracle), and a
-    zero factor, impossible for a minuscule step, raises BuildingError."""
-    base = base_class(fp)
-    reps, factors, buckets = {ZERO: base}, {}, {}
-    for path in minuscule_paths(signature):
-        size = 1
-        for step in zip(path, signature, path[1:-1]):  # bar the last
-            if step not in factors:
-                mu, lam, nu = step
-                ys = _on_sphere(base, neighbors(reps[mu], lam), nu)
-                if not ys:
-                    raise BuildingError("no %s-neighbour of a point at %s "
-                                        "lies at %s" % step)
-                reps.setdefault(nu, ys[0])
-                factors[step] = len(ys)
-            size *= factors[step]
-        buckets[path] = size
-    return buckets
+    from the base, keyed by the minuscule paths: the base's stabilizer is
+    transitive on each sphere around it, so a bucket is the product of its
+    path's `_hecke_factor`s bar the last (1: only the base lies at 0).
+    Only fp.q is read; `_enumerated_partition` is the oracle."""
+    return {path: math.prod(_hecke_factor(*step, fp.q)
+                            for step in zip(path, signature, path[1:-1]))
+            for path in minuscule_paths(signature)}
 
 
 def _enumerated_partition(signature, fp):

@@ -1,6 +1,8 @@
+import collections
 import itertools
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,14 +11,15 @@ from spiderweb import building, corpus
 from spiderweb.basis import minuscule_paths, path_tag
 from spiderweb.building import (
     BuildingError, FieldParam, LatticeClass, Linkage, _Field, _count,
-    _enumerate, _enumerated_partition, _padd, _pinv_unit, _pmul, _pneg,
-    _pshift, _psub, auto_precision, base_class, count_configurations,
-    count_fibre, diskoid_linkage, edge_linkage, euler_estimate,
-    hexagon_genericity, hexagon_solution_points, lattice_distance,
-    neighbors, polygon_linkage, sample_polygon_config, satake_partition,
-    solve_hexagon_incidence)
+    _enumerate, _enumerated_partition, _hecke_factor, _padd, _pinv_unit,
+    _pmul, _pneg, _pshift, _psub, auto_precision, base_class,
+    count_configurations, count_fibre, diskoid_linkage, edge_linkage,
+    euler_estimate, hexagon_genericity, hexagon_solution_points,
+    lattice_distance, neighbors, polygon_linkage, sample_polygon_config,
+    satake_partition, solve_hexagon_incidence)
 from spiderweb.diskoid import DiskoidError, dual_diskoid
 from spiderweb.generate import random_signature, random_web
+from spiderweb.oracle import _tuples_of_weight
 from spiderweb.skein import evaluate_closed
 from spiderweb.webs import WebError, glue, mirror
 from spiderweb.weights import W1, W2, dual as dual_weight
@@ -148,12 +151,59 @@ def test_hexagonal_partition_q5_is_a_product():
     assert buckets[(zero, W1) * 3 + (zero,)] == (q * q + q + 1) ** 3 == 29791
 
 
-def test_satake_partition_zero_factor_raises(monkeypatch):
-    # a minuscule step always has a neighbour on its target sphere, so
-    # an empty one is a fault, not an empty bucket
-    monkeypatch.setattr(building, "neighbors", lambda L, color: [])
-    with pytest.raises(BuildingError, match="neighbour"):
-        satake_partition((W1, W2), fp_(2))
+def test_satake_partition_does_no_lattice_arithmetic(monkeypatch):
+    # the factors are closed forms in q: the criterion-6 buckets come
+    # out with every lattice routine gone
+    def gone(*_args):
+        raise AssertionError("lattice arithmetic in satake_partition")
+
+    for name in ("neighbors", "lattice_distance", "_on_sphere"):
+        monkeypatch.setattr(building, name, gone)
+    fp = fp_(2)
+    assert satake_partition((W1, W2), fp) == {((0, 0), W1, (0, 0)): 7}
+    assert satake_partition((W1, W1, W1), fp) == \
+        {((0, 0), W1, W2, (0, 0)): 21}
+    assert sorted(satake_partition((W1, W2, W1, W2), fp).values()) == [42, 49]
+
+
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_hecke_factors_equal_lattice_counts(q):
+    # the reference: the lam-neighbours of one class x at distance mu
+    # from the base, counted by their distance from it.  x is reached by
+    # a w1 step from the class at mu - w1, or else a w2 step from mu - w2
+    base = base_class(FieldParam(q, 16))
+    reps = {(0, 0): base}
+    for mu in itertools.product(range(4), repeat=2):
+        if mu != (0, 0):
+            prev, color = ((mu[0] - 1, mu[1]), W1) if mu[0] else \
+                ((0, mu[1] - 1), W2)
+            reps[mu] = next(y for y in neighbors(reps[prev], color)
+                            if lattice_distance(base, y) == mu)
+        for lam in (W1, W2):
+            counted = collections.Counter(
+                lattice_distance(base, y) for y in neighbors(reps[mu], lam))
+            closed = {nu: _hecke_factor(mu, lam, nu, q)
+                      for nu in itertools.product(range(6), repeat=2)}
+            assert {nu: c for nu, c in closed.items() if c} == counted, \
+                (mu, lam)
+            assert sum(closed.values()) == q * q + q + 1
+
+
+def test_partition_at_integer_q():
+    # every bucket is a product of sums of distinct powers of q, so at
+    # q = B above its coefficients (at most 3^(n-1)) its base-B digits
+    # are them: monic of degree n means B^n <= size < 2 B^n.  At q = 1
+    # the buckets add up to the zero-weight multiplicity, since folding
+    # each step into the dominant chamber is a bijection between weight
+    # tuples of sum 0 and folded walks back to 0
+    B = 10 ** 4
+    for sig in gluable(1, 2, 3, 4, 5, 6, 7, 8):
+        n = len(sig)
+        at_b = satake_partition(sig, SimpleNamespace(q=B))
+        assert all(B ** n <= size < 2 * B ** n for size in at_b.values())
+        at_one = satake_partition(sig, SimpleNamespace(q=1))
+        assert sum(at_one.values()) == \
+            len(_tuples_of_weight(sig, "a2", (0, 0)))
 
 
 def test_sample_polygon_config_hits_stratum():
@@ -514,15 +564,17 @@ def test_reached_lattices_do_not_depend_on_precision(q, steps):
 
 @pytest.mark.parametrize("sig, enough, sizes", [
     ((W1, W2, W1, W2), 4, [42, 49]),
-    ((W1, W1, W1, W2, W2, W2), 4, [112, 168, 252, 252, 378, 441]),
+    ((W1, W1, W1, W2, W2, W2), 6, [112, 168, 252, 252, 378, 441]),
 ])
 def test_partition_precision_boundary(sig, enough, sizes):
-    # below the boundary the arithmetic runs out of t-adic digits and
-    # says so; from it on the partition no longer depends on N
+    # below the boundary the enumeration runs out of t-adic digits and
+    # says so; the closed-form partition reads no precision at all
     for N in range(2, enough):
         with pytest.raises(BuildingError, match="precision exhausted"):
-            satake_partition(sig, FieldParam(2, N))
-    for N in range(enough, 9):
+            _enumerated_partition(sig, FieldParam(2, N))
+    exact = _enumerated_partition(sig, FieldParam(2, enough))
+    assert sorted(exact.values()) == sizes
+    for N in range(2, 9):
         assert sorted(satake_partition(sig, FieldParam(2, N)).values()) \
             == sizes
 

@@ -121,6 +121,14 @@ def test_partition_json(capsys):
     assert data["buckets_match_paths"] is True
 
 
+def test_partition_rejects_numeric_precision(capsys):
+    # the partition reads only q; a number would be ignored
+    code, out, err = run(capsys, "partition", "--boundary", "w1,w2",
+                         "--precision", "8")
+    assert code == 1 and out == ""
+    assert "partition reads only q" in err
+
+
 def test_dim(capsys):
     code, out, _ = run(capsys, "dim", "--boundary", "w1,w2,w1,w2,w1,w2")
     assert code == 0 and "6" in out
