@@ -1,22 +1,20 @@
 """A finite lattice model of the affine Grassmannian of PGL(3) over F_q.
 
-Points are homothety classes of full rank-3 lattices over the discrete
-valuation ring F_q[[t]], computed exactly in the truncated polynomial
-ring F_q[t]/t^N.  An element of F_q[t]/t^N is the tuple of its
-coefficients without trailing zeros (zero is ``()``): the form is
-canonical, and the arithmetic costs follow the degrees, not N (only the
-inverse of a non-constant unit, a power series, runs to t^N).  Minuscule
-neighbor generation, elementary-divisor distances, exhaustive
-configuration and fibre counting for polygons and diskoids,
-counting-polynomial interpolation with an Euler-characteristic estimate
-at q = 1, and the projective incidence solver for the twelve-leg hexagon
-web all live here.
+Points are homothety classes of full rank-3 lattices over F_q[[t]],
+computed exactly in F_q[t]/t^N, whose elements are coefficient tuples
+without trailing zeros (zero is ``()``): the form is canonical, and the
+costs follow the degrees, not N.  A class is stored as its column
+normal form, lower triangular.  The generic constructor searches for it
+(`_hnf`); minuscule neighbours are built in it directly, and distances
+read elementary divisors off the triangular shape.  Configuration and
+fibre counts for polygons and diskoids, Satake partitions, the Euler
+characteristic at q = 1 by interpolation, and the incidence solver for
+the twelve-leg hexagon web live here too.
 
 The color calibration is fixed once: the w1-neighbors of a class L are
-the kernels of the q^2+q+1 functionals on L/tL (codimension one), the
-w2-neighbors the preimages of the lines of L/tL (codimension two), and
-distances are read off elementary divisors as
-(e3-e2) w1 + (e2-e1) w2, so that d(base, w1-neighbor) = w1 and the
+the kernels of the q^2+q+1 functionals on L/tL, the w2-neighbors the
+preimages of the lines of L/tL, and distances are (e3-e2) w1 + (e2-e1) w2
+for the elementary divisors, so that d(base, w1-neighbor) = w1 and the
 duality axiom d(x,y) = d(y,x)* holds.
 """
 
@@ -24,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 from .weights import W1, W2, ZERO, dual, minuscule_orbit, rho_level
 from .basis import minuscule_paths
@@ -38,20 +37,13 @@ class BuildingError(Exception):
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 class FieldParam:
-    """The residue field F_q and the working precision t^N."""
+    """F_q, the precision t^N, and the cache of `neighbors`, freed with it."""
 
-    __slots__ = ("q", "N")
+    __slots__ = ("q", "N", "nbr_cache")
 
     def __init__(self, q, N):
         if not _is_prime(q):
@@ -60,6 +52,7 @@ class FieldParam:
             raise BuildingError("precision N must be at least 2")
         self.q = q
         self.N = N
+        self.nbr_cache = {}
 
     def __repr__(self):
         return "FieldParam(q=%d, N=%d)" % (self.q, self.N)
@@ -148,10 +141,6 @@ def _pinv_unit(a, q, N):
     return _trim(tuple(out))
 
 
-def _pscale_col(col, f, q, N):
-    return tuple(_pmul(p, f, q, N) for p in col)
-
-
 def _col_sub(col, f, other, q, N):
     return tuple(_psub(p, _pmul(f, o, q, N), q)
                  for p, o in zip(col, other))
@@ -171,11 +160,8 @@ class LatticeClass:
 
     def __init__(self, fp, cols, _normalized=False):
         self.fp = fp
-        if _normalized:
-            self.cols = cols
-        else:
-            self.cols = _normal_form(
-                tuple(tuple(_trim(p) for p in c) for c in cols), fp)
+        self.cols = cols if _normalized else _hnf(
+            tuple(tuple(_trim(p) for p in c) for c in cols), fp)
 
     def __eq__(self, other):
         return isinstance(other, LatticeClass) and self.cols == other.cols
@@ -198,9 +184,10 @@ def base_class(fp):
 def _hnf(cols, fp):
     """Column Hermite normal form over the truncated DVR: lower
     triangular, diagonal t^{e_i} with unit pivots normalized away, and
-    entries left of each pivot reduced modulo the pivot.  On trimmed
-    entries its cost follows their degrees, not N: the lattices reached
-    by neighbour steps have entries of low degree at any precision."""
+    entries left of each pivot reduced modulo the pivot, divided by the
+    least power of t in an entry.  It takes any three or more spanning
+    columns: it is `LatticeClass(fp, cols)`, and the oracle of `neighbors`,
+    which builds this form directly.  Its cost follows degrees, not N."""
     q, N = fp.q, fp.N
     M = [[cols[j][i] for j in range(len(cols))] for i in range(3)]  # rows
 
@@ -226,7 +213,8 @@ def _hnf(cols, fp):
             set_col(best, ci)
         e = bestv
         unit = _pshift(M[i][i], -e, N)
-        set_col(i, _pscale_col(col(i), _pinv_unit(unit, q, N), q, N))
+        inv = _pinv_unit(unit, q, N)
+        set_col(i, tuple(_pmul(p, inv, q, N) for p in col(i)))
         for j in range(ncols):
             if j == i:
                 continue
@@ -237,44 +225,43 @@ def _hnf(cols, fp):
                 f = entry[e:]                      # reduce mod t^e
             if f:
                 set_col(j, _col_sub(col(j), f, col(i), q, N))
-    return tuple(col(j) for j in range(3))
-
-
-def _normal_form(cols, fp):
-    h = _hnf(cols, fp)
+    h = [col(j) for j in range(3)]
     m = _least_val(h)
-    if m:
-        h = tuple(tuple(_pshift(p, -m, fp.N) for p in c) for c in h)
-        h = _hnf(h, fp)
-    return h
+    return tuple(tuple(_pshift(p, -m, N) for p in c) for c in h)
 
 
-def _adjugate(cols, q, N):
-    m = [[cols[j][i] for j in range(3)] for i in range(3)]
+def _reduced(cols, fp):
+    """The normal form of lower-triangular columns with monomial pivots:
+    entries left of each pivot reduced modulo it, rows top to bottom as in
+    `_hnf`, then one homothety shift.  A pivot lost mod t^N raises."""
+    if not all(cols[i][i] for i in range(3)):
+        raise BuildingError("precision exhausted: zero pivot row")
+    q, N, cols = fp.q, fp.N, list(cols)
+    for i in (1, 2):
+        e = len(cols[i][i]) - 1
+        for j in range(i):
+            f = cols[j][i][e:]
+            if f:
+                cols[j] = _col_sub(cols[j], f, cols[i], q, N)
+    m = _least_val(cols)
+    return tuple(tuple(_pshift(p, -m, N) for p in c) if m else c
+                 for c in cols)
 
-    def cof(i, j):
-        r = [x for x in range(3) if x != i]
-        c = [x for x in range(3) if x != j]
-        v = _psub(_pmul(m[r[0]][c[0]], m[r[1]][c[1]], q, N),
-                  _pmul(m[r[0]][c[1]], m[r[1]][c[0]], q, N), q)
-        return v if (i + j) % 2 == 0 else _pneg(v, q)
 
-    # adj[i][j] = cof(j, i); return in column form
-    return tuple(tuple(cof(j, i) for i in range(3)) for j in range(3))
+def _adj_lower(M, q, N):
+    """adj(M) for a lower-triangular M, both in column form."""
+    (a, b, d), (_z, c, e), (_z, _z, f) = M
+    return ((_pmul(c, f, q, N), _pneg(_pmul(b, f, q, N), q),
+             _psub(_pmul(b, e, q, N), _pmul(c, d, q, N), q)),
+            ((), _pmul(a, f, q, N), _pneg(_pmul(a, e, q, N), q)),
+            ((), (), _pmul(a, c, q, N)))
 
 
-def _matmul(A, B, q, N):
-    """Column-form 3x3 product A.B."""
-    out = []
-    for j in range(3):
-        col = []
-        for i in range(3):
-            s = ()
-            for k in range(3):
-                s = _padd(s, _pmul(A[k][i], B[j][k], q, N), q)
-            col.append(s)
-        out.append(tuple(col))
-    return tuple(out)
+def _mul_lower(X, Y, q, N):
+    """X.Y for lower-triangular X and Y, all in column form."""
+    return tuple(tuple(reduce(lambda s, k: _padd(
+        s, _pmul(X[k][i], Y[j][k], q, N), q), range(j, i + 1), ())
+        for i in range(3)) for j in range(3))
 
 
 def _least_val(M):
@@ -287,17 +274,20 @@ def lattice_distance(L, Lp):
     """The dominant-weight distance d(L, L') from elementary divisors:
     with d_k the least valuation of the k x k minors of C = adj(L).L'
     (the entries of C, the entries of adj(C), and det C), the invariant
-    factors of L' relative to L are t^(d_k - d_{k-1}), up to homothety."""
+    factors of L' relative to L are t^(d_k - d_{k-1}), up to homothety.
+
+    Normal forms are lower triangular, so adj(L), C and adj(C) are too:
+    only their six entries on and below the diagonal are formed, and
+    det C is the product of C's diagonal.  Above the diagonal a dense
+    product sums only zeros, so each value and each raise (a valuation
+    reaching N) is a dense computation's, which the tests keep."""
     q, N = L.fp.q, L.fp.N
-    C = _matmul(_adjugate(L.cols, q, N), Lp.cols, q, N)
+    C = _mul_lower(_adj_lower(L.cols, q, N), Lp.cols, q, N)
     d1 = _least_val(C)
     if d1 is None:
         raise BuildingError("precision exhausted: zero matrix")
-    A = _adjugate(C, q, N)
-    det = ()  # the (0, 0) entry of adj(C).C
-    for k in range(3):
-        det = _padd(det, _pmul(A[k][0], C[0][k], q, N), q)
-    d2, d3 = _least_val(A), _pval(det)
+    A = _adj_lower(C, q, N)
+    d2, d3 = _least_val(A), _pval(_pmul(A[0][0], C[0][0], q, N))
     if d2 is None or d3 is None:
         raise BuildingError("precision exhausted in minor valuations")
     e = sorted((d1, d2 - d1, d3 - d2))
@@ -316,45 +306,47 @@ def _proj_plane(q):
     return pts
 
 
-# (cols, color, q, N) -> the neighbour list and its frozenset
-_NBR_CACHE = {}
-
-
 def neighbors(L, color):
     """All classes at distance exactly `color` (w1 or w2) from L, one per
-    point of P^2(F_q)."""
+    point r of P^2(F_q) in `_proj_plane`'s order, cached on L.fp.
+
+    Each is built in normal form, not searched into it.  L's normal form
+    A is lower triangular with pivots t^e_i, and the neighbour of r is
+    spanned by A.H for a lower-triangular H:
+      - w1, the kernel of r on L/tL: with r scaled so that its last
+        nonzero r_p is 1, the columns e_j - r_j e_p (j < p), t e_p, e_j;
+      - w2, the line r plus tL: r at its first nonzero p (r_p = 1), and
+        t e_j at every other j.
+    So A.H is lower triangular with pivots t^e_i or t^(e_i + 1), and
+    `_reduced` finishes it with no pivot search and no unit inverse: at
+    most three entries reduced modulo the pivot below them, row by row,
+    then one homothety shift.  N enters only where a pivot t^(e_i + 1)
+    vanishes mod t^N, which raises BuildingError as `_hnf` does.
+    `LatticeClass(fp, cols)` of any spanning columns is the oracle."""
     fp = L.fp
-    key = (L.cols, color, fp.q, fp.N)
-    hit = _NBR_CACHE.get(key)
+    hit = fp.nbr_cache.get((L.cols, color))
     if hit is not None:
         return hit[0]
     if color not in (W1, W2):
         raise BuildingError("neighbor color must be minuscule")
-    q, N = fp.q, fp.N
-    v = list(L.cols)
+    q, N, A = fp.q, fp.N, L.cols
+    tA = [tuple(_pshift(x, 1, N) for x in c) for c in A]
     out = []
-    for rep in _proj_plane(q):
-        p = next(i for i in range(3) if rep[i])
+    for r in _proj_plane(q):
         if color == W1:
-            # kernel of the functional rep on L/tL (rep[p] = 1)
-            cols = []
-            for j in range(3):
-                if j == p:
-                    cols.append(tuple(_pshift(x, 1, N) for x in v[p]))
-                else:
-                    cols.append(_col_sub(v[j], (rep[j],), v[p], q, N)
-                                if rep[j] else v[j])
+            p = max(i for i in range(3) if r[i])
+            s = pow(r[p], q - 2, q)
+            cols = [_col_sub(A[j], (r[j] * s % q,), A[p], q, N) if r[j]
+                    else A[j] for j in range(p)] + [tA[p]] + list(A[p + 1:])
         else:
-            # span of one vector of L/tL plus t.L
-            u = ((), (), ())
-            for j in range(3):
-                if rep[j]:
-                    u = tuple(_padd(x, _pmul((rep[j],), y, q, N), q)
-                              for x, y in zip(u, v[j]))
-            cols = [u] + [tuple(_pshift(x, 1, N) for x in v[j])
-                          for j in range(3) if j != p]
-        out.append(LatticeClass(fp, tuple(cols)))
-    _NBR_CACHE[key] = out, frozenset(out)
+            p = r.index(1)
+            u = A[p]
+            for j in range(p + 1, 3):
+                if r[j]:
+                    u = _col_sub(u, (q - r[j],), A[j], q, N)
+            cols = tA[:p] + [u] + tA[p + 1:]
+        out.append(LatticeClass(fp, _reduced(cols, fp), _normalized=True))
+    fp.nbr_cache[L.cols, color] = out, frozenset(out)
     return out
 
 
@@ -417,7 +409,7 @@ class ConfigCount:
 
 def _nbr_set(L, color):
     neighbors(L, color)
-    return _NBR_CACHE[L.cols, color, L.fp.q, L.fp.N][1]
+    return L.fp.nbr_cache[L.cols, color][1]
 
 
 def _fold(linkage):

@@ -36,8 +36,9 @@ from .basis import (dim_invariants, enumerate_basis, expand_in_basis,
                     minuscule_paths, path_tag, rotated_catalog_check)
 from .oracle import (_tuples_of_weight, contract_closed, in_invariant_kernel,
                      invariant_kernel_dim, web_vector)
-from .building import (BuildingError, FieldParam, _enumerated_partition,
-                       _Field, auto_precision, base_class,
+from .building import (BuildingError, FieldParam, LatticeClass,
+                       _enumerated_partition, _Field, _mul_lower,
+                       auto_precision, base_class,
                        count_configurations, count_fibre, diskoid_linkage,
                        euler_estimate, hexagon_genericity, lattice_distance,
                        neighbors, polygon_linkage, sample_polygon_config,
@@ -624,8 +625,15 @@ def _st_building():
                   and sorted(buckets.values()) == [42, 49])
     ones = satake_partition(sig, argparse.Namespace(q=1)).values()
     checks.append(sum(ones) == len(_tuples_of_weight(sig, "a2", (0, 0))))
-    L = next(iter(neighbors(base_class(fp), W1)))
-    checks.append(lattice_distance(base_class(fp), L) == W1)
+    base = base_class(FieldParam(3, 8))
+    checks.append(lattice_distance(base, neighbors(base, W1)[0]) == W1)
+    # at a class L off the base, the neighbours built in normal form
+    # against `_hnf` of their spans L.H, for H the base's neighbours
+    L = neighbors(neighbors(base, W1)[5], W2)[7]
+    for c in (W1, W2):
+        checks.append(neighbors(L, c) == [
+            LatticeClass(L.fp, _mul_lower(L.cols, H.cols, 3, 8))
+            for H in neighbors(base, c)])
     rng = random.Random(1)
     ls, ps = _random_hexagon_sample(rng, _Field())
     checks.append(solve_hexagon_incidence(ls, ps) == 2)

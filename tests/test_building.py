@@ -11,8 +11,9 @@ from spiderweb import building, corpus
 from spiderweb.basis import minuscule_paths, path_tag
 from spiderweb.building import (
     BuildingError, FieldParam, LatticeClass, Linkage, _Field, _count,
-    _enumerate, _enumerated_partition, _hecke_factor, _padd, _pinv_unit,
-    _pmul, _pneg, _pshift, _psub, auto_precision, base_class,
+    _col_sub, _enumerate, _enumerated_partition, _hecke_factor, _padd,
+    _pinv_unit, _pmul, _pneg, _proj_plane, _pshift, _psub, _pval,
+    auto_precision, base_class,
     count_configurations, count_fibre, diskoid_linkage, edge_linkage,
     euler_estimate, hexagon_genericity, hexagon_solution_points,
     lattice_distance, neighbors, polygon_linkage, sample_polygon_config,
@@ -559,6 +560,183 @@ def test_reached_lattices_do_not_depend_on_precision(q, steps):
 
 
 # ----------------------------------------------------------------------
+# neighbours and distances against their generic references
+
+
+def _adjugate(cols, q, N):
+    """The dense adjugate of a 3 x 3 matrix, in column form."""
+    m = [[cols[j][i] for j in range(3)] for i in range(3)]
+
+    def cof(i, j):
+        r = [x for x in range(3) if x != i]
+        c = [x for x in range(3) if x != j]
+        v = _psub(_pmul(m[r[0]][c[0]], m[r[1]][c[1]], q, N),
+                  _pmul(m[r[0]][c[1]], m[r[1]][c[0]], q, N), q)
+        return v if (i + j) % 2 == 0 else _pneg(v, q)
+
+    return tuple(tuple(cof(j, i) for i in range(3)) for j in range(3))
+
+
+def _matmul(A, B, q, N):
+    """The dense product A.B of 3 x 3 matrices in column form."""
+    out = []
+    for j in range(3):
+        col = []
+        for i in range(3):
+            s = ()
+            for k in range(3):
+                s = _padd(s, _pmul(A[k][i], B[j][k], q, N), q)
+            col.append(s)
+        out.append(tuple(col))
+    return tuple(out)
+
+
+def dense_distance(L, Lp):
+    """`lattice_distance` from dense adjugates and products, with no use
+    of the triangular shape."""
+    q, N = L.fp.q, L.fp.N
+    C = _matmul(_adjugate(L.cols, q, N), Lp.cols, q, N)
+    entries = [v for c in C for v in map(_pval, c) if v is not None]
+    if not entries:
+        raise BuildingError("precision exhausted: zero matrix")
+    A = _adjugate(C, q, N)
+    det = ()  # the (0, 0) entry of adj(C).C
+    for k in range(3):
+        det = _padd(det, _pmul(A[k][0], C[0][k], q, N), q)
+    minors = [v for c in A for v in map(_pval, c) if v is not None]
+    d1, d3 = min(entries), _pval(det)
+    if not minors or d3 is None:
+        raise BuildingError("precision exhausted in minor valuations")
+    e = sorted((d1, min(minors) - d1, d3 - min(minors)))
+    return (e[2] - e[1], e[1] - e[0])
+
+
+def outcome(f, *args):
+    """f(*args), or the message of the BuildingError it raises."""
+    try:
+        return f(*args)
+    except BuildingError as exc:
+        return "raises: %s" % exc
+
+
+def generic_neighbors(L, color):
+    """L's neighbours from spans taken straight from its columns v, in
+    the order of `neighbors`, through `_hnf`: with r_p = 1 the first
+    nonzero coordinate of r, the kernel of r on L/tL is spanned by the
+    v_j - r_j v_p (j != p) and t v_p, and the line r plus tL by
+    sum r_j v_j and the t v_j (j != p)."""
+    q, N, v = L.fp.q, L.fp.N, L.cols
+    tv = [tuple(_pshift(x, 1, N) for x in c) for c in v]
+    out = []
+    for r in _proj_plane(q):
+        p = r.index(1)
+        if color == W1:
+            cols = [tv[j] if j == p else _col_sub(v[j], (r[j],), v[p], q, N)
+                    for j in range(3)]
+        else:
+            u = ((), (), ())
+            for j in range(p, 3):
+                u = _col_sub(u, ((q - r[j]) % q,), v[j], q, N)
+            cols = [u] + [tv[j] for j in range(3) if j != p]
+        out.append(LatticeClass(L.fp, cols))
+    return out
+
+
+walks = st.tuples(
+    st.sampled_from((2, 3, 5, 7)), st.sampled_from((8, 12, 86)),
+    st.lists(st.tuples(st.sampled_from((W1, W2)), st.integers(0, 10 ** 6)),
+             max_size=10))
+
+
+def walk(q, N, steps):
+    """The classes along a walk from the base, and the error that ended
+    it, if the precision ran out."""
+    L = base_class(FieldParam(q, N))
+    path = [L]
+    for color, i in steps:
+        try:
+            nbrs = neighbors(L, color)
+        except BuildingError as exc:
+            return path, exc
+        L = nbrs[i % len(nbrs)]
+        path.append(L)
+    return path, None
+
+
+@settings(max_examples=30, deadline=None)
+@given(walks)
+def test_neighbours_match_generic_normal_form(args):
+    # every class along the walk: its neighbour lists, in order, are the
+    # `_hnf` normal forms of the spans, and both raise alike
+    path, _exc = walk(*args)
+    for L in path:
+        for color in (W1, W2):
+            got = outcome(lambda: [M.cols for M in neighbors(L, color)])
+            assert got == outcome(
+                lambda: [M.cols for M in generic_neighbors(L, color)])
+
+
+def test_neighbours_step_back_by_a_homothety():
+    # the w1 neighbour of a w2 neighbour M of L that is L again is t.L
+    # inside M, so it is found only after dividing by t
+    for q in (2, 3):
+        base = base_class(FieldParam(q, 8))
+        for M in neighbors(base, W2):
+            assert [X.cols for X in neighbors(M, W1)].count(base.cols) == 1
+
+
+def test_walks_reach_the_precision_limit():
+    # the property above sees raises: repeated w1 steps along the last
+    # point of P^2 deepen one pivot until t^N vanishes
+    for q, N in ((2, 8), (7, 12)):
+        path, exc = walk(q, N, [(W1, -1)] * N)
+        assert len(path) == N and "precision exhausted" in str(exc)
+        assert outcome(generic_neighbors, path[-1], W1) == \
+            "raises: %s" % exc
+        far = outcome(lattice_distance, path[-1], path[0])
+        assert "precision exhausted" in far
+        assert far == outcome(dense_distance, path[-1], path[0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(walks)
+def test_distances_match_dense_reference(args):
+    # both directions, from the base, the walk's end L and one of its
+    # neighbours to every neighbour of L, values and raises alike
+    path, _exc = walk(*args)
+    L = path[-1]
+    ys = [M for color in (W1, W2)
+          for M in outcome(neighbors, L, color) if isinstance(M, LatticeClass)]
+    for X in (path[0], L, *ys[:1]):
+        for Y in ys:
+            assert outcome(lattice_distance, X, Y) == \
+                outcome(dense_distance, X, Y)
+            assert outcome(lattice_distance, Y, X) == \
+                outcome(dense_distance, Y, X)
+
+
+def test_neighbour_cache_belongs_to_its_fieldparam():
+    # equal (q, N) share no lists, and the module keeps no classes
+    fp1, fp2 = FieldParam(3, 8), FieldParam(3, 8)
+    n1, n2 = (neighbors(base_class(fp), W1) for fp in (fp1, fp2))
+    assert n1 == n2 and n1 is not n2
+    assert all(M.fp is fp1 for M in n1) and all(M.fp is fp2 for M in n2)
+    assert neighbors(base_class(fp1), W1) is n1
+    assert list(fp1.nbr_cache) == [(base_class(fp1).cols, W1)]
+
+    def classes(x):
+        if isinstance(x, LatticeClass):
+            return True
+        if isinstance(x, dict):
+            return any(map(classes, x)) or any(map(classes, x.values()))
+        if isinstance(x, (list, tuple, set, frozenset)):
+            return any(map(classes, x))
+        return False
+
+    assert not any(classes(v) for v in vars(building).values())
+
+
+# ----------------------------------------------------------------------
 # the precision boundary
 
 
@@ -581,15 +759,22 @@ def test_partition_precision_boundary(sig, enough, sizes):
 
 @pytest.mark.parametrize("q", (2, 3))
 def test_partition_below_auto_precision_raises_or_is_exact(q):
+    # a truncation says so or changes nothing, at every N below
+    # auto_precision: a sample of each stratum from one seed, and at q = 2
+    # the enumerated partition (at q = 3 that takes about 10 s more)
     for sig in gluable(1, 2, 3, 4, 5):
         N0 = auto_precision(sig)
-        exact = satake_partition(sig, FieldParam(q, N0))
+
+        def run(fp):
+            samples = [{k: M.cols for k, M in sample_polygon_config(
+                sig, path, fp, random.Random(1)).items()}
+                for path in minuscule_paths(sig)]
+            return q == 2 and _enumerated_partition(sig, fp), samples
+
+        exact = run(FieldParam(q, N0))
         for N in range(2, N0):
-            try:
-                got = satake_partition(sig, FieldParam(q, N))
-            except BuildingError:
-                continue
-            assert got == exact, (sig, N)
+            got = outcome(run, FieldParam(q, N))
+            assert got == exact or "precision exhausted" in got, (sig, N)
 
 
 def test_w_mu_fibre_stable_above_auto_precision():
