@@ -517,6 +517,7 @@ def _enumerate(linkage, fp, visit=None, rng=None):
                 del assign[v]
 
     rec(todo, assign, 1)
+    del rec  # its closure holds rec itself, and with it base and fp
     return count
 
 
@@ -727,7 +728,9 @@ def euler_estimate(D, primes=(2, 3, 5, 7, 11), confirm=3, max_nodes=14,
     not an extrapolation.
 
     Each count is a peeled count (`_count`); `_enumerate` is its
-    oracle."""
+    oracle.  A prime's neighbour cache is cleared once its count is
+    done: its classes point back to their FieldParam, so the cycle would
+    keep them alive until a full garbage collection."""
     link = diskoid_linkage(D)
     labels = link.labels()
     cache = {}
@@ -736,6 +739,7 @@ def euler_estimate(D, primes=(2, 3, 5, 7, 11), confirm=3, max_nodes=14,
         if p not in cache:
             fp = FieldParam(p, auto_precision(labels))
             cache[p] = _count(link, fp)
+            fp.nbr_cache.clear()
         return cache[p]
 
     nodes = sorted(set(primes))

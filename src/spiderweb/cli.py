@@ -625,15 +625,18 @@ def _st_building():
                   and sorted(buckets.values()) == [42, 49])
     ones = satake_partition(sig, argparse.Namespace(q=1)).values()
     checks.append(sum(ones) == len(_tuples_of_weight(sig, "a2", (0, 0))))
-    base = base_class(FieldParam(3, 8))
+    base = base_class(FieldParam(3, 16))
     checks.append(lattice_distance(base, neighbors(base, W1)[0]) == W1)
     # at a class L off the base, the neighbours built in normal form
-    # against `_hnf` of their spans L.H, for H the base's neighbours
+    # against `_hnf` of their spans L.H, for H the base's neighbours,
+    # and their distances both ways: d(L, M) = c = d(M, L)*
     L = neighbors(neighbors(base, W1)[5], W2)[7]
     for c in (W1, W2):
         checks.append(neighbors(L, c) == [
-            LatticeClass(L.fp, _mul_lower(L.cols, H.cols, 3, 8))
+            LatticeClass(L.fp, _mul_lower(L.cols, H.cols, 3, 16))
             for H in neighbors(base, c)])
+        checks.append(all(lattice_distance(L, M) == c == weights.dual(
+            lattice_distance(M, L)) for M in neighbors(L, c)))
     rng = random.Random(1)
     ls, ps = _random_hexagon_sample(rng, _Field())
     checks.append(solve_hexagon_incidence(ls, ps) == 2)

@@ -12,7 +12,7 @@ at least six triangles) and have coherent (unique-minimum) distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import weights
 from .weights import W1, W2, dual, dominance_leq, rho_level
@@ -23,12 +23,11 @@ class DiskoidError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Geodesic:
-    vertices: tuple   # visited diskoid vertices, in order
-    eids: tuple       # edge ids traversed
-    steps: tuple      # per-edge traversal weights (minuscule)
-    total: tuple      # sum of steps (DominantWeight)
+class Geodesic(namedtuple("Geodesic", "vertices eids steps total")):
+    """A geodesic: the diskoid vertices it visits in order, the edge ids
+    it traverses, the minuscule weight of each step, and their sum (a
+    dominant weight)."""
+    __slots__ = ()
 
 
 class Diskoid:

@@ -4,9 +4,10 @@ Webs are read as epsilon/delta networks over the defining representation
 (dimension 3, or 2 in A1 mode): all-out vertices carry the Levi-Civita
 epsilon, all-in vertices its dual copy, boundary-to-boundary edges carry
 identity pairings (the antisymmetric form in A1), and free circles
-multiply by the dimension.  All arithmetic is exact (Python integers via
-object-dtype arrays); the resulting closed-web scalars equal the skein
-evaluation at q = -1 with no correction factor.
+multiply by the dimension.  Tensors are exact and sparse, dicts
+{index tuple: nonzero int}; the resulting closed-web scalars equal the
+skein evaluation at q = -1 with no correction factor.  Only the
+functions that take or return arrays import numpy.
 
 The invariant dimension of a boundary signature is the dimension of the
 kernel of the raising operators on the weight-zero subspace: a
@@ -20,18 +21,15 @@ exact for every signature with at most p - 2 legs (see
 from __future__ import annotations
 
 from functools import cache
-
-import numpy as np
+from operator import itemgetter
 
 from .weights import W1, W2
 from .webs import WebError
 
-_EPS3 = np.zeros((3, 3, 3), dtype=object)
-for _i, _j, _k, _s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                       (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)):
-    _EPS3[_i, _j, _k] = _s
-_ID3 = np.eye(3, dtype=object)
-_EPS2 = np.array([[0, 1], [-1, 0]], dtype=object)
+_EPS3 = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+         (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
+_ID3 = {(0, 0): 1, (1, 1): 1, (2, 2): 1}
+_EPS2 = {(0, 1): 1, (1, 0): -1}
 
 _P = 2147483629
 
@@ -75,21 +73,49 @@ def _build_network(w):
     return nodes, pairs
 
 
+def _getter(positions):
+    """Index tuple -> the tuple of its entries at the given positions."""
+    if len(positions) == 1:
+        return lambda key, i=positions[0]: (key[i],)
+    return itemgetter(*positions) if positions else lambda key: ()
+
+
+def _join(ta, tb, pos_a, pos_b, free_a, free_b):
+    """Contract axes pos_a of ta with axes pos_b of tb by a hash join on
+    their entries there; the result's axes are free_a, then free_b."""
+    key_a, key_b = itemgetter(*pos_a), itemgetter(*pos_b)
+    rest_a, rest_b = _getter(free_a), _getter(free_b)
+    index = {}
+    for key, v in tb.items():
+        index.setdefault(key_b(key), []).append((rest_b(key), v))
+    out = {}
+    for key, v in ta.items():
+        matches = index.get(key_a(key))
+        if matches:
+            head = rest_a(key)
+            for tail, u in matches:
+                k = head + tail
+                out[k] = out.get(k, 0) + v * u
+    return {k: v for k, v in out.items() if v}
+
+
 def _self_contract(nodes, where, pairs):
-    """Trace out the pairs whose two darts lie on one node."""
+    """Trace out the pairs whose two darts lie on one node: a join with
+    the identity pairing on their two axes."""
     for a, b in [p for p in pairs if where[p[0]] == where[p[1]]]:
         t, ax = nodes[where[a]]
-        t = np.trace(t, axis1=ax.index(a), axis2=ax.index(b))
+        i, j = ax.index(a), ax.index(b)
+        t = _join(t, _ID3, [i, j], [0, 1],
+                  [n for n in range(len(ax)) if n not in (i, j)], [])
         nodes[where[a]] = [t, [k for k in ax if k not in (a, b)]]
         del pairs[a, b]
 
 
 def _contract(w):
-    """Contract all interior pairings; returns (tensor, open axis keys)."""
+    """Contract all interior pairings; returns (sparse tensor, open axis
+    keys)."""
     nodes, pairs = _build_network(w)
-    scalar = _dim(w.mode) ** w.circles
-    if not nodes:
-        return np.array(scalar, dtype=object), []
+    nodes.append([{(): _dim(w.mode) ** w.circles}, []])
     nodes = dict(enumerate(nodes))
     where = {d: i for i, (_t, ax) in nodes.items() for d in ax}
     pairs = dict.fromkeys(pairs)
@@ -105,25 +131,25 @@ def _contract(w):
             groups.setdefault(key, []).append((a, b))
         # the first node pair whose merged node is smallest
         (ia, ib), shared = min(groups.items(), key=lambda g: (
-            nodes[g[0][0]][0].ndim + nodes[g[0][1]][0].ndim - 2 * len(g[1])))
+            len(nodes[g[0][0]][1]) + len(nodes[g[0][1]][1]) - 2 * len(g[1])))
         (ta, axa), (tb, axb) = nodes.pop(ia), nodes.pop(ib)
         ends = [(x, y) if where[x] == ia else (y, x) for x, y in shared]
-        t = np.tensordot(ta, tb, axes=([axa.index(x) for x, _y in ends],
-                                       [axb.index(y) for _x, y in ends]))
         for p in shared:
             del pairs[p]
         done = {d for p in shared for d in p}
+        t = _join(ta, tb, [axa.index(x) for x, _y in ends],
+                  [axb.index(y) for _x, y in ends],
+                  [n for n, k in enumerate(axa) if k not in done],
+                  [n for n, k in enumerate(axb) if k not in done])
         ax = [k for k in axa + axb if k not in done]
         nodes[new] = [t, ax]
         where.update(dict.fromkeys(ax, new))
         new += 1
-    # tensor the disconnected remainder together
+    # tensor the disconnected remainder (and the circles' scalar) together
     (t, ax), *rest = nodes.values()
     for t2, ax2 in rest:
-        t = np.tensordot(t, t2, axes=0)
+        t = {k + k2: v * v2 for k, v in t.items() for k2, v2 in t2.items()}
         ax = ax + ax2
-    if scalar != 1:
-        t = t * scalar
     return t, ax
 
 
@@ -134,22 +160,28 @@ def contract_closed(w):
     t, ax = _contract(w)
     if ax:
         raise WebError("contraction left open axes on a closed web")
-    return int(t.item() if hasattr(t, "item") else t)
+    return t.get((), 0)
 
 
 def web_vector(w):
-    """The invariant vector of a web: an exact integer array with one
-    axis per boundary leg (w1 legs carry the space, w2 legs its dual)."""
+    """The invariant vector of a web: an exact integer array (object
+    dtype) with one axis per boundary leg (w1 legs carry the space, w2
+    legs its dual)."""
+    import numpy as np
+
     t, ax = _contract(w)
     if not w.boundary:
-        return t
+        return np.array(t.get((), 0), dtype=object)
     keys = []
     bset = set(w.boundary)
     for b in w.boundary:
         e = w.theta[b]
         keys.append(b if e in bset else e)
     order = [ax.index(k) for k in keys]
-    return np.transpose(t, order)
+    vec = np.zeros((_dim(w.mode),) * len(order), dtype=object)
+    for key, v in t.items():
+        vec[tuple(key[o] for o in order)] = v
+    return vec
 
 
 # ----------------------------------------------------------------------
@@ -179,6 +211,8 @@ def _e_moves(lam, mode, which):
 
 def apply_raising(vec, signature, which, mode="a2"):
     """e1 (which=1) or e2 (which=2) applied to an exact tensor."""
+    import numpy as np
+
     out = np.zeros_like(vec)
     for leg, lam in enumerate(signature):
         for src, dst, coeff in _e_moves(lam, mode, which):
@@ -194,6 +228,8 @@ def in_invariant_kernel(vec, signature, mode="a2"):
     """True iff every nonzero entry of the exact tensor has total weight
     zero and the tensor is killed by the raising operators (e1 and e2;
     e1 alone in A1): used to certify oracle vectors."""
+    import numpy as np
+
     zero = set(_tuples_of_weight(signature, mode, (0, 0)))
     if any(tuple(idx) not in zero for idx in np.argwhere(vec)):
         return False

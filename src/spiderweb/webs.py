@@ -21,7 +21,7 @@ component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import weights
 from .weights import W1, W2
@@ -31,10 +31,10 @@ class WebError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Face:
-    darts: tuple
-    internal: bool
+class Face(namedtuple("Face", "darts internal")):
+    """A face: the orbit of darts around it, and whether it is internal
+    (has no boundary dart)."""
+    __slots__ = ()
 
     @property
     def degree(self):

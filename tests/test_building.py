@@ -1,4 +1,5 @@
 import collections
+import gc
 import itertools
 import random
 import time
@@ -450,6 +451,58 @@ def test_seed77_sphere_peels_to_its_base(monkeypatch):
     link = diskoid_linkage(D)
     assert _count(link, fp_(2)) == 3 ** 3 * 7
     assert cores[-1] == 1
+
+
+def core_diskoid():
+    """The first dual diskoid with at most six vertices that the
+    criterion-5 generator yields from seed 5 (up to 8 legs and 6 web
+    vertices) whose count at q = 2 leaves a core to enumerate."""
+    rng = random.Random(5)
+    while True:
+        sig = random_signature(rng, max_legs=8)
+        w = random_web(sig, rng, max_vertices=6, split_bias=0.0)
+        try:
+            g = glue(w, mirror(w))
+            D = dual_diskoid(g)
+        except (WebError, DiskoidError):
+            continue
+        if g.circles or D.n_vertices() > 6:
+            continue
+        fp = fp_(2, 8)
+        _count(diskoid_linkage(D), fp)
+        if fp.nbr_cache:
+            return D
+
+
+def test_euler_estimate_frees_each_prime(monkeypatch):
+    # a prime's classes point back to its FieldParam, so they must be
+    # freed by reference counting once its count is done, not by the
+    # cyclic collector; the polynomial through q = 2, 3 mispredicts q = 5
+    # and max_nodes=2 then stops the estimate
+    D = core_diskoid()
+    real = building._count
+    finished = []
+
+    def alive():
+        return {(id(o.fp), o.fp.q) for o in gc.get_objects()
+                if isinstance(o, LatticeClass)}
+
+    def spy(link, fp):
+        assert not alive() & set(finished)
+        n = real(link, fp)
+        assert fp.nbr_cache
+        finished.append((id(fp), fp.q))
+        return n
+
+    monkeypatch.setattr(building, "_count", spy)
+    gc.disable()
+    try:
+        with pytest.raises(BuildingError, match="not polynomial"):
+            euler_estimate(D, primes=(2, 3), confirm=1, max_nodes=2)
+        assert not alive() & set(finished)
+    finally:
+        gc.enable()
+    assert [q for _id, q in finished] == [2, 3, 5]
 
 
 @pytest.mark.parametrize("q", (2, 3, 5, 7))

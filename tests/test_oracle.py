@@ -1,17 +1,22 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_closed_web, relabelled
 from spiderweb import corpus
 from spiderweb.basis import dim_invariants, enumerate_basis
 from spiderweb.oracle import (
-    _tuples_of_weight, apply_raising, contract_closed, in_invariant_kernel,
-    invariant_kernel_dim, web_vector)
+    _build_network, _self_contract, _tuples_of_weight, apply_raising,
+    contract_closed, in_invariant_kernel, invariant_kernel_dim, web_vector)
 from spiderweb.skein import evaluate_closed
 from spiderweb.generate import random_signature, random_web
 from spiderweb.webs import WebError, glue, mirror
@@ -64,6 +69,109 @@ def _reference_kernel_dim(sig, mode):
     # drop the coordinates no image reaches; they do not change the rank
     images = [list(col) for col in zip(*(r for r in zip(*images) if any(r)))]
     return len(zero) - _rank_exact(images)
+
+
+def dense_contract(w):
+    """The reference contraction: the nodes and dart pairs of
+    `_build_network` with dense object arrays (the Levi-Civita symbol at
+    each vertex, the identity or the A1 form on each arc), contracted one
+    pair at a time by np.trace or np.tensordot (the pair whose result has
+    the fewest axes first); returns (array, open axis keys)."""
+    d = 2 if w.mode == "a1" else 3
+    eps = np.zeros((3, 3, 3), dtype=object)
+    for p in itertools.permutations(range(3)):
+        eps[p] = (-1) ** sum(a > b for a, b in itertools.combinations(p, 2))
+    arc = np.array([[0, 1], [-1, 0]] if d == 2 else np.eye(3, dtype=int),
+                   dtype=object)
+    network, pairs = _build_network(w)
+    nodes = [(eps if len(ax) == 3 else arc, list(ax)) for _t, ax in network]
+
+    def node_of(x):
+        return next(i for i, (_t, ax) in enumerate(nodes) if x in ax)
+
+    def merged_ndim(p):
+        ia, ib = node_of(p[0]), node_of(p[1])
+        return nodes[ia][0].ndim + (ib != ia) * nodes[ib][0].ndim
+
+    while pairs:
+        a, b = min(pairs, key=merged_ndim)
+        pairs.remove((a, b))
+        ia, ib = node_of(a), node_of(b)
+        ta, axa = nodes[ia]
+        if ia == ib:
+            t = np.trace(ta, axis1=axa.index(a), axis2=axa.index(b))
+            ax = [k for k in axa if k not in (a, b)]
+        else:
+            tb, axb = nodes[ib]
+            t = np.tensordot(ta, tb, axes=(axa.index(a), axb.index(b)))
+            ax = [k for k in axa if k != a] + [k for k in axb if k != b]
+        nodes = [n for i, n in enumerate(nodes) if i not in (ia, ib)]
+        nodes.append((t, ax))
+    t, ax = np.array(d ** w.circles, dtype=object), []
+    for t2, ax2 in nodes:
+        t, ax = np.tensordot(t, t2, axes=0), ax + ax2
+    return t, ax
+
+
+def dense_web_vector(w):
+    """`web_vector` from the reference contraction: one axis per leg."""
+    t, ax = dense_contract(w)
+    bset = set(w.boundary)
+    keys = [b if w.theta[b] in bset else w.theta[b] for b in w.boundary]
+    return np.transpose(t, [ax.index(k) for k in keys])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(("a1", "a2")))
+def test_sparse_contraction_matches_dense_reference(seed, mode):
+    rng = random.Random(seed)
+    sig = random_signature(rng, mode, max_legs=6)
+    w = random_web(sig, rng, mode, max_vertices=6)
+    vec = web_vector(w)
+    assert isinstance(vec, np.ndarray) and vec.dtype == object
+    ref = dense_web_vector(w)
+    assert vec.shape == ref.shape and vec.tolist() == ref.tolist()
+    # the criterion-5 pairing <w, w*>, and in A2 the closed webs of
+    # `random_closed_web` (disjoint unions, free circles)
+    for g in (glue(w, mirror(w)),
+              random_closed_web(rng) if mode == "a2" else glue(w, w)):
+        assert contract_closed(g) == dense_contract(g)[0] == \
+            int(web_vector(g))
+
+
+def test_trace_is_a_diagonal_sum():
+    # no valid web pairs two darts of one vertex, so the webs above never
+    # reach this path
+    rng = random.Random(3)
+    for i, j in itertools.permutations(range(4), 2):
+        dense = np.array([rng.choice((0, 0, 1, -2)) for _ in range(81)],
+                         dtype=object).reshape((3,) * 4)
+        ax = ["a", "b", "c", "d"]
+        nodes = {0: [{k: int(v) for k, v in np.ndenumerate(dense) if v}, ax]}
+        pairs = {(ax[i], ax[j]): None}
+        _self_contract(nodes, dict.fromkeys(ax, 0), pairs)
+        t, rest = nodes[0]
+        assert not pairs and rest == [k for k in ax if k not in (ax[i], ax[j])]
+        ref = np.trace(dense, axis1=i, axis2=j)
+        assert t == {k: v for k, v in np.ndenumerate(ref) if v}
+
+
+def test_cli_does_not_import_numpy():
+    # numpy is loaded only by the oracle functions that take or return
+    # arrays; no CLI import, count or Euler characteristic needs it
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys\n"
+            "from spiderweb import cli\n"
+            "assert 'numpy' not in sys.modules\n"
+            "for argv in (['count', '--boundary', 'w1,w2', '--q', '2'],\n"
+            "             ['euler', 'corpus:theta', '--primes', '2,3,5'],\n"
+            "             ['oracle', 'corpus:theta']):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "assert 'numpy' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_contract_closed_corpus():

@@ -121,6 +121,31 @@ def test_rotation_keys(seed):
         assert rotate(w, 1).canonical_key() != w.canonical_key()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(("a1", "a2")))
+def test_web_text_round_trip(seed, mode):
+    rng = random.Random(seed)
+    sig = random_signature(rng, mode, max_legs=6)
+    webs = [random_web(sig, rng, mode, max_vertices=6)]
+    if mode == "a2":
+        webs.append(random_closed_web(rng))
+    for w in webs:
+        back = parse_web(serialize_web(w), strict=False)
+        assert back.canonical_key() == w.canonical_key()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(("a1", "a2")))
+def test_mirror_signature_is_reverse_dual(seed, mode):
+    rng = random.Random(seed)
+    sig = random_signature(rng, mode, max_legs=8)
+    w = random_web(sig, rng, mode, max_vertices=8)
+    assert mirror(w).boundary_signature() == \
+        dual_reverse_signature(w.boundary_signature(), mode)
+    g = glue(w, mirror(w))  # never raises
+    assert g.is_closed()
+
+
 # ----------------------------------------------------------------------
 # the pruned canonical search against the exhaustive one
 
