@@ -491,8 +491,10 @@ def dual_diskoid(w):
     For a web with boundary the base is the face of the base dart and
     the boundary cycle lists the faces of the boundary darts in order;
     closed webs yield sphere complexes based at the face containing the
-    canonically least dart.
+    canonically least dart.  It is built once per web and kept on it.
     """
+    if w._dual is not None:
+        return w._dual
     if w.circles:
         raise WebError("dual_diskoid: remove free circles first")
     faces = w.faces()
@@ -529,7 +531,8 @@ def dual_diskoid(w):
     else:
         boundary = []
         base = face_of[min(w.theta, key=lambda d: rank[d])] if w.theta else None
-    return Diskoid(w.mode, names, base, boundary, edges, triangles)
+    w._dual = Diskoid(w.mode, names, base, boundary, edges, triangles)
+    return w._dual
 
 
 # ----------------------------------------------------------------------

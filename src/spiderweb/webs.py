@@ -43,7 +43,7 @@ class Face(namedtuple("Face", "darts internal")):
 
 class Web:
     __slots__ = ("mode", "theta", "vertices", "boundary", "heads", "circles",
-                 "_sigma", "_dart_vertex", "_faces", "_ckey", "_crank")
+                 "_sigma", "_dart_vertex", "_faces", "_ckey", "_crank", "_dual")
 
     def __init__(self, mode, theta, vertices, boundary, heads=(), circles=0,
                  check=True):
@@ -58,6 +58,7 @@ class Web:
         self._faces = None
         self._ckey = None
         self._crank = None
+        self._dual = None  # the dual diskoid, built by diskoid.dual_diskoid
         if check:
             self.validate(strict=False)
 
@@ -100,10 +101,6 @@ class Web:
             self._dart_vertex = {d0: i for i, tri in enumerate(self.vertices)
                                  for d0 in tri}
         return self._dart_vertex
-
-    def vertex_of(self, d):
-        """Index of the interior vertex holding dart d, or None."""
-        return self._vertex_map().get(d)
 
     def vertex_is_out(self, i):
         """True if interior vertex i is all-out (w1 flow leaving on all darts)."""

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from spiderweb import corpus
+from spiderweb import corpus, diskoid
+from spiderweb.basis import enumerate_basis, rotated_catalog_check
 from spiderweb.diskoid import (
     DiskoidError, complete_extension, complete_geodesics, diamond_move,
     diamond_sites, distance, distance_sets, dual_diskoid, geodesics, is_cat0,
     leq_S, mu_vector, parse_diskoid, serialize_diskoid)
 from spiderweb.generate import random_signature, random_web
+from spiderweb.webs import rotate
 from spiderweb.weights import W1, W2, dominance_leq, dual as dual_weight
 
 from conftest import MU, NU
@@ -178,3 +180,33 @@ def test_leq_S_needs_equal_boundaries():
 def test_cat0_criterion():
     for name in ("single-y", "a2-example", "w-mu", "w-nu"):
         assert is_cat0(D_of(name)), name
+
+
+def test_catalog_builds_each_dual_diskoid_once(monkeypatch):
+    built = []
+    init = diskoid.Diskoid.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(diskoid.Diskoid, "__init__", counted_init)
+    sig = (W1, W1, W2, W1, W2, W2)
+    cat = enumerate_basis(sig)
+    assert len(built) == len(cat)
+    rotated_catalog_check(cat, 1)
+    # the catalog's webs reuse theirs; each rotated web builds its own
+    assert len(built) == 2 * len(cat)
+    assert [dual_diskoid(w) for w in cat.webs()] == built[:len(cat)]
+    assert len(built) == 2 * len(cat)
+
+
+def test_rotated_catalog_check_uses_the_rotated_webs_own_diskoids():
+    cat = enumerate_basis((W1, W2, W1, W2, W1, W2))
+    rot = rotated_catalog_check(cat, 1)
+    for w in cat.webs():
+        assert rotate(w, 1)._dual is None
+        _p, w2 = rot.by_key[rotate(w, 1).canonical_key()]
+        D, D2 = dual_diskoid(w), dual_diskoid(w2)
+        assert D2 is not D
+        assert mu_vector(D2, 0) == mu_vector(D, 1)

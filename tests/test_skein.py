@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_closed_web, relabelled
 from spiderweb import corpus, skein
 from spiderweb.basis import enumerate_basis
-from spiderweb.laurent import BIGON_A2, LOOP_A1, LOOP_A2, Laurent
+from spiderweb.laurent import BIGON_A2, LOOP_A1, LOOP_A2, ONE, ZERO, Laurent
 from spiderweb.oracle import contract_closed
 from spiderweb.skein import (
     WebSum, evaluate_closed, find_elliptic, normal_form, pair, rewrite)
 from spiderweb.webs import (
-    Web, WebError, empty_web, glue, mirror, parse_web, serialize_web)
+    Web, WebError, empty_web, glue, mirror, parse_web, serialize_web, splice)
 from spiderweb.generate import random_signature, random_web
 from spiderweb.weights import W1, W2
 
@@ -160,37 +161,142 @@ def test_dart_names_do_not_change_reduction(seed):
     assert normal_form(relabelled(w, rng)) == normal_form(w)
 
 
+GRAM_SIGNATURE = (W1, W1, W1, W2, W1, W2, W2, W2)
+
+
 def test_closed_reduction_keys_only_square_smoothings_and_leaves(monkeypatch):
-    count = {"canon": 0, "square": 0, "leaf": 0}
-    canonicalize = Web._canonicalize
-    rewrite_, find = skein.rewrite, skein.find_elliptic
+    # A closed web becomes a Web only where a square smoothing reaches
+    # another square (a branch web, keyed in the memo); the input and the
+    # empty leaves are never keyed.
+    count = {"canon": 0, "keyed": 0}
+    canonicalize, to_web = Web._canonicalize, skein._DartMap.web
 
     def counted_canonicalize(w):
         count["canon"] += 1
         return canonicalize(w)
 
-    def counted_rewrite(w, site):
-        terms = rewrite_(w, site)
-        count["square"] += len(terms) == 2
-        return terms
+    def counted_web(m):
+        w = to_web(m)
+        count["keyed"] += not w.is_empty()
+        return w
 
-    def counted_find(w, strategy="default"):
-        site = find(w, strategy)
-        count["leaf"] += site is None
-        return site
-
+    hash(empty_web("a2"))  # the shared empty web's key, outside the counts
     monkeypatch.setattr(Web, "_canonicalize", counted_canonicalize)
-    monkeypatch.setattr(skein, "rewrite", counted_rewrite)
-    monkeypatch.setattr(skein, "find_elliptic", counted_find)
-    webs = enumerate_basis((W1, W1, W1, W2, W1, W2, W2, W2)).webs()
-    total = squares = 0
+    monkeypatch.setattr(skein._DartMap, "web", counted_web)
+    webs = enumerate_basis(GRAM_SIGNATURE).webs()
+    total = keyed = 0
     for a in webs:
         for b in webs:
             g = glue(a, mirror(b))
-            count.update(canon=0, square=0, leaf=0)
+            count.update(canon=0, keyed=0)
             evaluate_closed(g)
-            assert count["canon"] <= 2 * count["square"] + count["leaf"]
+            assert count["canon"] <= count["keyed"]
             total += count["canon"]
-            squares += count["square"]
-    assert squares > 0
-    assert total <= 1000
+            keyed += count["keyed"]
+    assert keyed > 0
+    assert total <= 26  # 13 over the 529 pairs
+
+
+def test_gram_values_frozen():
+    # the Gram entries of GRAM_SIGNATURE's basis, as the reducer that made
+    # one webs.splice per rewrite computed them
+    webs = enumerate_basis(GRAM_SIGNATURE).webs()
+    text = "\n".join(str(evaluate_closed(glue(a, mirror(b))))
+                     for a in webs for b in webs)
+    assert len(webs) == 23
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "c877b9138f08ca01"
+
+
+# ----------------------------------------------------------------------
+# The reference reducer: one webs.splice per rewrite, faces recomputed at
+# every step, and no memo.
+
+def reference_step(w, strategy="default"):
+    """The terms of one rewrite of w, or None when w is non-elliptic."""
+    faces = [f for f in w.internal_faces() if f.degree < 6]
+    if w.circles and (strategy == "default" or not faces):
+        loop = LOOP_A1 if w.mode == "a1" else LOOP_A2
+        return [(Web(w.mode, w.theta, w.vertices, w.boundary, w.heads,
+                     w.circles - 1, check=False), loop)]
+    if not faces:
+        return None
+    pick = min if strategy == "default" else max
+    face = pick(faces, key=lambda f: f.degree)
+    index = {d: i for i, tri in enumerate(w.vertices) for d in tri}
+    verts = [index[d] for d in face.darts]
+    ring = set(face.darts) | {w.theta[d] for d in face.darts}
+    e = [next(d for d in w.vertices[v] if d not in ring) for v in verts]
+    if face.degree == 2:
+        return [(splice(w, verts, [(e[0], e[1])]), BIGON_A2)]
+    return [(splice(w, verts, [(e[0], e[1]), (e[2], e[3])]), ONE),
+            (splice(w, verts, [(e[1], e[2]), (e[3], e[0])]), ONE)]
+
+
+def api_step(w, strategy="default"):
+    """One rewrite through the public one-step API."""
+    site = find_elliptic(w, strategy)
+    return None if site is None else rewrite(w, site)
+
+
+def reduce_by(step, w, strategy="default"):
+    """The normal form of w as a WebSum, rewriting with ``step`` until
+    every term is non-elliptic."""
+    terms = step(w, strategy)
+    if terms is None:
+        return WebSum.single(w)
+    out = WebSum(w.mode)
+    for w1, c1 in terms:
+        out = out + reduce_by(step, w1, strategy).scale(c1)
+    return out
+
+
+def random_elliptic_web(rng):
+    """A random boundary web with elliptic faces, sometimes with circles;
+    about one in two has a square on its way to normal form."""
+    w = random_web(random_signature(rng, max_legs=8), rng, max_vertices=14,
+                   split_bias=0.9)
+    if rng.random() < 0.3:
+        w = Web(w.mode, w.theta, w.vertices, w.boundary, w.heads,
+                w.circles + rng.randrange(1, 3), check=False)
+    return w
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_dart_map_matches_reference_reducer(seed):
+    rng = random.Random(seed)
+    w = random_elliptic_web(rng)
+    for strategy in ("default", "alternate"):
+        assert normal_form(w, strategy) == reduce_by(reference_step, w,
+                                                     strategy)
+    g = random_closed_web(rng)
+    ref = reduce_by(reference_step, g)
+    assert set(ref.terms) <= {empty_web(g.mode)}
+    assert evaluate_closed(g) == ref.terms.get(empty_web(g.mode), ZERO)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32))
+def test_one_step_api_reaches_the_normal_form(seed):
+    rng = random.Random(seed)
+    for w in (random_elliptic_web(rng), random_closed_web(rng)):
+        for strategy in ("default", "alternate"):
+            assert reduce_by(api_step, w, strategy) == normal_form(w, strategy)
+
+
+def test_dart_map_matches_reference_through_squares():
+    squares = 0
+
+    def counted_step(w, strategy):
+        nonlocal squares
+        terms = reference_step(w, strategy)
+        squares += terms is not None and len(terms) == 2
+        return terms
+
+    rng = random.Random(13)
+    for _ in range(30):
+        w = random_elliptic_web(rng)
+        for strategy in ("default", "alternate"):
+            assert normal_form(w, strategy) == reduce_by(counted_step, w,
+                                                         strategy)
+    assert squares >= 20
