@@ -24,11 +24,8 @@ from .weights import (W1, W2, format_signature, format_weight,
                       parse_signature, parse_weight)
 from .webs import (Web, WebError, empty_web, glue, mirror, parse_web,
                    rotate, serialize_web)
-from .skein import (WebSum, evaluate_closed, normal_form, pair,
-                    websum_to_text)
-from .laurent import Laurent
-from .diskoid import (DiskoidError, diamond_move, diamond_sites,
-                      complete_extension, distance, dual_diskoid, geodesics,
+from .skein import WebSum, evaluate_closed, normal_form, pair
+from .diskoid import (DiskoidError, distance, dual_diskoid, geodesics,
                       is_cat0, leq_S, mu_vector, parse_diskoid,
                       serialize_diskoid)
 from .generate import random_signature, random_web
@@ -97,17 +94,20 @@ def _q_value(args):
 
 
 def _field_size(args):
-    """Field size for counting commands: --field, or an integral --q."""
+    """Field size for counting commands: --field, else an integral --q of
+    at least 2, else 2."""
     if args.field is not None:
         return args.field
-    if args.q is not None:
-        try:
-            q = int(args.q)
-        except ValueError:
-            q = 0
-        if q >= 2:
-            return q
-    return 2
+    if args.q is None:
+        return 2
+    try:
+        q = Fraction(args.q)
+    except (ValueError, ZeroDivisionError):
+        q = None
+    if q is None or q.denominator != 1 or q < 2:
+        raise CliError("--q %s is not a field size (an integer >= 2)"
+                       % (args.q,))
+    return int(q)
 
 
 def _fieldparam(args, labels=None):
@@ -124,14 +124,6 @@ def _fieldparam(args, labels=None):
 
 def _rng(args):
     return random.Random(args.seed if args.seed is not None else 0)
-
-
-def _laurent_str(c):
-    return str(c)
-
-
-def _frac_str(x):
-    return str(x)
 
 
 # ----------------------------------------------------------------------
@@ -204,8 +196,8 @@ def cmd_reduce(args):
             c.evaluate(q0)  # exact specialization must be defined
     lines = ["%d terms; value-check %s" % (len(nf1), "ok" if agree else
                                            "FAILED")]
-    terms = [{"coefficient": _laurent_str(c),
-              "value_at_q": _frac_str(c.evaluate(q0)) if q0 is not None else None,
+    terms = [{"coefficient": str(c),
+              "value_at_q": str(c.evaluate(q0)) if q0 is not None else None,
               "web": serialize_web(w2)}
              for w2, c in sorted(nf1.items(),
                                  key=lambda t: t[0].canonical_key())]
@@ -218,11 +210,11 @@ def cmd_eval(args):
     val = evaluate_closed(w)
     q0 = _q_value(args)
     lines = ["value = %s" % val]
-    data = {"value": _laurent_str(val)}
+    data = {"value": str(val)}
     if q0 is not None:
         at = val.evaluate(q0)
         lines.append("value at q=%s: %s" % (q0, at))
-        data["value_at_q"] = _frac_str(at)
+        data["value_at_q"] = str(at)
     emit(args, lines, data)
     return 0
 
@@ -233,11 +225,11 @@ def cmd_pair(args):
     val = pair(w1, w2)
     q0 = _q_value(args)
     lines = ["pairing = %s" % val]
-    data = {"pairing": _laurent_str(val)}
+    data = {"pairing": str(val)}
     if q0 is not None:
         at = val.evaluate(q0)
         lines.append("pairing at q=%s: %s" % (q0, at))
-        data["pairing_at_q"] = _frac_str(at)
+        data["pairing_at_q"] = str(at)
     emit(args, lines, data)
     return 0
 
@@ -362,7 +354,7 @@ def cmd_expand(args):
     for p in sorted(coords):
         lines.append("%s : %s" % (format_path(p), coords[p]))
         data.append({"path": [list(x) for x in p],
-                     "coefficient": _laurent_str(coords[p])})
+                     "coefficient": str(coords[p])})
     if not lines:
         lines = ["0"]
     emit(args, lines, {"coordinates": data})
@@ -709,14 +701,13 @@ def _add_global_flags(p, suppress):
     # the global flags are accepted both before and after the subcommand;
     # the after-subcommand copies use SUPPRESS so they never clobber
     # values already parsed at the top level
-    d = argparse.SUPPRESS if suppress else None
-
     def arg(*a, **kw):
         if suppress:
             kw["default"] = argparse.SUPPRESS
         p.add_argument(*a, **kw)
 
-    arg("--q", help="rational specialization of q (e.g. -1, 2/3)")
+    arg("--q", help="rational specialization of q (e.g. -1, 2/3); for "
+        "count, fibre and partition, the field size")
     arg("--field", type=int,
         help="residue field size (a prime) for counting")
     arg("--primes", help="comma-separated interpolation primes for euler")
@@ -724,19 +715,10 @@ def _add_global_flags(p, suppress):
         help="working t-adic precision for lattice arithmetic, or 'auto'")
     arg("--seed", type=int, help="random seed (default 0)")
     arg("--json", action="store_true", help="shorthand for --format json")
-    if not suppress:
-        p.add_argument("--budget-boundary", type=int, default=12,
-                       help="boundary-leg budget for the basis")
-        p.add_argument("--format", default="text",
-                       choices=("text", "json", "svg", "tikz"))
-        p.add_argument("--out", help="write output to this file")
-    else:
-        p.add_argument("--budget-boundary", type=int,
-                       default=argparse.SUPPRESS)
-        p.add_argument("--format", choices=("text", "json", "svg", "tikz"),
-                       default=argparse.SUPPRESS)
-        p.add_argument("--out", default=argparse.SUPPRESS)
-    return d
+    arg("--budget-boundary", type=int, default=12,
+        help="boundary-leg budget for the basis")
+    arg("--format", default="text", choices=("text", "json", "svg", "tikz"))
+    arg("--out", help="write output to this file")
 
 
 def build_parser():

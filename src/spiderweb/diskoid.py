@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import weights
-from .weights import W1, W2, dual, dominance_leq, rho_level
+from .weights import W1, dual, dominance_leq
 from .webs import WebError
 
 

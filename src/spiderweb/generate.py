@@ -20,8 +20,6 @@ make elliptic faces and serve randomized reduction corpora.
 
 from __future__ import annotations
 
-import random
-
 from .weights import W1, W2
 from .webs import Web, WebError
 

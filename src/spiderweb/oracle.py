@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import cache
 from operator import itemgetter
 
-from .weights import W1, W2
+from .weights import W1
 from .webs import WebError
 
 _EPS3 = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,

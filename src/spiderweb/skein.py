@@ -174,9 +174,11 @@ class _DartMap:
 
     def splice(self, face, joints):
         """Delete the vertices of an internal face and join its external
-        darts e_i = sigma(f_i) in the given pairs of indices, as
-        ``webs.splice`` does; the w1 flow of a valid web agrees across
-        every joint, so no kept dart changes its head."""
+        darts e_i = sigma(f_i) in the given pairs of indices: the edge
+        beyond each joint runs on to the far end of its chain of joints,
+        and a chain that closes up is a free circle.  The w1 flow of a
+        valid web agrees across every joint, so no kept dart changes its
+        head."""
         theta, sigma, small = self.theta, self.sigma, self.small
         ext = [sigma[f] for f in face]
         outer = {e: theta[e] for e in ext}

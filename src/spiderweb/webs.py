@@ -475,31 +475,31 @@ def rotate(w, i):
     return Web(w.mode, w.theta, w.vertices, bd, w.heads, w.circles, check=False)
 
 
-def reflect(w):
-    """Plain reflection: reversed rotations and boundary, flow kept."""
-    n = len(w.boundary)
-    verts = tuple(tuple(reversed(tri)) for tri in w.vertices)
-    bd = tuple(w.boundary[(-j) % n] for j in range(n)) if n else ()
-    return Web(w.mode, w.theta, verts, bd, w.heads, w.circles, check=False)
-
-
 def mirror(w):
-    """The reflected, flow-reversed web (the adjoint diagram).
+    """The reflected, flow-reversed web (the adjoint diagram): vertex
+    rotations and the boundary reversed about the base dart, and every
+    head moved to the other end of its edge.
 
     Its boundary signature is the reverse-dual of w's, so glue(w, mirror(w))
     is always defined; mirror(Y) is the all-in Y.
     """
-    r = reflect(w)
+    n = len(w.boundary)
+    verts = tuple(tuple(reversed(tri)) for tri in w.vertices)
+    bd = tuple(w.boundary[(-j) % n] for j in range(n))
     heads = frozenset(w.theta[d] for d in w.heads)
-    return Web(w.mode, r.theta, r.vertices, r.boundary, heads, w.circles,
-               check=False)
+    return Web(w.mode, w.theta, verts, bd, heads, w.circles, check=False)
 
 
 def glue(w, wp):
     """Close w against wp (reflected) into a closed web.
 
     Requires boundary_signature(wp) to be the reverse-dual of w's; leg k of
-    w meets leg (-k mod n) of wp, bases aligned.
+    w meets leg (-k mod n) of wp, bases aligned.  Darts are renamed (0, d)
+    and (1, d).  An edge that ends on a leg runs on through the chain of
+    joints and bare arcs to its far end, and a chain of bare arcs that
+    closes up becomes a free circle.  The signatures being reverse-dual,
+    the w1 flow agrees across every joint, so the heads are the old heads
+    on the darts that remain.
     """
     n = len(w.boundary)
     if len(wp.boundary) != n:
@@ -516,141 +516,33 @@ def glue(w, wp):
     # against the outward normal its stored data is unchanged, but seen
     # from the front its legs run counterclockwise, so leg k of w meets
     # leg (-k mod n) of wp.
-    def ren(tag, web):
-        m = {d: (tag, d) for d in web.theta}
-        theta = {m[a]: m[b] for a, b in web.theta.items()}
-        verts = [tuple(m[d] for d in tri) for tri in web.vertices]
-        bd = [m[d] for d in web.boundary]
-        heads = {m[d] for d in web.heads}
-        return theta, verts, bd, heads
+    theta, verts, heads = {}, [], []
+    for tag, web in ((0, w), (1, wp)):
+        theta.update(((tag, d), (tag, e)) for d, e in web.theta.items())
+        verts += [tuple((tag, d) for d in tri) for tri in web.vertices]
+        heads += [(tag, d) for d in web.heads]
+    joint = {}
+    for k in range(n):
+        a, b = (0, w.boundary[k]), (1, wp.boundary[(-k) % n])
+        joint[a], joint[b] = b, a
 
-    th1, v1, b1, h1 = ren(0, w)
-    th2, v2, b2, h2 = ren(1, wp)
-    theta = {**th1, **th2}
-    verts = tuple(v1) + tuple(v2)
-    heads = h1 | h2
-    base = Web(w.mode, theta, verts, tuple(b1) + tuple(b2), heads,
-               w.circles + wp.circles, check=False)
-    joints = [(b1[k], b2[(-k) % n]) for k in range(n)]
-    return splice(base, (), joints, closed=True)
+    def far(e):
+        # the far end of the chain of joints from e, taken out of joint
+        while e in joint:
+            j = joint.pop(e)
+            del joint[j]
+            e = theta[j]
+        return e
 
-
-def splice(w, remove_vertices, joints, closed=False):
-    """Remove the given vertices, concatenating edges through the joints.
-
-    ``joints`` pairs darts whose edges become one; every jointed dart is
-    deleted, as is every dart of a removed vertex and (for closed=True)
-    every boundary dart.  Fully deleted edges vanish; chains of joints
-    that close up become free circles.
-    """
-    rm = set(remove_vertices)
-    deleted = set()
-    for i in rm:
-        deleted.update(w.vertices[i])
-    jp = {}
-    for a, b in joints:
-        jp[a] = b
-        jp[b] = a
-        deleted.add(a)
-        deleted.add(b)
-    if closed:
-        deleted.update(w.boundary)
-
-    theta = {d: e for d, e in w.theta.items() if d not in deleted and e not in deleted}
-    heads = {d for d in w.heads if d in theta}
-    circles = w.circles
-    new_edges = []
-
-    def flows_to(d):
-        # True if the w1 flow of dart d's edge runs toward d.
-        return d in w.heads
-
-    visited = set()
-    # open chains: start from surviving darts whose partner was deleted
-    for e0 in list(w.theta):
-        if e0 in deleted:
-            continue
-        d = w.theta[e0]
-        if d not in deleted:
-            continue
-        # walk e0 -> d -> joint -> ... -> far end
-        forward = flows_to(d)  # flow direction of travel
-        visited.add(d)
-        while True:
-            if d not in jp:
-                raise WebError("splice: dangling deleted dart %r" % (d,))
-            d2 = jp[d]
-            visited.add(d2)
-            nxt = w.theta[d2]
-            if w.mode == "a2":
-                if flows_to(nxt) != forward:
-                    raise WebError("splice: inconsistent w1 flow across joint")
-            if nxt not in deleted:
-                new_edges.append((e0, nxt, forward))
-                break
-            visited.add(nxt)
-            d = nxt
-    # closed chains become circles
-    for a in jp:
-        if a in visited:
-            continue
-        d = a
-        while d not in visited:
-            visited.add(d)
-            d2 = jp[d]
-            visited.add(d2)
-            d = w.theta[d2]
+    kept = {d: e for d, e in theta.items() if d not in joint}
+    out = {d: e for d, e in kept.items() if e not in joint}
+    for d, e in kept.items():
+        if d not in out:
+            e = far(e)
+            out[d], out[e] = e, d
+    circles = w.circles + wp.circles
+    while joint:
+        far(next(iter(joint)))
         circles += 1
-    for a, b, forward in new_edges:
-        theta[a] = b
-        theta[b] = a
-        if w.mode == "a2":
-            if forward:
-                heads.add(b)
-            else:
-                heads.add(a)
-    verts = tuple(tri for i, tri in enumerate(w.vertices) if i not in rm)
-    bd = () if closed else tuple(d for d in w.boundary if d not in deleted)
-    return Web(w.mode, theta, verts, bd, heads, circles, check=False)
-
-
-# ----------------------------------------------------------------------
-# construction helper
-
-class WebBuilder:
-    """Incremental construction with integer darts."""
-
-    def __init__(self, mode="a2"):
-        self.mode = mode
-        self._next = 0
-        self.theta = {}
-        self.vertices = []
-        self.boundary = []
-        self.heads = set()
-        self.circles = 0
-
-    def dart(self):
-        d = self._next
-        self._next += 1
-        return d
-
-    def darts(self, k):
-        return [self.dart() for _ in range(k)]
-
-    def edge(self, a, b, head=None):
-        self.theta[a] = b
-        self.theta[b] = a
-        if head is not None:
-            self.heads.add(head)
-        return (a, b)
-
-    def vertex(self, a, b, c):
-        """Interior vertex with counterclockwise dart order (a, b, c)."""
-        self.vertices.append((a, b, c))
-
-    def build(self, validate=True):
-        w = Web(self.mode, self.theta, self.vertices, self.boundary,
-                self.heads, self.circles, check=False)
-        if validate:
-            w.validate(strict=False)
-        return w
+    return Web(w.mode, out, verts, (), [d for d in heads if d in out],
+               circles, check=False)

@@ -82,3 +82,101 @@ def relabelled(w, rng):
     return Web(w.mode, {m[d]: m[w.theta[d]] for d in names}, verts,
                [m[d] for d in w.boundary], {m[d] for d in w.heads},
                w.circles)
+
+
+# ----------------------------------------------------------------------
+# generic web surgery, the reference for the library's in-place rewrites
+
+def splice(w, remove_vertices, joints, closed=False):
+    """Remove the given vertices, concatenating edges through the joints.
+
+    ``joints`` pairs darts whose edges become one; every jointed dart is
+    deleted, as is every dart of a removed vertex and (for closed=True)
+    every boundary dart.  Fully deleted edges vanish; chains of joints
+    that close up become free circles.  The w1 flow must agree across
+    every joint.
+    """
+    rm = set(remove_vertices)
+    deleted = set()
+    for i in rm:
+        deleted.update(w.vertices[i])
+    jp = {}
+    for a, b in joints:
+        jp[a] = b
+        jp[b] = a
+        deleted.add(a)
+        deleted.add(b)
+    if closed:
+        deleted.update(w.boundary)
+
+    theta = {d: e for d, e in w.theta.items() if d not in deleted and e not in deleted}
+    heads = {d for d in w.heads if d in theta}
+    circles = w.circles
+    new_edges = []
+    visited = set()
+    # open chains: start from surviving darts whose partner was deleted
+    for e0 in list(w.theta):
+        if e0 in deleted:
+            continue
+        d = w.theta[e0]
+        if d not in deleted:
+            continue
+        # walk e0 -> d -> joint -> ... -> far end
+        forward = d in w.heads  # the w1 flow runs along the walk
+        visited.add(d)
+        while True:
+            assert d in jp, "dangling deleted dart %r" % (d,)
+            d2 = jp[d]
+            visited.add(d2)
+            nxt = w.theta[d2]
+            if w.mode == "a2":
+                assert (nxt in w.heads) == forward, "flow breaks at a joint"
+            if nxt not in deleted:
+                new_edges.append((e0, nxt, forward))
+                break
+            visited.add(nxt)
+            d = nxt
+    # closed chains become circles
+    for a in jp:
+        if a in visited:
+            continue
+        d = a
+        while d not in visited:
+            visited.add(d)
+            d2 = jp[d]
+            visited.add(d2)
+            d = w.theta[d2]
+        circles += 1
+    for a, b, forward in new_edges:
+        theta[a] = b
+        theta[b] = a
+        if w.mode == "a2":
+            heads.add(b if forward else a)
+    verts = tuple(tri for i, tri in enumerate(w.vertices) if i not in rm)
+    bd = () if closed else tuple(d for d in w.boundary if d not in deleted)
+    return Web(w.mode, theta, verts, bd, heads, circles, check=False)
+
+
+def web_fields(w):
+    """Every stored field of w, theta in its insertion order."""
+    return (w.mode, list(w.theta.items()), w.vertices, w.boundary, w.heads,
+            w.circles)
+
+
+def reference_glue(w, wp):
+    """glue(w, wp) as one splice: both webs side by side with darts
+    renamed (0, d) and (1, d), leg k of w jointed to leg -k mod n of wp,
+    and every boundary dart deleted."""
+    def ren(tag, web):
+        return ({(tag, a): (tag, b) for a, b in web.theta.items()},
+                [tuple((tag, d) for d in tri) for tri in web.vertices],
+                [(tag, d) for d in web.boundary],
+                {(tag, d) for d in web.heads})
+
+    th1, v1, b1, h1 = ren(0, w)
+    th2, v2, b2, h2 = ren(1, wp)
+    n = len(b1)
+    base = Web(w.mode, {**th1, **th2}, v1 + v2, b1 + b2, h1 | h2,
+               w.circles + wp.circles, check=False)
+    joints = [(b1[k], b2[(-k) % n]) for k in range(n)]
+    return splice(base, (), joints, closed=True)

@@ -121,6 +121,26 @@ def test_partition_json(capsys):
     assert data["buckets_match_paths"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--boundary", "w1,w2"),
+    ("fibre", corpus_path("single-y")),
+    ("partition", "--boundary", "w1,w2")])
+@pytest.mark.parametrize("q", ["-1", "2/3", "1", "two"])
+def test_counting_rejects_q_that_is_no_field_size(capsys, argv, q):
+    # these used to count at q = 2 without saying so
+    code, out, err = run(capsys, *argv, "--q=" + q)
+    assert code == 1 and out == ""
+    assert "--q %s is not a field size" % q in err
+
+
+def test_counting_field_size_from_q_or_field(capsys):
+    for flags in (("--q", "3"), ("--field", "3"), ("--q", "6/2")):
+        code, out, _ = run(capsys, "partition", "--boundary", "w1,w2", *flags)
+        assert code == 0 and out.startswith("0;w1;0 : 13\n")
+    code, out, _ = run(capsys, "fibre", corpus_path("single-y"), "--q=3")
+    assert code == 0 and "over F_3" in out
+
+
 def test_partition_rejects_numeric_precision(capsys):
     # the partition reads only q; a number would be ignored
     code, out, err = run(capsys, "partition", "--boundary", "w1,w2",

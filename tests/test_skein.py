@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_closed_web, relabelled
+from conftest import (
+    random_closed_web, reference_glue, relabelled, splice, web_fields)
 from spiderweb import corpus, skein
 from spiderweb.basis import enumerate_basis
 from spiderweb.laurent import BIGON_A2, LOOP_A1, LOOP_A2, ONE, ZERO, Laurent
@@ -13,7 +14,7 @@ from spiderweb.oracle import contract_closed
 from spiderweb.skein import (
     WebSum, evaluate_closed, find_elliptic, normal_form, pair, rewrite)
 from spiderweb.webs import (
-    Web, WebError, empty_web, glue, mirror, parse_web, serialize_web, splice)
+    Web, WebError, empty_web, glue, mirror, parse_web, serialize_web)
 from spiderweb.generate import random_signature, random_web
 from spiderweb.weights import W1, W2
 
@@ -198,8 +199,8 @@ def test_closed_reduction_keys_only_square_smoothings_and_leaves(monkeypatch):
 
 
 def test_gram_values_frozen():
-    # the Gram entries of GRAM_SIGNATURE's basis, as the reducer that made
-    # one webs.splice per rewrite computed them
+    # the Gram entries of GRAM_SIGNATURE's basis, as a reducer making one
+    # generic splice (conftest.splice) per rewrite computed them
     webs = enumerate_basis(GRAM_SIGNATURE).webs()
     text = "\n".join(str(evaluate_closed(glue(a, mirror(b))))
                      for a in webs for b in webs)
@@ -207,9 +208,18 @@ def test_gram_values_frozen():
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "c877b9138f08ca01"
 
 
+def test_glue_matches_reference_glue_on_gram_pairs():
+    webs = enumerate_basis(GRAM_SIGNATURE).webs()
+    for a in webs:
+        for b in webs:
+            m = mirror(b)
+            assert web_fields(glue(a, m)) == web_fields(reference_glue(a, m))
+
+
 # ----------------------------------------------------------------------
-# The reference reducer: one webs.splice per rewrite, faces recomputed at
-# every step, and no memo.
+# The reference reducer: one conftest.splice per rewrite, a fresh web
+# each time, faces recomputed at every step, and no memo; it shares no
+# code with the library's in-place _DartMap.
 
 def reference_step(w, strategy="default"):
     """The terms of one rewrite of w, or None when w is non-elliptic."""

@@ -1,15 +1,18 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_closed_web, relabelled
+from conftest import random_closed_web, reference_glue, relabelled, web_fields
 from spiderweb import corpus, skein
 from spiderweb.generate import grown_webs, random_signature, random_web
 from spiderweb.webs import (
-    Web, WebBuilder, WebError, empty_web, glue, mirror, parse_web, reflect,
-    rotate, serialize_web)
+    Web, WebError, empty_web, glue, mirror, parse_web, rotate, serialize_web)
 from spiderweb.weights import W1, W2, dual_reverse_signature
+
+MAKE_CORPUS = Path(__file__).resolve().parents[1] / "tools" / "make_corpus.py"
 
 
 def Y():
@@ -55,6 +58,12 @@ def test_internal_face_degrees():
     assert corpus.load_web("a2-example").is_nonelliptic()
 
 
+def reflect(w):
+    """Plain reflection: mirror(w) with the w1 flow kept."""
+    m = mirror(w)
+    return Web(w.mode, m.theta, m.vertices, m.boundary, w.heads, w.circles)
+
+
 def test_rotate_reflect_mirror():
     w = corpus.load_web("a2-example")
     sig = w.boundary_signature()
@@ -83,8 +92,46 @@ def test_glue_signature_mismatch():
         glue(w, w)  # (w1,w1,w1) is not reverse-dual to itself
 
 
+def glue_cases(rng, mode):
+    """Pairs to glue: two random webs of one signature (a2 ones often
+    have bare arcs, a1 ones are nothing else), a web against its own
+    mirror (where the bare arcs close up into circles), a closed web
+    against itself and, in a2, two different closed webs."""
+    sig = random_signature(rng, mode, max_legs=8)
+    a = random_web(sig, rng, mode, max_vertices=8)
+    b = random_web(sig, rng, mode, max_vertices=8)
+    g = glue(a, mirror(b))
+    cases = [(a, mirror(b)), (a, mirror(a)), (g, g)]
+    if mode == "a2":
+        cases.append((random_closed_web(rng), g))
+    return cases
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(("a1", "a2")))
+def test_glue_matches_reference_glue(seed, mode):
+    for w, wp in glue_cases(random.Random(seed), mode):
+        assert web_fields(glue(w, wp)) == web_fields(reference_glue(w, wp))
+
+
+def test_glue_cases_reach_bare_arcs_and_closed_chains():
+    arcs = chains = 0
+    for seed in range(40):
+        for w, wp in glue_cases(random.Random(seed), "a2"):
+            bd = set(w.boundary)
+            arcs += any(w.theta[d] in bd for d in bd)
+            g = glue(w, wp)
+            chains += g.circles > w.circles + wp.circles
+            assert web_fields(g) == web_fields(reference_glue(w, wp))
+    assert arcs > 0 and chains > 0
+
+
 def test_builder_validation():
-    b = WebBuilder()
+    # WebBuilder serves only the corpus generator, so it lives there
+    spec = importlib.util.spec_from_file_location("make_corpus", MAKE_CORPUS)
+    make_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_corpus)
+    b = make_corpus.WebBuilder()
     d1, d2, d3 = b.darts(3)
     l1, l2, l3 = b.darts(3)
     b.vertex(d1, d2, d3)

@@ -16,7 +16,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from spiderweb.weights import W1, W2, format_signature
-from spiderweb.webs import Web, WebBuilder, glue, mirror, parse_web, serialize_web
+from spiderweb.webs import Web, glue, mirror, parse_web, serialize_web
 from spiderweb.skein import WebSum, normal_form, evaluate_closed
 from spiderweb.diskoid import dual_diskoid, is_cat0
 from spiderweb.basis import minuscule_paths, path_tag, web_from_path
@@ -35,6 +35,42 @@ SIG12 = (W1, W2, W2, W1) * 3
 def single_y():
     (path,) = minuscule_paths((W1, W1, W1))
     return web_from_path((W1, W1, W1), path)
+
+
+class WebBuilder:
+    """Incremental construction with integer darts."""
+
+    def __init__(self, mode="a2"):
+        self.mode = mode
+        self._next = 0
+        self.theta = {}
+        self.vertices = []
+        self.boundary = []
+        self.heads = set()
+
+    def dart(self):
+        d = self._next
+        self._next += 1
+        return d
+
+    def darts(self, k):
+        return [self.dart() for _ in range(k)]
+
+    def edge(self, a, b, head=None):
+        self.theta[a] = b
+        self.theta[b] = a
+        if head is not None:
+            self.heads.add(head)
+        return (a, b)
+
+    def vertex(self, a, b, c):
+        """Interior vertex with counterclockwise dart order (a, b, c)."""
+        self.vertices.append((a, b, c))
+
+    def build(self):
+        """The web, validated (free circles allowed)."""
+        return Web(self.mode, self.theta, self.vertices, self.boundary,
+                   self.heads)
 
 
 class GeometricBuilder:
