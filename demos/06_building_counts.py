@@ -2,24 +2,23 @@
 characteristics by interpolation.
 
 Vertices of the building are homothety classes of rank-3 lattices over
-F_q[[t]] (truncated); minuscule neighbors are parametrized by a
-projective plane.
+F_q[[t]], each stored exactly by polynomial normal-form columns over F_q;
+minuscule neighbors are parametrized by a projective plane.
 """
 
 import random
 
 from spiderweb import corpus
-from spiderweb.building import (FieldParam, auto_precision, base_class,
+from spiderweb.building import (FieldParam, base_class,
                                 count_configurations, count_fibre,
-                                euler_estimate, lattice_distance, neighbors,
-                                polygon_linkage, sample_polygon_config,
-                                satake_partition)
+                                euler_estimate, neighbors, polygon_linkage,
+                                sample_polygon_config, satake_partition)
 from spiderweb.cli import format_path
 from spiderweb.diskoid import dual_diskoid
 from spiderweb.skein import evaluate_closed
 from spiderweb.weights import parse_signature
 
-fp = FieldParam(2, 10)
+fp = FieldParam(2)
 L = base_class(fp)
 print("w1-neighbors of the base lattice at q = 2: %d (= q^2+q+1)"
       % len(neighbors(L, (1, 0))))

@@ -1,13 +1,13 @@
 """A finite lattice model of the affine Grassmannian of PGL(3) over F_q.
 
-Points are homothety classes of full rank-3 lattices over F_q[[t]],
-computed exactly in F_q[t]/t^N, whose elements are coefficient tuples
-without trailing zeros (zero is ``()``): the form is canonical, and the
-costs follow the degrees, not N.  A class is stored as its column
-normal form, lower triangular.  The generic constructor searches for it
-(`_hnf`); minuscule neighbours are built in it directly, and distances
-read elementary divisors off the triangular shape.  Configuration and
-fibre counts for polygons and diskoids, Satake partitions, the Euler
+Points are homothety classes of full rank-3 lattices over F_q[[t]].  A
+class is stored as its column normal form, lower triangular, whose
+entries are polynomials over F_q: coefficient tuples without trailing
+zeros (zero is ``()``), so the form is canonical and exact, with no
+t-adic truncation.  The generic constructor searches for it (`_hnf`);
+minuscule neighbours are built in it directly, and distances read
+elementary divisors off the triangular shape.  Configuration and fibre
+counts for polygons and diskoids, Satake partitions, the Euler
 characteristic at q = 1 by interpolation, and the incidence solver for
 the twelve-leg hexagon web live here too.
 
@@ -33,7 +33,7 @@ class BuildingError(Exception):
 
 
 # ----------------------------------------------------------------------
-# truncated polynomial arithmetic over F_q
+# polynomial arithmetic over F_q
 
 
 def _is_prime(n):
@@ -41,26 +41,28 @@ def _is_prime(n):
 
 
 class FieldParam:
-    """F_q, the precision t^N, and the cache of `neighbors`, freed with it."""
+    """F_q and the cache of `neighbors`, freed with it.
 
-    __slots__ = ("q", "N", "nbr_cache")
+    N is accepted and ignored: the arithmetic is exact.  The only caller
+    that passes it is the benchmark (`perfbench/workloads.py` `_fp`), with
+    `auto_precision(labels)`."""
 
-    def __init__(self, q, N):
+    __slots__ = ("q", "nbr_cache")
+
+    def __init__(self, q, N=None):
         if not _is_prime(q):
             raise BuildingError("q must be prime, got %r" % (q,))
-        if N < 2:
-            raise BuildingError("precision N must be at least 2")
         self.q = q
-        self.N = N
         self.nbr_cache = {}
 
     def __repr__(self):
-        return "FieldParam(q=%d, N=%d)" % (self.q, self.N)
+        return "FieldParam(q=%d)" % self.q
 
 
 def auto_precision(labels):
-    """Conservative precision for a query whose edge labels are given:
-    twice the total rho-level of all labels, plus two."""
+    """A t-adic precision for edge labels: twice their total rho-level,
+    plus two.  `FieldParam` ignores it; its only caller is the benchmark
+    (`perfbench/workloads.py` `_fp`)."""
     return 2 * sum(rho_level(lam) for lam in labels) + 2
 
 
@@ -88,7 +90,8 @@ def _pneg(a, q):
     return tuple([(-x) % q for x in a])
 
 
-def _pmul(a, b, q, N):
+def _pmul(a, b, q):
+    """The product; q is prime, so its leading coefficient is nonzero."""
     if len(a) > len(b):
         a, b = b, a
     if not a:
@@ -96,27 +99,25 @@ def _pmul(a, b, q, N):
     if len(a) == 1:
         x = a[0]
         return b if x == 1 else tuple([x * y % q for y in b])
-    n = min(len(a) + len(b) - 1, N)
-    out = [0] * n
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b[:n - i], i):
+            for j, y in enumerate(b, i):
                 out[j] += x * y
-    return _trim(tuple([c % q for c in out]))
+    return tuple([c % q for c in out])
 
 
 def _pval(a):
-    """t-adic valuation; None for zero mod t^N."""
+    """t-adic valuation; None for zero."""
     for i, c in enumerate(a):
         if c:
             return i
     return None
 
 
-def _pshift(a, k, N):
+def _pshift(a, k):
     """Multiply by t^k (k >= 0) or divide exactly by t^-k (k < 0)."""
     if k >= 0:
-        a = _trim(a[:N - k])
         return (0,) * k + a if a else ()
     k = -k
     if any(a[:k]):
@@ -141,9 +142,8 @@ def _pinv_unit(a, q, N):
     return _trim(tuple(out))
 
 
-def _col_sub(col, f, other, q, N):
-    return tuple(_psub(p, _pmul(f, o, q, N), q)
-                 for p, o in zip(col, other))
+def _col_sub(col, f, other, q):
+    return tuple(_psub(p, _pmul(f, o, q), q) for p, o in zip(col, other))
 
 
 # ----------------------------------------------------------------------
@@ -182,21 +182,33 @@ def base_class(fp):
 
 
 def _hnf(cols, fp):
-    """Column Hermite normal form over the truncated DVR: lower
-    triangular, diagonal t^{e_i} with unit pivots normalized away, and
-    entries left of each pivot reduced modulo the pivot, divided by the
-    least power of t in an entry.  It takes any three or more spanning
-    columns: it is `LatticeClass(fp, cols)`, and the oracle of `neighbors`,
-    which builds this form directly.  Its cost follows degrees, not N."""
-    q, N = fp.q, fp.N
+    """Column Hermite normal form over F_q[[t]]: lower triangular,
+    diagonal t^{e_i} with unit pivots normalized away, and entries left of
+    each pivot reduced modulo the pivot, divided by the least power of t
+    in an entry.  It takes any three or more spanning columns: it is
+    `LatticeClass(fp, cols)`, and the oracle of `neighbors`, which builds
+    this form directly.
+
+    It is the one routine that inverts a unit, and that inverse is a
+    power series, so it works mod t^(D+2), for D the sum of the three
+    largest column degrees.  That loses nothing.  Take any three
+    independent columns, with determinant delta: delta.O^3 lies in their
+    span, so in the span L of all columns, and v(delta) <= deg delta <= D.
+    So t^D.O^3 lies in L, and every pivot exponent is at most D; they add
+    up to v(det L) <= v(delta) <= D.  Modulo t^(D+2) no pivot vanishes,
+    and each entry, of degree below the pivot beneath it, comes out
+    exact.  Columns that span no full lattice leave a row with no pivot."""
+    q = fp.q
+    deg = sorted(max(map(len, c)) - 1 for c in cols)
+    N = max(sum(deg[-3:]), 0) + 2
     M = [[cols[j][i] for j in range(len(cols))] for i in range(3)]  # rows
 
     def col(j):
         return tuple(M[i][j] for i in range(3))
 
-    def set_col(j, c):
+    def set_col(j, c):  # mod t^N
         for i in range(3):
-            M[i][j] = c[i]
+            M[i][j] = _trim(c[i][:N])
 
     ncols = len(cols)
     for i in range(3):
@@ -206,61 +218,58 @@ def _hnf(cols, fp):
             if v is not None and (bestv is None or v < bestv):
                 best, bestv = j, v
         if best is None:
-            raise BuildingError("precision exhausted: zero pivot row")
+            raise BuildingError("the columns span no full lattice")
         if best != i:
             ci, cb = col(i), col(best)
             set_col(i, cb)
             set_col(best, ci)
         e = bestv
-        unit = _pshift(M[i][i], -e, N)
-        inv = _pinv_unit(unit, q, N)
-        set_col(i, tuple(_pmul(p, inv, q, N) for p in col(i)))
+        inv = _pinv_unit(_pshift(M[i][i], -e), q, N)
+        set_col(i, tuple(_pmul(p, inv, q) for p in col(i)))
         for j in range(ncols):
             if j == i:
                 continue
             entry = M[i][j]
             if j > i:
-                f = _pshift(entry, -e, N)          # full elimination
+                f = _pshift(entry, -e)             # full elimination
             else:
                 f = entry[e:]                      # reduce mod t^e
             if f:
-                set_col(j, _col_sub(col(j), f, col(i), q, N))
+                set_col(j, _col_sub(col(j), f, col(i), q))
     h = [col(j) for j in range(3)]
     m = _least_val(h)
-    return tuple(tuple(_pshift(p, -m, N) for p in c) for c in h)
+    return tuple(tuple(_pshift(p, -m) for p in c) for c in h)
 
 
 def _reduced(cols, fp):
     """The normal form of lower-triangular columns with monomial pivots:
     entries left of each pivot reduced modulo it, rows top to bottom as in
-    `_hnf`, then one homothety shift.  A pivot lost mod t^N raises."""
-    if not all(cols[i][i] for i in range(3)):
-        raise BuildingError("precision exhausted: zero pivot row")
-    q, N, cols = fp.q, fp.N, list(cols)
+    `_hnf`, then one homothety shift."""
+    q, cols = fp.q, list(cols)
     for i in (1, 2):
         e = len(cols[i][i]) - 1
         for j in range(i):
             f = cols[j][i][e:]
             if f:
-                cols[j] = _col_sub(cols[j], f, cols[i], q, N)
+                cols[j] = _col_sub(cols[j], f, cols[i], q)
     m = _least_val(cols)
-    return tuple(tuple(_pshift(p, -m, N) for p in c) if m else c
+    return tuple(tuple(_pshift(p, -m) for p in c) if m else c
                  for c in cols)
 
 
-def _adj_lower(M, q, N):
+def _adj_lower(M, q):
     """adj(M) for a lower-triangular M, both in column form."""
     (a, b, d), (_z, c, e), (_z, _z, f) = M
-    return ((_pmul(c, f, q, N), _pneg(_pmul(b, f, q, N), q),
-             _psub(_pmul(b, e, q, N), _pmul(c, d, q, N), q)),
-            ((), _pmul(a, f, q, N), _pneg(_pmul(a, e, q, N), q)),
-            ((), (), _pmul(a, c, q, N)))
+    return ((_pmul(c, f, q), _pneg(_pmul(b, f, q), q),
+             _psub(_pmul(b, e, q), _pmul(c, d, q), q)),
+            ((), _pmul(a, f, q), _pneg(_pmul(a, e, q), q)),
+            ((), (), _pmul(a, c, q)))
 
 
-def _mul_lower(X, Y, q, N):
+def _mul_lower(X, Y, q):
     """X.Y for lower-triangular X and Y, all in column form."""
     return tuple(tuple(reduce(lambda s, k: _padd(
-        s, _pmul(X[k][i], Y[j][k], q, N), q), range(j, i + 1), ())
+        s, _pmul(X[k][i], Y[j][k], q), q), range(j, i + 1), ())
         for i in range(3)) for j in range(3))
 
 
@@ -275,21 +284,18 @@ def lattice_distance(L, Lp):
     with d_k the least valuation of the k x k minors of C = adj(L).L'
     (the entries of C, the entries of adj(C), and det C), the invariant
     factors of L' relative to L are t^(d_k - d_{k-1}), up to homothety.
+    C is nonsingular, so each d_k is finite.
 
     Normal forms are lower triangular, so adj(L), C and adj(C) are too:
     only their six entries on and below the diagonal are formed, and
     det C is the product of C's diagonal.  Above the diagonal a dense
-    product sums only zeros, so each value and each raise (a valuation
-    reaching N) is a dense computation's, which the tests keep."""
-    q, N = L.fp.q, L.fp.N
-    C = _mul_lower(_adj_lower(L.cols, q, N), Lp.cols, q, N)
-    d1 = _least_val(C)
-    if d1 is None:
-        raise BuildingError("precision exhausted: zero matrix")
-    A = _adj_lower(C, q, N)
-    d2, d3 = _least_val(A), _pval(_pmul(A[0][0], C[0][0], q, N))
-    if d2 is None or d3 is None:
-        raise BuildingError("precision exhausted in minor valuations")
+    product sums only zeros, so each value is a dense computation's,
+    which the tests keep."""
+    q = L.fp.q
+    C = _mul_lower(_adj_lower(L.cols, q), Lp.cols, q)
+    A = _adj_lower(C, q)
+    d1, d2 = _least_val(C), _least_val(A)
+    d3 = sum(_pval(C[i][i]) for i in range(3))
     e = sorted((d1, d2 - d1, d3 - d2))
     return (e[2] - e[1], e[1] - e[0])
 
@@ -320,8 +326,7 @@ def neighbors(L, color):
     So A.H is lower triangular with pivots t^e_i or t^(e_i + 1), and
     `_reduced` finishes it with no pivot search and no unit inverse: at
     most three entries reduced modulo the pivot below them, row by row,
-    then one homothety shift.  N enters only where a pivot t^(e_i + 1)
-    vanishes mod t^N, which raises BuildingError as `_hnf` does.
+    then one homothety shift.
     `LatticeClass(fp, cols)` of any spanning columns is the oracle."""
     fp = L.fp
     hit = fp.nbr_cache.get((L.cols, color))
@@ -329,21 +334,21 @@ def neighbors(L, color):
         return hit[0]
     if color not in (W1, W2):
         raise BuildingError("neighbor color must be minuscule")
-    q, N, A = fp.q, fp.N, L.cols
-    tA = [tuple(_pshift(x, 1, N) for x in c) for c in A]
+    q, A = fp.q, L.cols
+    tA = [tuple(_pshift(x, 1) for x in c) for c in A]
     out = []
     for r in _proj_plane(q):
         if color == W1:
             p = max(i for i in range(3) if r[i])
             s = pow(r[p], q - 2, q)
-            cols = [_col_sub(A[j], (r[j] * s % q,), A[p], q, N) if r[j]
+            cols = [_col_sub(A[j], (r[j] * s % q,), A[p], q) if r[j]
                     else A[j] for j in range(p)] + [tA[p]] + list(A[p + 1:])
         else:
             p = r.index(1)
             u = A[p]
             for j in range(p + 1, 3):
                 if r[j]:
-                    u = _col_sub(u, (q - r[j],), A[j], q, N)
+                    u = _col_sub(u, (q - r[j],), A[j], q)
             cols = tA[:p] + [u] + tA[p + 1:]
         out.append(LatticeClass(fp, _reduced(cols, fp), _normalized=True))
     fp.nbr_cache[L.cols, color] = out, frozenset(out)
@@ -584,7 +589,7 @@ def count_configurations(linkage, fp=None, rng=None):
     counted by `_count` (pendants and chamber ears peeled, the core
     enumerated); `_enumerate` is its brute-force oracle."""
     if fp is None:
-        fp = FieldParam(2, auto_precision(linkage.labels()))
+        fp = FieldParam(2)
     return ConfigCount(linkage, fp, _count(linkage, fp, rng=rng))
 
 
@@ -663,7 +668,10 @@ def _enumerated_partition(signature, fp):
 # ----------------------------------------------------------------------
 # stratum sampling
 
-def sample_polygon_config(signature, target_vector, fp, rng, max_tries=2000):
+_SAMPLE_TRIES = 2000
+
+
+def sample_polygon_config(signature, target_vector, fp, rng):
     """A uniform-ish random point of F(signature)(F_q) whose distance
     vector from the base equals target_vector (a minuscule path)."""
     n = len(signature)
@@ -672,7 +680,7 @@ def sample_polygon_config(signature, target_vector, fp, rng, max_tries=2000):
     if len(tv) != n + 1 or tv[0] != ZERO or tv[-1] != ZERO:
         raise BuildingError("target vector must be a closed path of "
                             "length %d" % (n + 1,))
-    for _ in range(max_tries):
+    for _ in range(_SAMPLE_TRIES):
         cfg = {0: base}
         for k in range(n - 1):
             cands = _on_sphere(base, neighbors(cfg[k], signature[k]),
@@ -732,12 +740,11 @@ def euler_estimate(D, primes=(2, 3, 5, 7, 11), confirm=3, max_nodes=14,
     done: its classes point back to their FieldParam, so the cycle would
     keep them alive until a full garbage collection."""
     link = diskoid_linkage(D)
-    labels = link.labels()
     cache = {}
 
     def count_at(p):
         if p not in cache:
-            fp = FieldParam(p, auto_precision(labels))
+            fp = FieldParam(p)
             cache[p] = _count(link, fp)
             fp.nbr_cache.clear()
         return cache[p]
@@ -774,6 +781,8 @@ class _Field:
     """Exact field operations for Fraction (p=None) or F_p."""
 
     def __init__(self, p=None):
+        if p is not None and not _is_prime(p):
+            raise BuildingError("field size must be prime, got %r" % (p,))
         self.p = p
 
     def of(self, x):
@@ -799,7 +808,7 @@ class _Field:
     def neg(self, a):
         return (-a) % self.p if self.p else -a
 
-    def is_square_roots(self, a):
+    def square_roots(self, a):
         """Roots of x^2 = a in the field (list, possibly empty)."""
         if self.p is None:
             if a < 0:
@@ -812,7 +821,7 @@ class _Field:
             return [a % 2]
         if pow(a, (self.p - 1) // 2, self.p) != 1:
             return []
-        # Tonelli-Shanks (p is small here; brute force is fine)
+        # p is small here: scan every residue
         for x in range(self.p):
             if (x * x) % self.p == a:
                 return [x, (-x) % self.p]
@@ -949,7 +958,7 @@ def solve_hexagon_incidence(lines, points, field=None, return_roots=False):
                      if (qa * t * t + qb * t + qc) % 2 == 0]
             count = 2 if qb else 1
         else:
-            sq = F.is_square_roots(disc)
+            sq = F.square_roots(disc)
             count = 1 if not disc else 2
             inv2a = F.inv(F.mul(F.of(2), qa))
             roots = [F.mul(F.sub(r, qb), inv2a) for r in sq]

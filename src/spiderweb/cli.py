@@ -35,11 +35,11 @@ from .oracle import (_tuples_of_weight, contract_closed, in_invariant_kernel,
                      invariant_kernel_dim, web_vector)
 from .building import (BuildingError, FieldParam, LatticeClass,
                        _enumerated_partition, _Field, _mul_lower,
-                       auto_precision, base_class,
-                       count_configurations, count_fibre, diskoid_linkage,
-                       euler_estimate, hexagon_genericity, lattice_distance,
-                       neighbors, polygon_linkage, sample_polygon_config,
-                       satake_partition, solve_hexagon_incidence)
+                       base_class, count_configurations, count_fibre,
+                       diskoid_linkage, euler_estimate, hexagon_genericity,
+                       lattice_distance, neighbors, polygon_linkage,
+                       sample_polygon_config, satake_partition,
+                       solve_hexagon_incidence)
 from .render import render_diskoid, render_web
 
 
@@ -93,13 +93,13 @@ def _q_value(args):
     return Fraction(args.q) if args.q is not None else None
 
 
-def _field_size(args):
-    """Field size for counting commands: --field, else an integral --q of
+def _fieldparam(args):
+    """F_q for counting commands: q from --field, else an integral --q of
     at least 2, else 2."""
     if args.field is not None:
-        return args.field
+        return FieldParam(args.field)
     if args.q is None:
-        return 2
+        return FieldParam(2)
     try:
         q = Fraction(args.q)
     except (ValueError, ZeroDivisionError):
@@ -107,19 +107,7 @@ def _field_size(args):
     if q is None or q.denominator != 1 or q < 2:
         raise CliError("--q %s is not a field size (an integer >= 2)"
                        % (args.q,))
-    return int(q)
-
-
-def _fieldparam(args, labels=None):
-    q = _field_size(args)
-    prec = args.precision
-    if prec not in (None, "auto"):
-        N = int(prec)
-    elif labels is not None:
-        N = auto_precision(labels)
-    else:
-        N = 20
-    return FieldParam(q, N)
+    return FieldParam(int(q))
 
 
 def _rng(args):
@@ -396,7 +384,7 @@ def cmd_count(args):
         D = load_diskoid_arg(args.diskoid or args.linkage)
         link = diskoid_linkage(D)
         what = "diskoid configurations"
-    fp = _fieldparam(args, link.labels())
+    fp = _fieldparam(args)
     res = count_configurations(link, fp)
     emit(args, ["%s over F_%d: %d" % (what, fp.q, res.count)],
          {"q": fp.q, "count": res.count})
@@ -408,7 +396,7 @@ def cmd_fibre(args):
     D = dual_diskoid(w)
     sig = w.boundary_signature()
     target = parse_path(args.target) if args.target else path_tag(w)
-    fp = _fieldparam(args, diskoid_linkage(D).labels())
+    fp = _fieldparam(args)
     rng = _rng(args)
     cfg = sample_polygon_config(sig, target, fp, rng)
     bc = {D.boundary[k]: cfg[k] for k in range(len(D.boundary))}
@@ -420,11 +408,8 @@ def cmd_fibre(args):
 
 
 def cmd_partition(args):
-    if args.precision not in (None, "auto"):
-        raise CliError("partition reads only q, not the precision; "
-                       "--precision must be 'auto'")
     sig = parse_signature(args.boundary)
-    buckets = satake_partition(sig, _fieldparam(args, sig))
+    buckets = satake_partition(sig, _fieldparam(args))
     items = sorted(buckets.items())
     total = sum(buckets.values())
     lines = ["%s : %d" % (format_path(key), size) for key, size in items]
@@ -438,9 +423,6 @@ def cmd_partition(args):
 
 
 def cmd_euler(args):
-    if args.precision not in (None, "auto"):
-        raise CliError("euler chooses its own precision at each prime; "
-                       "--precision must be 'auto'")
     primes = tuple(int(p) for p in args.primes.split(",")) \
         if args.primes else (2, 3, 5, 7, 11)
     w = load_web_arg(args.web)
@@ -610,14 +592,14 @@ def _st_oracle():
 
 def _st_building():
     checks = []
-    fp = FieldParam(2, 8)
+    fp = FieldParam(2)
     sig = (W1, W2, W1, W2)
     buckets = satake_partition(sig, fp)
     checks.append(buckets == _enumerated_partition(sig, fp)
                   and sorted(buckets.values()) == [42, 49])
     ones = satake_partition(sig, argparse.Namespace(q=1)).values()
     checks.append(sum(ones) == len(_tuples_of_weight(sig, "a2", (0, 0))))
-    base = base_class(FieldParam(3, 16))
+    base = base_class(FieldParam(3))
     checks.append(lattice_distance(base, neighbors(base, W1)[0]) == W1)
     # at a class L off the base, the neighbours built in normal form
     # against `_hnf` of their spans L.H, for H the base's neighbours,
@@ -625,7 +607,7 @@ def _st_building():
     L = neighbors(neighbors(base, W1)[5], W2)[7]
     for c in (W1, W2):
         checks.append(neighbors(L, c) == [
-            LatticeClass(L.fp, _mul_lower(L.cols, H.cols, 3, 16))
+            LatticeClass(L.fp, _mul_lower(L.cols, H.cols, 3))
             for H in neighbors(base, c)])
         checks.append(all(lattice_distance(L, M) == c == weights.dual(
             lattice_distance(M, L)) for M in neighbors(L, c)))
@@ -711,8 +693,6 @@ def _add_global_flags(p, suppress):
     arg("--field", type=int,
         help="residue field size (a prime) for counting")
     arg("--primes", help="comma-separated interpolation primes for euler")
-    arg("--precision",
-        help="working t-adic precision for lattice arithmetic, or 'auto'")
     arg("--seed", type=int, help="random seed (default 0)")
     arg("--json", action="store_true", help="shorthand for --format json")
     arg("--budget-boundary", type=int, default=12,

@@ -247,37 +247,19 @@ def distance(D, p, q, strict=True):
 # ----------------------------------------------------------------------
 # geodesics
 
-def _bounded_reach(D, src, bound, reverse=False):
-    """reach[v] = set of (a,b) <= bound realizable by a path src..v
-    (paths v..src when reverse)."""
-    adj = D.adjacency()
-    A, B = bound
-    reach = {v: set() for v in D.names}
-    reach[src].add((0, 0))
-    frontier = {src: {(0, 0)}}
-    for _ in range(A + B):
-        nxt = {}
-        for v, ws in frontier.items():
-            for w, step, _eid, _along in adj[v]:
-                st = dual(step, D.mode) if reverse else step
-                for (a, b) in ws:
-                    cand = (a + st[0], b + st[1])
-                    if cand[0] <= A and cand[1] <= B and cand not in reach[w]:
-                        reach[w].add(cand)
-                        nxt.setdefault(w, set()).add(cand)
-        frontier = nxt
-        if not frontier:
-            break
-    return reach
-
-
 def geodesics(D, p, q):
     """All weight-minimal paths from p to q (each with total weight
-    distance(D, p, q) and exactly <d, rho-check> edges)."""
+    distance(D, p, q) and exactly <d, rho-check> edges).
+
+    A path p..w is extended only if what remains of d is the weight of a
+    Pareto-minimal path w..q: a geodesic's suffix is one, since a lesser
+    suffix would make a lesser path.  Reversing a path dualizes its
+    weight, so those weights are the duals of `distance_sets` from q."""
     d = distance(D, p, q)
     if d == (0, 0):
         return [Geodesic((p,), (), (), (0, 0))]
-    back = _bounded_reach(D, q, d, reverse=True)
+    back = {v: {dual(x, D.mode) for x in xs}
+            for v, xs in distance_sets(D, q).items()}
     adj = D.adjacency()
     out = []
 

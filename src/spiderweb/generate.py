@@ -238,8 +238,10 @@ class Grower:
 # ----------------------------------------------------------------------
 # randomized corpora
 
-def random_web(signature, rng, mode="a2", max_vertices=16, split_bias=0.35,
-               max_tries=400):
+_GROW_TRIES = 400
+
+
+def random_web(signature, rng, mode="a2", max_vertices=16, split_bias=0.35):
     """A random web with the given boundary signature.
 
     Splits occur with probability split_bias (scaled down as the vertex
@@ -252,7 +254,7 @@ def random_web(signature, rng, mode="a2", max_vertices=16, split_bias=0.35,
         raise WebError("signature has nonzero mod-3 charge")
     if mode == "a1" and len(signature) % 2 != 0:
         raise WebError("odd A1 signature")
-    for _ in range(max_tries):
+    for _ in range(_GROW_TRIES):
         g = Grower(mode, signature)
         ok = True
         while not g.done():

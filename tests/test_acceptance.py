@@ -10,7 +10,7 @@ from spiderweb import corpus
 from spiderweb.basis import (
     enumerate_basis, minuscule_paths, path_tag, rotated_catalog_check)
 from spiderweb.building import (
-    FieldParam, _Field, auto_precision, base_class, count_configurations,
+    FieldParam, _Field, base_class, count_configurations,
     count_fibre, euler_estimate, hexagon_genericity, lattice_distance,
     polygon_linkage, sample_polygon_config, satake_partition,
     solve_hexagon_incidence)
@@ -128,7 +128,7 @@ def test_criterion_4(catalog12):
     # (e) fibre over a generic boundary in the nu-stratum
     D = dual_diskoid(w_mu)
     for q in (2, 3):
-        fp = FieldParam(q, auto_precision(list(SIG12)))
+        fp = FieldParam(q)
         found = None
         for seed in range(30):
             rng = random.Random(900 + seed)
@@ -175,7 +175,7 @@ def test_criterion_5():
 
 @criterion(6, "Haines partition at q = 2")
 def test_criterion_6():
-    fp = FieldParam(2, 12)
+    fp = FieldParam(2)
     for sig in [(W1, W2), (W1, W1, W1), (W1, W2, W1, W2)]:
         buckets = satake_partition(sig, fp)
         paths = set(minuscule_paths(sig))

@@ -76,6 +76,59 @@ def test_geodesics_realize_distance():
             assert len(g.eids) == len(g.vertices) - 1
 
 
+def simple_paths(D, p, q):
+    """{(vertices, eids): total weight} of every simple path p..q."""
+    adj = D.adjacency()
+    out = {}
+
+    def rec(v, path, eids, a, b):
+        if v == q:
+            out[tuple(path), tuple(eids)] = (a, b)
+            return
+        for w, step, eid, _along in adj[v]:
+            if w not in path:
+                path.append(w)
+                eids.append(eid)
+                rec(w, path, eids, a + step[0], b + step[1])
+                path.pop()
+                eids.pop()
+
+    rec(p, [p], [], 0, 0)
+    return out
+
+
+def test_geodesics_match_brute_force():
+    # every vertex pair of 60 small diskoids of random webs, most of them
+    # not CAT(0): the geodesics are the simple paths of least weight (a
+    # cycle adds a nonzero dominant weight), and a pair with no least
+    # weight raises
+    rng = random.Random(3)
+    found = non_cat0 = 0
+    while found < 60:
+        sig = random_signature(rng, max_legs=8)
+        w = random_web(sig, rng, max_vertices=8)
+        if w.circles:
+            continue
+        D = dual_diskoid(w)
+        if D.n_vertices() > 10:
+            continue
+        found += 1
+        non_cat0 += not is_cat0(D)
+        for p in D.names:
+            sets = distance_sets(D, p)
+            for q in D.names:
+                if len(sets[q]) > 1:
+                    with pytest.raises(DiskoidError):
+                        geodesics(D, p, q)
+                    continue
+                got = [(g.vertices, g.eids) for g in geodesics(D, p, q)]
+                assert len(got) == len(set(got))
+                assert set(got) == {path for path, total
+                                    in simple_paths(D, p, q).items()
+                                    if total == sets[q][0]}
+    assert non_cat0 >= 30
+
+
 def test_diamond_move_is_involutive():
     rng = random.Random(42)
     found = 0

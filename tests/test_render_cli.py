@@ -99,14 +99,6 @@ def test_euler_theta(capsys):
     assert "chi = 6; skein(q=-1) = 6; MATCH" in out
 
 
-def test_euler_rejects_numeric_precision(capsys):
-    # euler takes auto_precision at each prime; a number would be ignored
-    code, out, err = run(capsys, "euler", corpus_path("theta"),
-                         "--precision", "2")
-    assert code == 1 and out == ""
-    assert "euler chooses its own precision" in err
-
-
 def test_count_digon(capsys):
     code, out, _ = run(capsys, "count", "--boundary", "w1,w2", "--q", "2")
     assert code == 0 and "7" in out
@@ -139,14 +131,6 @@ def test_counting_field_size_from_q_or_field(capsys):
         assert code == 0 and out.startswith("0;w1;0 : 13\n")
     code, out, _ = run(capsys, "fibre", corpus_path("single-y"), "--q=3")
     assert code == 0 and "over F_3" in out
-
-
-def test_partition_rejects_numeric_precision(capsys):
-    # the partition reads only q; a number would be ignored
-    code, out, err = run(capsys, "partition", "--boundary", "w1,w2",
-                         "--precision", "8")
-    assert code == 1 and out == ""
-    assert "partition reads only q" in err
 
 
 def test_dim(capsys):
@@ -206,3 +190,12 @@ def test_deterministic_output(capsys):
     b = run(capsys, "hexagon", "--seed", "4", "--samples", "2")
     assert a == b
     assert a[0] == 0 and "2 closure solutions" in a[1]
+
+
+@pytest.mark.parametrize("p", ["0", "1", "4", "6", "9"])
+def test_hexagon_rejects_a_field_size_that_is_no_prime(capsys, p):
+    # Z/6 and Z/9 have zero divisors: pow(a, p - 2, p) is no inverse there
+    code, out, err = run(capsys, "hexagon", "--field", p, "--samples", "2",
+                         "--seed", "3")
+    assert code == 1 and out == ""
+    assert "field size must be prime, got %s" % p in err
