@@ -1,5 +1,5 @@
 """The finite lattice model: point counts, strata, fibres, and Euler
-characteristics by interpolation.
+characteristics counted at the torus-fixed points.
 
 Vertices of the building are homothety classes of rank-3 lattices over
 F_q[[t]], each stored exactly by polynomial normal-form columns over F_q;
@@ -11,8 +11,9 @@ import random
 from spiderweb import corpus
 from spiderweb.building import (FieldParam, base_class,
                                 count_configurations, count_fibre,
-                                euler_estimate, neighbors, polygon_linkage,
-                                sample_polygon_config, satake_partition)
+                                diskoid_linkage, euler_estimate, neighbors,
+                                polygon_linkage, sample_polygon_config,
+                                satake_partition)
 from spiderweb.cli import format_path
 from spiderweb.diskoid import dual_diskoid
 from spiderweb.skein import evaluate_closed
@@ -42,11 +43,12 @@ bc = {D.boundary[k]: cfg[k] for k in range(len(sig))}
 print("extensions of a sampled boundary configuration:",
       count_fibre(D, bc, fp))
 
-print("\n== Euler characteristic by interpolation ==")
+print("\n== Euler characteristic at the torus-fixed points ==")
 theta = corpus.load_web("theta")
-counts = []
-chi = euler_estimate(dual_diskoid(theta), primes=(2, 3, 5),
-                     counts_out=counts)
-print("theta counts per prime:", counts)
-print("chi = %d, skein value at q = -1: %d"
-      % (chi, evaluate_closed(theta, -1)))
+D = dual_diskoid(theta)
+counts = [(q, count_configurations(diskoid_linkage(D), FieldParam(q)).count)
+          for q in (2, 3, 5)]
+print("theta counts per prime:", counts, "= (q^2+q+1)(q+1)")
+print("chi = %d (fixed points in the apartment, the count at q = 1), "
+      "skein value at q = -1: %d" % (euler_estimate(D),
+                                     evaluate_closed(theta, -1)))

@@ -40,6 +40,22 @@ def minuscule_paths(signature, mode="a2"):
     return out
 
 
+def path_steps(signature, path, mode="a2"):
+    """For each leg k, the index of mu_k - mu_(k-1) in its minuscule
+    orbit; None unless the path is a minuscule path of the signature.
+    One pass over the steps, with no enumeration."""
+    path = tuple(path)
+    if len(path) != len(signature) + 1 or not path[0] == path[-1] == (0, 0):
+        return None
+    out = []
+    for lam, a, b in zip(signature, path, path[1:]):
+        orbit = minuscule_orbit(lam, mode)
+        if sub(b, a) not in orbit or not is_dominant(b):
+            return None
+        out.append(orbit.index(sub(b, a)))
+    return out
+
+
 def dim_invariants(signature, mode="a2"):
     """The invariant-space dimension |minuscule_paths(signature)|."""
     return len(minuscule_paths(signature, mode))
@@ -111,15 +127,10 @@ def web_from_path(signature, path, mode="a2"):
     Raises ``WebError`` unless the path is a minuscule path of the
     signature."""
     g = Grower(mode, signature)
-    path = tuple(path)
-    if len(path) != len(signature) + 1 or not path[0] == path[-1] == (0, 0):
+    steps = path_steps(signature, path, mode)
+    if steps is None:
         raise WebError("path is not a minuscule path of this signature")
-    state = []
-    for lam, a, b in zip(signature, path, path[1:]):
-        orbit = minuscule_orbit(lam, mode)
-        if sub(b, a) not in orbit or not is_dominant(b):
-            raise WebError("path is not a minuscule path of this signature")
-        state.append(1 - orbit.index(sub(b, a)))
+    state = [1 - i for i in steps]
     while state:
         i = next((i for i in range(len(state) - 1)
                   if state[i] > state[i + 1]), None)

@@ -8,8 +8,9 @@ t-adic truncation.  The generic constructor searches for it (`_hnf`);
 minuscule neighbours are built in it directly, and distances read
 elementary divisors off the triangular shape.  Configuration and fibre
 counts for polygons and diskoids, Satake partitions, the Euler
-characteristic at q = 1 by interpolation, and the incidence solver for
-the twelve-leg hexagon web live here too.
+characteristic (counted at the torus-fixed points, in the standard
+apartment), and the incidence solver for the twelve-leg hexagon web live
+here too.
 
 The color calibration is fixed once: the w1-neighbors of a class L are
 the kernels of the q^2+q+1 functionals on L/tL, the w2-neighbors the
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .weights import W1, W2, ZERO, dual, minuscule_orbit, rho_level
-from .basis import minuscule_paths
+from .basis import minuscule_paths, path_steps
 
 
 class BuildingError(Exception):
@@ -381,10 +382,6 @@ class Linkage:
         return [lam for _u, _v, lam in self.edges]
 
 
-def edge_linkage(label):
-    return Linkage([0, 1], 0, [(0, 1, label)])
-
-
 def polygon_linkage(signature):
     n = len(signature)
     return Linkage(range(n), 0,
@@ -421,7 +418,7 @@ def _fold(linkage):
     """The linkage's constraints, one per vertex pair: nbrs[v][u] is the
     required distance d(f(v), f(u)), so parallel edges count once.
 
-    This is where both counters decide whether a linkage can be counted.
+    This is where every counter decides whether a linkage can be counted.
     A repeated vertex, a `fixed` key that is not a vertex, or a vertex
     connected to neither the base nor a pinned vertex raises
     BuildingError.  None means that no configuration exists: two parallel
@@ -526,16 +523,16 @@ def _enumerate(linkage, fp, visit=None, rng=None):
     return count
 
 
-def _count(linkage, fp, rng=None):
-    """The number of based label-preserving maps of the linkage: peel off
-    the vertices whose placements can be counted from their labels alone,
-    then enumerate the rest.
+def _peel(nbrs, pinned, q):
+    """Remove from the folded constraints `nbrs` (see `_fold`), in place,
+    every free vertex whose placements can be counted from its labels
+    alone, and return the product of their counts at q.
 
     PGL3(F_q((t))) preserves distances in the building and acts
     transitively on ordered pairs of vertices at a given distance (the
     Cartan decomposition).  So the number of ways to place a free vertex
-    v (not the base, not in `linkage.fixed`) given its neighbors' places
-    depends only on the labels when
+    v (not in `pinned`) given its neighbors' places depends only on the
+    labels when
       - v has one remaining neighbor: q^2+q+1, the points of P^2(F_q),
         which are the classes `neighbors` lists;
       - v has two remaining neighbors u, w joined by an edge (an ear):
@@ -543,25 +540,17 @@ def _count(linkage, fp, rng=None):
         since each panel lies in q+1 chambers (for tu < w < u with u/w
         a line, the q+1 lines of the plane w/tu); 0 for other labels,
         since three pairwise adjacent vertices always span a chamber.
+    At q = 1 these are the counts in an apartment: 3 places for a
+    pendant, and the 2 chambers of the apartment on a panel for an ear.
     Such vertices are removed (placed last) one at a time until none is
-    left, and the count is the product of their factors times the
-    `_enumerate` count (with `rng`) of the core: the unpeeled vertices
-    and every edge between them.  Removing a pendant or an ear leaves
-    every other vertex connected to a pinned one.  `_fold` raises on a
-    malformed linkage; one whose parallel edges disagree or that has a
-    loop goes whole to `_enumerate`, which still raises on clashing
-    pinned classes and otherwise counts 0."""
-    nbrs = _fold(linkage)
-    if nbrs is None:
-        return _enumerate(linkage, fp, rng=rng)
-    pinned = {linkage.base, *linkage.fixed}
-    q = fp.q
+    left.  Removing a pendant or an ear leaves every other vertex
+    connected to a pinned one."""
     factor = 1
     peeled = True
     while peeled:
         peeled = False
-        for v in linkage.vertices:
-            if v in pinned or v not in nbrs:
+        for v in list(nbrs):
+            if v in pinned:
                 continue
             around = nbrs[v]
             if len(around) == 1:
@@ -578,6 +567,20 @@ def _count(linkage, fp, rng=None):
                 del nbrs[u][v]
             del nbrs[v]
             peeled = True
+    return factor
+
+
+def _count(linkage, fp, rng=None):
+    """The number of based label-preserving maps of the linkage: `_peel`
+    at fp.q times the `_enumerate` count (with `rng`) of the core, the
+    unpeeled vertices and every edge between them.  `_fold` raises on a
+    malformed linkage; one whose parallel edges disagree or that has a
+    loop goes whole to `_enumerate`, which still raises on clashing
+    pinned classes and otherwise counts 0."""
+    nbrs = _fold(linkage)
+    if nbrs is None:
+        return _enumerate(linkage, fp, rng=rng)
+    factor = _peel(nbrs, {linkage.base, *linkage.fixed}, fp.q)
     core = Linkage(list(nbrs), linkage.base,
                    [e for e in linkage.edges if e[0] in nbrs and e[1] in nbrs],
                    fixed=linkage.fixed)
@@ -623,6 +626,16 @@ def _on_sphere(base, classes, nu):
             and lattice_distance(base, y) == nu]
 
 
+def _dominant(w):
+    """The dominant W-conjugate of a weight (a, b): reflect by
+    s1 (a, b) = (-a, a + b) or s2 (a, b) = (a + b, -b) until both
+    coordinates are non-negative."""
+    a, b = w
+    while a < 0 or b < 0:
+        a, b = (-a, a + b) if a < 0 else (a + b, -b)
+    return a, b
+
+
 def _hecke_factor(mu, lam, nu, q):
     """The number c(mu, lam, nu) of lam-neighbours at distance nu from the
     base of any point x at distance mu, at any integer q: the sum of
@@ -634,10 +647,8 @@ def _hecke_factor(mu, lam, nu, q):
     dimension e1 + e2 + 1 lands at dom(mu + e)."""
     total = 0
     for e in minuscule_orbit(lam):
-        a, b = mu[0] + e[0], mu[1] + e[1]
-        while a < 0 or b < 0:  # reflect into the dominant chamber
-            a, b = (-a, a + b) if a < 0 else (a + b, -b)
-        total += q ** (e[0] + e[1] + 1) if (a, b) == nu else 0
+        if _dominant((mu[0] + e[0], mu[1] + e[1])) == nu:
+            total += q ** (e[0] + e[1] + 1)
     return total
 
 
@@ -668,109 +679,90 @@ def _enumerated_partition(signature, fp):
 # ----------------------------------------------------------------------
 # stratum sampling
 
-_SAMPLE_TRIES = 2000
-
 
 def sample_polygon_config(signature, target_vector, fp, rng):
-    """A uniform-ish random point of F(signature)(F_q) whose distance
-    vector from the base equals target_vector (a minuscule path)."""
+    """A uniformly random point of F(signature)(F_q) whose distance
+    vector from the base is target_vector, which must be a minuscule path
+    of the signature (else BuildingError, before any lattice is built).
+
+    One walk: vertex k+1 is drawn among the signature[k]-neighbours of
+    vertex k at distance target[k+1] from the base.  Whatever the earlier
+    draws, there are c(target[k], signature[k], target[k+1]) of them
+    (`_hecke_factor`), never none, so every point of the stratum comes out
+    with the same probability, the product of their inverses.  The last
+    vertex, at target[n-1] = dual(signature[n-1]) from the base, closes
+    the polygon."""
+    tv = tuple(target_vector)
+    if path_steps(signature, tv) is None:
+        raise BuildingError("target vector is not a minuscule path of the "
+                            "signature")
     n = len(signature)
     base = base_class(fp)
-    tv = tuple(target_vector)
-    if len(tv) != n + 1 or tv[0] != ZERO or tv[-1] != ZERO:
-        raise BuildingError("target vector must be a closed path of "
-                            "length %d" % (n + 1,))
-    for _ in range(_SAMPLE_TRIES):
-        cfg = {0: base}
-        for k in range(n - 1):
-            cands = _on_sphere(base, neighbors(cfg[k], signature[k]),
-                               tv[k + 1])
-            if not cands:
-                break
-            cfg[k + 1] = cands[rng.randrange(len(cands))]
-        else:
-            if lattice_distance(cfg[n - 1], base) == signature[n - 1]:
-                return cfg
-    raise BuildingError("could not sample the requested stratum")
+    cfg = {0: base}
+    for k in range(n - 1):
+        cands = _on_sphere(base, neighbors(cfg[k], signature[k]), tv[k + 1])
+        cfg[k + 1] = cands[rng.randrange(len(cands))]
+    if n and lattice_distance(cfg[n - 1], base) != signature[n - 1]:
+        raise BuildingError("the sampled polygon does not close")
+    return cfg
 
 
 # ----------------------------------------------------------------------
-# counting-polynomial interpolation and Euler estimates
+# the Euler characteristic
 
 
-def _lagrange_value(points, x):
-    """Exact Lagrange interpolation value at x from (node, value) pairs."""
-    total = Fraction(0)
-    for i, (xi, yi) in enumerate(points):
-        term = Fraction(yi)
-        for j, (xj, _yj) in enumerate(points):
-            if i != j:
-                term *= Fraction(x - xj, xi - xj)
-        total += term
-    return total
+def euler_estimate(D):
+    """The Euler characteristic of the configuration space of the
+    diskoid's 1-skeleton: the number of its label-preserving maps into
+    the standard apartment, with the base at the weight (0, 0).
 
+    Why.  The diagonal torus T of PGL3 fixes the base O^3 and acts on
+    the building by isometries, so it acts on the space X of based
+    configurations.  Its fixed classes are those of diag(t^k1, t^k2, t^k3),
+    isolated points, which carry the weight (k1 - k2, k2 - k3).  Against
+    diag(t^k), diag(t^k') has the elementary divisors t^(k'i - ki), so the
+    distance from x to y among them is the dominant W-conjugate of y - x.
+    A configuration is fixed exactly when each vertex is, so X^T is the
+    finite set of maps into the apartment counted here, and
+    chi(X) = chi(X^T) = #X^T (Bialynicki-Birula, Ann. Math. 98, 1973).
+    Where #X(F_q) is a polynomial P in q, P(1) = chi(X) (Katz, appendix
+    to Hausel and Rodriguez-Villegas, Invent. Math. 174, 2008), so this is
+    the value that interpolating the counts at primes gives, with no
+    polynomiality to assume.
 
-def _next_primes(after, k):
-    out = []
-    n = after + 1
-    while len(out) < k:
-        if _is_prime(n):
-            out.append(n)
-        n += 1
-    return out
-
-
-def euler_estimate(D, primes=(2, 3, 5, 7, 11), confirm=3, max_nodes=14,
-                   counts_out=None):
-    """Interpolate the configuration count of the diskoid's 1-skeleton as
-    a polynomial in q, starting from the given primes, and return its
-    value at q = 1 (the Euler characteristic of the configuration space,
-    assuming polynomiality of the count).
-
-    The interpolant is accepted only once it predicts the counts at the
-    next `confirm` primes exactly; otherwise the smallest mispredicted
-    prime is added as an interpolation node and the check repeats (one
-    prime per round, to keep the largest prime that must be counted as
-    small as possible).  If no polynomial with fewer than max_nodes
-    nodes fits, a BuildingError is raised: that is a reportable finding,
-    not an extrapolation.
-
-    Each count is a peeled count (`_count`); `_enumerate` is its
-    oracle.  A prime's neighbour cache is cleared once its count is
-    done: its classes point back to their FieldParam, so the cycle would
-    keep them alive until a full garbage collection."""
+    The apartment is the building at q = 1: `_peel` at q = 1 counts
+    pendants (3 places) and ears (2), and a depth-first search over the
+    rest places the vertex with the most placed neighbours next, at
+    x_u + e for a placed neighbour u and e in the minuscule orbit of
+    d(u, v), checked against the other placed neighbours.  A linkage that
+    `_fold` finds contradictory has no configuration: chi = 0."""
     link = diskoid_linkage(D)
-    cache = {}
+    nbrs = _fold(link)
+    if nbrs is None:
+        return 0
+    factor = _peel(nbrs, {link.base}, 1)
+    if not factor:
+        return 0
+    place = {link.base: ZERO}
 
-    def count_at(p):
-        if p not in cache:
-            fp = FieldParam(p)
-            cache[p] = _count(link, fp)
-            fp.nbr_cache.clear()
-        return cache[p]
+    def rec(todo):
+        if not todo:
+            return 1
+        v = max(todo, key=lambda x: sum(u in place for u in nbrs[x]))
+        rest = [x for x in todo if x != v]
+        (x0, lam0), *others = [(place[u], nbrs[u][v]) for u in nbrs[v]
+                               if u in place]
+        total = 0
+        for e in minuscule_orbit(lam0):
+            y = (x0[0] + e[0], x0[1] + e[1])
+            if all(_dominant((y[0] - x[0], y[1] - x[1])) == lam
+                   for x, lam in others):
+                place[v] = y
+                total += rec(rest)
+        place.pop(v, None)
+        return total
 
-    nodes = sorted(set(primes))
-    while True:
-        pts = [(p, count_at(p)) for p in nodes]
-        bad = None
-        for p in _next_primes(max(nodes), confirm):
-            if _lagrange_value(pts, p) != count_at(p):
-                bad = p
-                break
-        if counts_out is not None:
-            del counts_out[:]
-            counts_out.extend(sorted(cache.items()))
-        if bad is None:
-            val = _lagrange_value(pts, 1)
-            if val.denominator != 1:
-                raise BuildingError(
-                    "interpolated value at q=1 is not an integer")
-            return int(val)
-        if len(nodes) + 1 > max_nodes:
-            raise BuildingError(
-                "count is not polynomial of degree < %d: at q=%d "
-                "interpolation from %r fails" % (max_nodes, bad, nodes))
-        nodes = sorted(set(nodes) | {bad})
+    return factor * rec([v for v in nbrs if v != link.base])
 
 
 # ----------------------------------------------------------------------

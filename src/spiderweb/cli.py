@@ -423,8 +423,6 @@ def cmd_partition(args):
 
 
 def cmd_euler(args):
-    primes = tuple(int(p) for p in args.primes.split(",")) \
-        if args.primes else (2, 3, 5, 7, 11)
     w = load_web_arg(args.web)
     # free circles contribute an independent projective plane each:
     # q^2 + q + 1 points, so Euler factor 3
@@ -432,9 +430,9 @@ def cmd_euler(args):
     core = Web(w.mode, w.theta, w.vertices, w.boundary, w.heads, 0,
                check=False)
     D = dual_diskoid(core)
-    chi = factor * (euler_estimate(D, primes=primes) if D.names else 1)
+    chi = factor * (euler_estimate(D) if D.names else 1)
     lines = []
-    data = {"chi": chi, "primes": list(primes)}
+    data = {"chi": chi}
     if w.is_closed():
         sv = int(evaluate_closed(w, -1))
         ok = chi == sv
@@ -467,7 +465,14 @@ def _random_hexagon_sample(rng, F):
 
 
 def cmd_hexagon(args):
+    if args.samples < 1:
+        raise CliError("--samples must be at least 1, got %d" % args.samples)
     F = _Field(args.field)
+    if F.p == 2:
+        # a generic row has p_ii = p_i,i+1 = 1 and sums to 1, so over F_2
+        # every row is (1, 1, 1): the three points coincide
+        raise CliError("P^2(F_2) has no generic hexagon configuration; "
+                       "choose a prime field of size at least 3")
     rng = _rng(args)
     lines_out, data = [], []
     for k in range(args.samples):
@@ -692,7 +697,6 @@ def _add_global_flags(p, suppress):
         "count, fibre and partition, the field size")
     arg("--field", type=int,
         help="residue field size (a prime) for counting")
-    arg("--primes", help="comma-separated interpolation primes for euler")
     arg("--seed", type=int, help="random seed (default 0)")
     arg("--json", action="store_true", help="shorthand for --format json")
     arg("--budget-boundary", type=int, default=12,
@@ -774,7 +778,8 @@ def build_parser():
     p = add("partition", cmd_partition, help="bucket polygon points by "
                                              "distance vector")
     p.add_argument("--boundary", required=True)
-    p = add("euler", cmd_euler, help="Euler characteristic by interpolation")
+    p = add("euler", cmd_euler, help="Euler characteristic, counted at the "
+                                     "torus-fixed points")
     # SUPPRESS so an omitted positional does not clobber a --web value
     p.add_argument("web", nargs="?", default=argparse.SUPPRESS)
     p.add_argument("--web", dest="web", help="web file (same as the "

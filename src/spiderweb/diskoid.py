@@ -409,19 +409,6 @@ def complete_extension(D, g):
     return r
 
 
-def complete_geodesics(D):
-    """All geodesics joining two (not necessarily distinct) boundary
-    vertices."""
-    out = []
-    n = len(D.boundary)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            out.extend(geodesics(D, D.boundary[i], D.boundary[j]))
-    return out
-
-
 # ----------------------------------------------------------------------
 # boundary distance vectors and the order
 

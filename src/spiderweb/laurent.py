@@ -80,10 +80,6 @@ class Laurent:
         return Fraction(num * n ** max(lo, 0) * d ** max(-hi, 0),
                         n ** max(-lo, 0) * d ** max(hi, 0))
 
-    def is_palindromic(self):
-        """True iff invariant under q -> 1/q."""
-        return all(self.coeffs.get(-e, 0) == c for e, c in self.coeffs.items())
-
     def __str__(self):
         if not self.coeffs:
             return "0"

@@ -73,21 +73,12 @@ def dominance_leq(mu, lam, mode="a2"):
     return (2 * a + b) % 3 == 0 and 2 * a + b >= 0 and a + 2 * b >= 0
 
 
-def dominance_lt(mu, lam, mode="a2"):
-    return mu != lam and dominance_leq(mu, lam, mode)
-
-
 def minuscule_orbit(lam, mode="a2"):
     """The weights of the minuscule representation V(lam), fixed order."""
     table = _ORBITS_A1 if mode == "a1" else _ORBITS_A2
     if lam not in table:
         raise ValueError("not a nonzero minuscule weight: %r" % (lam,))
     return list(table[lam])
-
-
-def signature_rho_level(sig):
-    """d(lambda-vec) = <lambda_1 + ... + lambda_n, rho-check>."""
-    return sum(rho_level(w) for w in sig)
 
 
 def rotate_signature(sig, i):
@@ -97,16 +88,6 @@ def rotate_signature(sig, i):
         return tuple(sig)
     i %= n
     return tuple(sig[i:]) + tuple(sig[:i])
-
-
-def dual_reverse_signature(sig, mode="a2"):
-    """The signature a web must carry to glue onto one of signature sig.
-
-    Entry j of the result is the dual of entry (-j mod n) of sig, matching
-    the reflection used by gluing (base stays at position 0).
-    """
-    n = len(sig)
-    return tuple(dual(sig[(-j) % n], mode) for j in range(n))
 
 
 def format_weight(w):

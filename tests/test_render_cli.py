@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from spiderweb import corpus
+from spiderweb import cli, corpus
 from spiderweb.cli import main
 from spiderweb.diskoid import dual_diskoid, parse_diskoid
 from spiderweb.render import render_diskoid, render_web
@@ -93,10 +93,21 @@ def test_basis_single_entry(capsys):
 
 
 def test_euler_theta(capsys):
-    code, out, _ = run(capsys, "euler", "--web", corpus_path("theta"),
-                       "--primes", "2,3,5")
+    code, out, _ = run(capsys, "euler", "--web", corpus_path("theta"))
     assert code == 0
     assert "chi = 6; skein(q=-1) = 6; MATCH" in out
+
+
+def test_euler_w_mu(capsys):
+    code, out, _ = run(capsys, "euler", "corpus:w-mu", "--json")
+    assert code == 0 and json.loads(out) == {"chi": 31908}
+
+
+def test_fibre_of_a_closed_web_is_its_count(capsys):
+    # no boundary: the stratum is the base alone, and the fibre is every
+    # configuration; the walk used to index a vertex the polygon lacks
+    code, out, _ = run(capsys, "fibre", corpus_path("theta"), "--q", "3")
+    assert code == 0 and out == "stratum 0 over F_3: fibre size 52\n"
 
 
 def test_count_digon(capsys):
@@ -190,6 +201,24 @@ def test_deterministic_output(capsys):
     b = run(capsys, "hexagon", "--seed", "4", "--samples", "2")
     assert a == b
     assert a[0] == 0 and "2 closure solutions" in a[1]
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_hexagon_rejects_no_samples(capsys, n):
+    code, out, err = run(capsys, "hexagon", "--samples", n)
+    assert code == 1 and out == ""
+    assert "--samples must be at least 1, got %s" % n in err
+
+
+def test_hexagon_refuses_f2_before_sampling(capsys, monkeypatch):
+    # every generic barycentric row over F_2 is (1, 1, 1): no draw can pass
+    def gone(*_args):
+        raise AssertionError("sampled over F_2")
+
+    monkeypatch.setattr(cli, "_random_hexagon_sample", gone)
+    code, out, err = run(capsys, "hexagon", "--field", "2")
+    assert code == 1 and out == ""
+    assert "P^2(F_2) has no generic hexagon configuration" in err
 
 
 @pytest.mark.parametrize("p", ["0", "1", "4", "6", "9"])

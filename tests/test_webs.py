@@ -5,12 +5,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_closed_web, reference_glue, relabelled, web_fields
+from conftest import (
+    dual_reverse_signature, random_closed_web, reference_glue, relabelled,
+    web_fields)
 from spiderweb import corpus, skein
 from spiderweb.generate import grown_webs, random_signature, random_web
 from spiderweb.webs import (
     Web, WebError, empty_web, glue, mirror, parse_web, rotate, serialize_web)
-from spiderweb.weights import W1, W2, dual_reverse_signature
+from spiderweb.weights import W1, W2
 
 MAKE_CORPUS = Path(__file__).resolve().parents[1] / "tools" / "make_corpus.py"
 

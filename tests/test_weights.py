@@ -3,13 +3,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import dual_reverse_signature
 from spiderweb.weights import (
-    W1, W2, add, dominance_leq, dominance_lt, dual, dual_reverse_signature,
-    format_signature, format_weight, is_dominant, is_minuscule,
-    minuscule_orbit, parse_signature, parse_weight, rho_level,
-    rotate_signature, signature_rho_level, sub)
+    W1, W2, add, dominance_leq, dual, format_signature, format_weight,
+    is_dominant, is_minuscule, minuscule_orbit, parse_signature,
+    parse_weight, rho_level, rotate_signature, sub)
 
 weights_st = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+def dominance_lt(mu, lam, mode="a2"):
+    return mu != lam and dominance_leq(mu, lam, mode)
 
 
 def root_coordinates(w, mode="a2"):
@@ -80,7 +84,8 @@ def test_dominance_matches_root_coordinates(mu, lam, mode):
 def test_rho_levels():
     assert rho_level(W1) == rho_level(W2) == 1
     assert rho_level((1, 1)) == 2
-    assert signature_rho_level((W1, W2, W1)) == 3
+    # d(lambda-vec) = <lambda_1 + ... + lambda_n, rho-check>
+    assert sum(map(rho_level, (W1, W2, W1))) == 3
 
 
 def test_signature_ops():

@@ -235,6 +235,8 @@ def sidecar(name, w, extra):
         "circles": w.circles,
         "nonelliptic": w.is_nonelliptic(),
     }
+    if w.mode == "a2" and not w.circles:
+        d["euler_chi"] = euler_estimate(dual_diskoid(w))
     d.update(extra)
     return d
 
@@ -246,9 +248,6 @@ def closed_extras(w):
         "value_at_minus_one": int(val.evaluate(-1)),
         "tensor_value": contract_closed(w),
     }
-    if not w.circles:
-        chi = euler_estimate(dual_diskoid(w))
-        extras["euler_chi"] = chi
     return extras
 
 
