@@ -22,6 +22,7 @@ duality axiom d(x,y) = d(y,x)* holds.
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from functools import reduce
 
@@ -48,7 +49,7 @@ class FieldParam:
     that passes it is the benchmark (`perfbench/workloads.py` `_fp`), with
     `auto_precision(labels)`."""
 
-    __slots__ = ("q", "nbr_cache")
+    __slots__ = ("q", "nbr_cache", "__weakref__")
 
     def __init__(self, q, N=None):
         if not _is_prime(q):
@@ -173,6 +174,27 @@ class LatticeClass:
     def __repr__(self):
         return "<LatticeClass d(base, L)=%s>" % (
             lattice_distance(base_class(self.fp), self),)
+
+
+class _Neighbour(LatticeClass):
+    """A class that `neighbors` built and cached on its FieldParam.  It
+    holds the FieldParam weakly: the cache holds it, so a strong
+    reference back would make a cycle that only the cyclic collector
+    frees.  Keep the FieldParam, or a class made outside `neighbors`,
+    for as long as its neighbours are used."""
+
+    __slots__ = ("_fpref",)
+
+    def __init__(self, fp, cols):
+        self._fpref = weakref.ref(fp)
+        self.cols = cols
+
+    @property
+    def fp(self):
+        fp = self._fpref()
+        if fp is None:
+            raise BuildingError("the FieldParam of this class is gone")
+        return fp
 
 
 def base_class(fp):
@@ -351,7 +373,7 @@ def neighbors(L, color):
                 if r[j]:
                     u = _col_sub(u, (q - r[j],), A[j], q)
             cols = tA[:p] + [u] + tA[p + 1:]
-        out.append(LatticeClass(fp, _reduced(cols, fp), _normalized=True))
+        out.append(_Neighbour(fp, _reduced(cols, fp)))
     fp.nbr_cache[L.cols, color] = out, frozenset(out)
     return out
 

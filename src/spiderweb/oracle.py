@@ -6,8 +6,10 @@ epsilon, all-in vertices its dual copy, boundary-to-boundary edges carry
 identity pairings (the antisymmetric form in A1), and free circles
 multiply by the dimension.  Tensors are exact and sparse, dicts
 {index tuple: nonzero int}; the resulting closed-web scalars equal the
-skein evaluation at q = -1 with no correction factor.  Only the
-functions that take or return arrays import numpy.
+skein evaluation at q = -1 with no correction factor.  The network is
+contracted in one sweep over the vertices, which absorbs them one at a
+time into a frontier tensor (see `_contract`).  Only the functions that
+take or return arrays import numpy.
 
 The invariant dimension of a boundary signature is the dimension of the
 kernel of the raising operators on the weight-zero subspace: a
@@ -41,38 +43,6 @@ def _dim(mode):
 # ----------------------------------------------------------------------
 # network contraction
 
-def _build_network(w):
-    """Nodes as [tensor, axis keys], axis keys being the darts at the
-    node, and the interior edges as dart pairs."""
-    nodes = []
-    for i, tri in enumerate(w.vertices):
-        # all-out vertices are read counterclockwise, all-in ones
-        # clockwise (the reflected reading of the dual copy of epsilon);
-        # this orientation rule makes closed values match the skein at
-        # q = -1 with no extra signs.
-        if w.vertex_is_out(i):
-            nodes.append([_EPS3, list(tri)])
-        else:
-            nodes.append([_EPS3, list(reversed(tri))])
-    # boundary-to-boundary edges, each read from its first leg
-    pos = {d: k for k, d in enumerate(w.boundary)}
-    for k, d in enumerate(w.boundary):
-        e = w.theta[d]
-        if pos.get(e, -1) > k:
-            nodes.append([_EPS2 if w.mode == "a1" else _ID3, [d, e]])
-    pairs = []
-    seen = set()
-    for d in w.theta:
-        e = w.theta[d]
-        if d in seen or e in seen:
-            continue
-        seen.add(d)
-        seen.add(e)
-        if d not in pos and e not in pos:
-            pairs.append((d, e))
-    return nodes, pairs
-
-
 def _getter(positions):
     """Index tuple -> the tuple of its entries at the given positions."""
     if len(positions) == 1:
@@ -80,74 +50,86 @@ def _getter(positions):
     return itemgetter(*positions) if positions else lambda key: ()
 
 
-def _join(ta, tb, pos_a, pos_b, free_a, free_b):
-    """Contract axes pos_a of ta with axes pos_b of tb by a hash join on
-    their entries there; the result's axes are free_a, then free_b."""
-    key_a, key_b = itemgetter(*pos_a), itemgetter(*pos_b)
-    rest_a, rest_b = _getter(free_a), _getter(free_b)
+@cache
+def _eps_index(pos, free):
+    """Epsilon's entries grouped by their indices at `pos`: {those
+    indices: [(indices at `free`, value)]}."""
+    key, rest = _getter(pos), _getter(free)
     index = {}
-    for key, v in tb.items():
-        index.setdefault(key_b(key), []).append((rest_b(key), v))
+    for k, v in _EPS3.items():
+        index.setdefault(key(k), []).append((rest(k), v))
+    return index
+
+
+def _join(t, pos, free, index):
+    """Contract axes `pos` of t with an `_eps_index` by a hash join on
+    their entries there; the result's axes are `free`, then the index's
+    free axes."""
+    key, rest = _getter(pos), _getter(free)
     out = {}
-    for key, v in ta.items():
-        matches = index.get(key_a(key))
+    for k, v in t.items():
+        matches = index.get(key(k))
         if matches:
-            head = rest_a(key)
+            head = rest(k)
             for tail, u in matches:
-                k = head + tail
-                out[k] = out.get(k, 0) + v * u
+                k2 = head + tail
+                out[k2] = out.get(k2, 0) + v * u
     return {k: v for k, v in out.items() if v}
 
 
-def _self_contract(nodes, where, pairs):
-    """Trace out the pairs whose two darts lie on one node: a join with
-    the identity pairing on their two axes."""
-    for a, b in [p for p in pairs if where[p[0]] == where[p[1]]]:
-        t, ax = nodes[where[a]]
-        i, j = ax.index(a), ax.index(b)
-        t = _join(t, _ID3, [i, j], [0, 1],
-                  [n for n in range(len(ax)) if n not in (i, j)], [])
-        nodes[where[a]] = [t, [k for k in ax if k not in (a, b)]]
-        del pairs[a, b]
-
-
 def _contract(w):
-    """Contract all interior pairings; returns (sparse tensor, open axis
-    keys)."""
-    nodes, pairs = _build_network(w)
-    nodes.append([{(): _dim(w.mode) ** w.circles}, []])
-    nodes = dict(enumerate(nodes))
-    where = {d: i for i, (_t, ax) in nodes.items() for d in ax}
-    pairs = dict.fromkeys(pairs)
-    _self_contract(nodes, where, pairs)
-    # A merge takes every pair between its two nodes, so a merged node
-    # never carries a pair of its own.
-    new = len(nodes)
-    while pairs:
-        groups = {}
-        for a, b in pairs:
-            ia, ib = where[a], where[b]
-            key = (ib, ia) if (ib, ia) in groups else (ia, ib)
-            groups.setdefault(key, []).append((a, b))
-        # the first node pair whose merged node is smallest
-        (ia, ib), shared = min(groups.items(), key=lambda g: (
-            len(nodes[g[0][0]][1]) + len(nodes[g[0][1]][1]) - 2 * len(g[1])))
-        (ta, axa), (tb, axb) = nodes.pop(ia), nodes.pop(ib)
-        ends = [(x, y) if where[x] == ia else (y, x) for x, y in shared]
-        for p in shared:
-            del pairs[p]
-        done = {d for p in shared for d in p}
-        t = _join(ta, tb, [axa.index(x) for x, _y in ends],
-                  [axb.index(y) for _x, y in ends],
-                  [n for n, k in enumerate(axa) if k not in done],
-                  [n for n, k in enumerate(axb) if k not in done])
-        ax = [k for k in axa + axb if k not in done]
-        nodes[new] = [t, ax]
-        where.update(dict.fromkeys(ax, new))
-        new += 1
-    # tensor the disconnected remainder (and the circles' scalar) together
-    (t, ax), *rest = nodes.values()
-    for t2, ax2 in rest:
+    """Contract the network in one sweep over the vertices; returns
+    (sparse tensor, open axis keys).
+
+    Each connected component starts at its lowest-index vertex not yet
+    absorbed.  One frontier tensor runs over the darts whose partner is
+    not yet absorbed, and the vertex with the most darts into it is
+    absorbed next (the first to reach that count wins a tie), by one
+    join with epsilon on the shared axes.  A dart whose partner is a
+    boundary leg stays open, under its own key.  No valid web pairs two
+    darts of one vertex, so nothing is traced."""
+    theta, where = w.theta, w._vertex_map()
+    # all-out vertices are read counterclockwise, all-in ones clockwise
+    # (the reflected reading of the dual copy of epsilon); this
+    # orientation rule makes closed values match the skein at q = -1
+    # with no extra signs.
+    tris = [tri if w.vertex_is_out(i) else tri[::-1]
+            for i, tri in enumerate(w.vertices)]
+    done = [False] * len(tris)
+    parts = []
+    for start in range(len(tris)):
+        if done[start]:
+            continue
+        t, ax, links = {(): 1}, [], {start: 0}
+        while links:
+            # links counts each waiting vertex's darts into the
+            # frontier; a count that rises moves its vertex to the end,
+            # so max finds the first vertex to reach the top count
+            v = max(links, key=links.get)
+            del links[v]
+            done[v] = True
+            tri, pa, pb, fb = tris[v], [], [], []
+            for n, x in enumerate(tri):
+                u = where.get(theta[x])
+                if u is not None and done[u]:
+                    pa.append(ax.index(theta[x]))
+                    pb.append(n)
+                else:
+                    fb.append(n)
+                    if u is not None:
+                        links[u] = links.pop(u, 0) + 1
+            fa = [i for i in range(len(ax)) if i not in pa]
+            t = _join(t, pa, fa, _eps_index(tuple(pb), tuple(fb)))
+            ax = [ax[i] for i in fa] + [tri[n] for n in fb]
+        parts.append((t, ax))
+    # boundary-to-boundary edges, each read from its first leg
+    pos = {d: k for k, d in enumerate(w.boundary)}
+    for k, d in enumerate(w.boundary):
+        if pos.get(theta[d], -1) > k:
+            parts.append((_EPS2 if w.mode == "a1" else _ID3, [d, theta[d]]))
+    # tensor the components, the arcs and the circles' scalar together
+    t, ax = {(): _dim(w.mode) ** w.circles}, []
+    for t2, ax2 in parts:
         t = {k + k2: v * v2 for k, v in t.items() for k2, v2 in t2.items()}
         ax = ax + ax2
     return t, ax

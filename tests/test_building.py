@@ -1,4 +1,5 @@
 import collections
+import gc
 import itertools
 import random
 import time
@@ -728,6 +729,31 @@ def test_neighbour_cache_belongs_to_its_fieldparam():
         return False
 
     assert not any(classes(v) for v in vars(building).values())
+
+
+def test_dropped_fieldparam_frees_its_classes():
+    # the cached neighbours hold their FieldParam weakly, so no cycle
+    # keeps them: reference counting alone frees them, with gc disabled
+    def alive():
+        return sum(isinstance(o, LatticeClass) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = alive()
+        fp = FieldParam(3)
+        L = base_class(fp)
+        n = neighbors(L, W1)
+        neighbors(n[4], W2)
+        assert alive() == before + 1 + 13 + 13
+        del fp, L, n
+        assert alive() == before
+    finally:
+        gc.enable()
+    # a neighbour that outlives its FieldParam fails loudly
+    M = neighbors(base_class(FieldParam(2)), W1)[0]
+    with pytest.raises(BuildingError, match="FieldParam"):
+        neighbors(M, W1)
 
 
 # ----------------------------------------------------------------------
