@@ -11,12 +11,13 @@ contracted in one sweep over the vertices, which absorbs them one at a
 time into a frontier tensor (see `_contract`).  Only the functions that
 take or return arrays import numpy.
 
-The invariant dimension of a boundary signature is the dimension of the
-kernel of the raising operators on the weight-zero subspace: a
-weight-zero vector killed by e1 and e2 is a sum of weight-zero
-highest-weight vectors, hence invariant.  The kernel is found by one
-sparse elimination over the prime field F_p, p = 2147483629, which is
-exact for every signature with at most p - 2 legs (see
+The invariant dimension of a boundary signature is read off one leg
+fewer: peeling the last leg lambda, Inv(X (x) V_lambda) = Hom(V_lambda*,
+X), so it is the dimension of the kernel of the raising operators on the
+weight-mu space of X, mu the highest weight of V_lambda*: a weight-mu
+vector killed by e1 and e2 is a maximal vector.  The kernel is found by
+one sparse elimination over the prime field F_p, p = 2147483629, which
+is exact for every signature with at most p - 2 legs (see
 `invariant_kernel_dim`).
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 from functools import cache
 from operator import itemgetter
 
-from .weights import W1
+from .weights import W1, dual
 from .webs import WebError
 
 _EPS3 = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
@@ -225,7 +226,8 @@ def in_invariant_kernel(vec, signature, mode="a2"):
 # invariant dimension via null spaces
 
 def _tuples_of_weight(signature, mode, target):
-    """All index tuples whose total weight is target."""
+    """All index tuples whose total weight is target, in lexicographic
+    order."""
     legw = [_leg_weights(lam, mode) for lam in signature]
     n = len(signature)
     # remaining-range pruning per coordinate
@@ -237,23 +239,16 @@ def _tuples_of_weight(signature, mode, target):
                  lo[i+1][1] + min(w[1] for w in ws))
         hi[i] = (hi[i+1][0] + max(w[0] for w in ws),
                  hi[i+1][1] + max(w[1] for w in ws))
-    out = []
-    idx = [0] * n
-
-    def rec(i, a, b):
-        if i == n:
-            if (a, b) == target:
-                out.append(tuple(idx))
-            return
-        need_a, need_b = target[0] - a, target[1] - b
-        if not (lo[i][0] <= need_a <= hi[i][0] and lo[i][1] <= need_b <= hi[i][1]):
-            return
-        for j, (wa, wb) in enumerate(legw[i]):
-            idx[i] = j
-            rec(i + 1, a + wa, b + wb)
-
-    rec(0, 0, 0)
-    return out
+    # extend prefixes one leg at a time, keeping each prefix whose
+    # remaining weight the later legs can still reach
+    level = [((), 0, 0)]
+    for i, ws in enumerate(legw):
+        (la, lb), (ha, hb) = lo[i + 1], hi[i + 1]
+        level = [(idx + (j,), a + wa, b + wb) for idx, a, b in level
+                 for j, (wa, wb) in enumerate(ws)
+                 if la <= target[0] - a - wa <= ha
+                 and lb <= target[1] - b - wb <= hb]
+    return [idx for idx, a, b in level if (a, b) == target]
 
 
 def _rank(rows):
@@ -282,16 +277,21 @@ def _rank(rows):
 
 @cache
 def _kernel_dim(mode, sig):
-    zero = _tuples_of_weight(sig, mode, (0, 0))
+    if not sig:
+        return 1
+    # Inv(X (x) V_lam) = Hom(V_lam*, X): peel the last leg lam and count
+    # the maximal vectors of X of weight mu, the highest weight of V_lam*
+    sig, mu = sig[:-1], dual(sig[-1], mode)
+    cols = _tuples_of_weight(sig, mode, mu)
     rows = {}
     for which in ((1,) if mode == "a1" else (1, 2)):
-        for j, t in enumerate(zero):
+        for j, t in enumerate(cols):
             for leg, lam in enumerate(sig):
                 for src, dst, coeff in _e_moves(lam, mode, which):
                     if t[leg] == src:
                         t2 = t[:leg] + (dst,) + t[leg + 1:]
                         rows.setdefault(t2, {})[j] = coeff
-    return len(zero) - _rank(rows.values())
+    return len(cols) - _rank(rows.values())
 
 
 def invariant_kernel_dim(signature, mode="a2"):
@@ -301,22 +301,23 @@ def invariant_kernel_dim(signature, mode="a2"):
     answer depends only on the multiset of leg labels and is memoised
     on the sorted signature.
 
-    The e1/e2 matrix on the weight-zero tuples has integer entries and
-    is reduced mod one prime p.  Its F_p rank is at most its rational
-    rank, so the F_p kernel can only over-count; it never does when
-    p >= n + 2 for n legs.  Then every dominant weight of the n-fold
-    tensor product of V and V* has lambda_1 + lambda_2 <= n <= p - 2
-    (lambda <= p - 1 in A1), so it lies in the closure of the bottom
-    p-alcove.  V and V* are tilting, so the product is tilting, and
-    tilting modules with highest weights there are direct sums of Weyl
-    modules Delta(lambda) = L(lambda) with the characteristic-zero
-    multiplicities (Jantzen, Representations of Algebraic Groups,
-    II.5.6 and II.E).  A weight-zero vector killed by e1 and e2 is
-    killed by every divided power e_i^(k): for k < p, e_i^(k) = e_i^k/k!,
-    and for k >= p, k alpha_i has a coordinate 2k > n, so is not a weight.
-    So it is a maximal vector, i.e. lies in the sum of the trivial
-    summands L(0), and dim_Fp ker = dim_Q ker.
+    Let X be the product of the first n - 1 legs and lambda the last;
+    the e1/e2 matrix on the weight-mu tuples of X (mu the highest weight
+    of V_lambda*) has integer entries and is reduced mod one prime p.
+    Its F_p rank is at most its rational rank, so the F_p kernel can
+    only over-count; it never does when p >= n + 2.  Then every highest
+    weight nu of X has nu_1 + nu_2 <= n - 1 <= p - 3 (nu_1 <= p - 3 in
+    A1), so it lies in the closure of the bottom p-alcove.  V and V*
+    are tilting, so X is tilting, and tilting modules with highest
+    weights there are direct sums of Weyl modules Delta(nu) = L(nu) with
+    the characteristic-zero multiplicities (Jantzen, Representations of
+    Algebraic Groups, II.5.6 and II.E).  A weight-mu vector killed by e1
+    and e2 is killed by every divided power e_i^(k): for k < p,
+    e_i^(k) = e_i^k/k!, and for k >= p, mu + k alpha_i has a coordinate
+    of at least 2k > n - 1, so is not a weight of X.  So it is a maximal
+    vector, i.e. lies in the sum of the summands L(mu), one line each,
+    and dim_Fp ker = [X : L(mu)] = dim Inv in characteristic zero.
     """
-    # w1 legs first: with largest-column pivots this leg order makes
-    # the elimination of mixed signatures about three times faster
+    # w1 legs first, so a w2 leg is peeled if there is one: with
+    # largest-column pivots this order makes mixed signatures faster
     return _kernel_dim(mode, tuple(sorted(signature, reverse=True)))

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import os
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_closed_web, relabelled
-from spiderweb import corpus
+from conftest import SIG12, random_closed_web, relabelled
+from spiderweb import corpus, oracle
 from spiderweb.basis import dim_invariants, enumerate_basis
 from spiderweb.oracle import (
     _tuples_of_weight, apply_raising, contract_closed, in_invariant_kernel,
@@ -244,6 +245,118 @@ def test_kernel_dim_matches_exact_reference():
 
 def test_kernel_dim_beyond_eight_legs():
     assert invariant_kernel_dim((W1,) * 9) == dim_invariants((W1,) * 9) == 42
+    assert invariant_kernel_dim((W1,) * 8 + (W2,) * 2) == 98
+    assert invariant_kernel_dim((W1, W2) * 5) == 103
+
+
+_LEG_WEIGHTS = {"a2": {W1: ((1, 0), (-1, 1), (0, -1)),
+                       W2: ((0, 1), (1, -1), (-1, 0))},
+                "a1": {W1: ((1, 0), (-1, 0))}}
+
+
+def _brauer_dim(sig, mode):
+    """dim Inv by Brauer's formula, the sum over w in W of
+    sign(w) m(w rho - rho), where m is the weight multiplicity of the
+    tensor product, convolved one minuscule leg at a time."""
+    m = {(0, 0): 1}
+    for lam in sig:
+        step = {}
+        for (a, b), c in m.items():
+            for x, y in _LEG_WEIGHTS[mode][lam]:
+                step[a + x, b + y] = step.get((a + x, b + y), 0) + c
+        m = step
+    # the simple reflections on fundamental-weight coordinates; rho is
+    # regular, so w -> w rho is one to one and the orbit carries the sign
+    if mode == "a1":
+        rho, refl = (1, 0), [lambda a, b: (-a, b)]
+    else:
+        rho, refl = (1, 1), [lambda a, b: (-a, a + b), lambda a, b: (a + b, -b)]
+    sign, todo = {rho: 1}, [rho]
+    while todo:
+        v = todo.pop()
+        for s in refl:
+            u = s(*v)
+            if u not in sign:
+                sign[u] = -sign[v]
+                todo.append(u)
+    assert len(sign) == (2 if mode == "a1" else 6)
+    return sum(e * m.get((a - rho[0], b - rho[1]), 0)
+               for (a, b), e in sign.items())
+
+
+def test_kernel_dim_matches_brauer_formula():
+    # the formula alone, at known values (SIG12 = 513 is too slow for
+    # the elimination here)
+    known = {(W1,) * 3: 1, (W1, W2) * 3: 6, (W1,) * 4 + (W2,) * 4: 23,
+             (W1,) * 9: 42, (W1,) * 8 + (W2,) * 2: 98, (W1, W2) * 5: 103,
+             SIG12: 513, (W1,) * 12: 462, (W1,) * 11: 0}
+    for sig, d in known.items():
+        assert _brauer_dim(sig, "a2") == d, sig
+    assert [_brauer_dim((W1,) * n, "a1") for n in range(0, 9, 2)] == \
+        [1, 1, 2, 5, 14]
+    # every A2 multiset w1^a w2^b with a + b <= 10 (the non-gluable ones
+    # give 0), and A1 w1^n for n <= 12
+    for a in range(11):
+        for b in range(11 - a):
+            sig = (W1,) * a + (W2,) * b
+            assert invariant_kernel_dim(sig) == _brauer_dim(sig, "a2"), sig
+    for n in range(13):
+        sig = (W1,) * n
+        assert invariant_kernel_dim(sig, "a1") == _brauer_dim(sig, "a1"), n
+
+
+def test_kernel_dim_peels_one_leg(monkeypatch):
+    # the elimination runs on the first n - 1 legs at the highest weight
+    # of the last leg's dual, never on the weight-zero space of all legs
+    calls = []
+    real = oracle._tuples_of_weight
+
+    def spy(sig, mode, target):
+        calls.append((len(sig), target))
+        return real(sig, mode, target)
+
+    monkeypatch.setattr(oracle, "_tuples_of_weight", spy)
+    sigs = [(sig, "a2") for n in range(1, 7)
+            for sig in itertools.product((W1, W2), repeat=n)]
+    sigs += [((W1,) * n, "a1") for n in range(1, 9)]
+    for sig, mode in sigs:
+        oracle._kernel_dim.cache_clear()
+        calls.clear()
+        invariant_kernel_dim(sig, mode)
+        assert calls, sig
+        assert all(k == len(sig) - 1 and mu != (0, 0)
+                   for k, mu in calls), (sig, mode, calls)
+    assert invariant_kernel_dim(()) == invariant_kernel_dim((), "a1") == 1
+
+
+def test_tuples_of_weight_leaves_no_cycles():
+    # the enumeration builds no self-referencing closure, so reference
+    # counting alone frees all it makes, with gc disabled
+    sig = (W1,) * 4 + (W2,) * 4
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert len(_tuples_of_weight(sig, "a2", (0, 0))) == 639
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_tuples_of_weight_in_lexicographic_order():
+    # the elimination's column order, and so its pivots, follow this order
+    for sig, mode, target in [((W1, W2) * 3, "a2", (0, 0)),
+                              ((W1,) * 5 + (W2,), "a2", (1, 0)),
+                              ((W2,) * 4, "a2", (0, 1)),
+                              ((W1,) * 7, "a1", (1, 0)), ((), "a2", (0, 0)),
+                              ((), "a2", (1, 0))]:
+        legs = [oracle._leg_weights(lam, mode) for lam in sig]
+        expected = []
+        for t in itertools.product(*(range(len(w)) for w in legs)):
+            ws = [w[j] for w, j in zip(legs, t)]
+            if (sum(x for x, _ in ws), sum(y for _, y in ws)) == target:
+                expected.append(t)
+        assert _tuples_of_weight(sig, mode, target) == expected
 
 
 def test_highest_weight_vectors_are_not_invariant():
