@@ -20,24 +20,15 @@ from .skein import WebSum, normal_form
 def minuscule_paths(signature, mode="a2"):
     """All dominant walks 0 = mu_0, ..., mu_n = 0 with mu_k - mu_{k-1} in
     the minuscule orbit of the k-th leg label, in lexicographic order."""
-    out = []
-    n = len(signature)
-
-    def rec(k, cur, path):
-        if k == n:
-            if cur == (0, 0):
-                out.append(tuple(path))
-            return
-        for s in minuscule_orbit(signature[k], mode):
-            nxt = add(cur, s)
-            if is_dominant(nxt):
-                path.append(nxt)
-                rec(k + 1, nxt, path)
-                path.pop()
-
-    rec(0, (0, 0), [(0, 0)])
-    out.sort()
-    return out
+    # extend the walks one leg at a time, keeping each walk that the
+    # later legs can still bring back to 0 (a step moves a + b by <= 1)
+    walks = [((0, 0),)]
+    for k, lam in enumerate(signature, 1):
+        steps, left = minuscule_orbit(lam, mode), len(signature) - k
+        walks = [p + (nxt,) for p in walks
+                 for nxt in (add(p[-1], s) for s in steps)
+                 if is_dominant(nxt) and sum(nxt) <= left]
+    return sorted(walks)
 
 
 def path_steps(signature, path, mode="a2"):

@@ -8,8 +8,10 @@ multiply by the dimension.  Tensors are exact and sparse, dicts
 {index tuple: nonzero int}; the resulting closed-web scalars equal the
 skein evaluation at q = -1 with no correction factor.  The network is
 contracted in one sweep over the vertices, which absorbs them one at a
-time into a frontier tensor (see `_contract`).  Only the functions that
-take or return arrays import numpy.
+time into a frontier tensor (see `_contract`).  A web's invariant
+vector is that tensor with its axes in leg order; the raising operators
+act on it sparsely, through the same rows that `_kernel_dim` eliminates
+(`_raising_rows`).
 
 The invariant dimension of a boundary signature is read off one leg
 fewer: peeling the last leg lambda, Inv(X (x) V_lambda) = Hom(V_lambda*,
@@ -147,24 +149,14 @@ def contract_closed(w):
 
 
 def web_vector(w):
-    """The invariant vector of a web: an exact integer array (object
-    dtype) with one axis per boundary leg (w1 legs carry the space, w2
-    legs its dual)."""
-    import numpy as np
-
+    """The invariant vector of a web, exact and sparse: {index tuple:
+    nonzero int} with one index per boundary leg, in leg order (w1 legs
+    carry the space, w2 legs its dual); a closed web's value is at ()."""
     t, ax = _contract(w)
-    if not w.boundary:
-        return np.array(t.get((), 0), dtype=object)
-    keys = []
     bset = set(w.boundary)
-    for b in w.boundary:
-        e = w.theta[b]
-        keys.append(b if e in bset else e)
-    order = [ax.index(k) for k in keys]
-    vec = np.zeros((_dim(w.mode),) * len(order), dtype=object)
-    for key, v in t.items():
-        vec[tuple(key[o] for o in order)] = v
-    return vec
+    keys = [b if w.theta[b] in bset else w.theta[b] for b in w.boundary]
+    order = _getter([ax.index(k) for k in keys])
+    return {order(k): v for k, v in t.items()}
 
 
 # ----------------------------------------------------------------------
@@ -192,34 +184,56 @@ def _e_moves(lam, mode, which):
     return ((0, 1, -1),) if which == 1 else ((1, 2, -1),)
 
 
-def apply_raising(vec, signature, which, mode="a2"):
-    """e1 (which=1) or e2 (which=2) applied to an exact tensor."""
-    import numpy as np
+def _raising_rows(cols, signature, mode, whiches):
+    """The images of the basis tensors `cols` under the raising
+    operators e_which, which in `whiches`, as sparse rows {image tuple:
+    {column j: coefficient}}: column j is cols[j]."""
+    rows = {}
+    for which in whiches:
+        for j, t in enumerate(cols):
+            for leg, lam in enumerate(signature):
+                for src, dst, coeff in _e_moves(lam, mode, which):
+                    if t[leg] == src:
+                        t2 = t[:leg] + (dst,) + t[leg + 1:]
+                        rows.setdefault(t2, {})[j] = coeff
+    return rows
 
-    out = np.zeros_like(vec)
-    for leg, lam in enumerate(signature):
-        for src, dst, coeff in _e_moves(lam, mode, which):
-            sl_src = [slice(None)] * len(signature)
-            sl_dst = [slice(None)] * len(signature)
-            sl_src[leg] = src
-            sl_dst[leg] = dst
-            out[tuple(sl_dst)] += coeff * vec[tuple(sl_src)]
+
+def _check_keys(vec, signature, mode):
+    """ValueError unless each key of the sparse tensor holds one index in
+    range(dim) per leg of the signature."""
+    n, entries = len(signature), set(range(_dim(mode)))
+    for key in vec:
+        if len(key) != n or not set(key) <= entries:
+            raise ValueError("index tuple %r does not fit %d legs of "
+                             "dimension %d" % (key, n, len(entries)))
+
+
+def apply_raising(vec, signature, which, mode="a2"):
+    """e1 (which=1) or e2 (which=2) applied to an exact sparse tensor
+    {index tuple: int}; the image in the same form."""
+    _check_keys(vec, signature, mode)
+    cols = list(vec)
+    out = {}
+    for t2, row in _raising_rows(cols, signature, mode, (which,)).items():
+        x = sum(c * vec[cols[j]] for j, c in row.items())
+        if x:
+            out[t2] = x
     return out
 
 
 def in_invariant_kernel(vec, signature, mode="a2"):
-    """True iff every nonzero entry of the exact tensor has total weight
-    zero and the tensor is killed by the raising operators (e1 and e2;
-    e1 alone in A1): used to certify oracle vectors."""
-    import numpy as np
-
-    zero = set(_tuples_of_weight(signature, mode, (0, 0)))
-    if any(tuple(idx) not in zero for idx in np.argwhere(vec)):
-        return False
-    for which in ((1,) if mode == "a1" else (1, 2)):
-        if np.any(apply_raising(vec, signature, which, mode)):
+    """True iff every nonzero entry of the exact sparse tensor has total
+    weight zero and the tensor is killed by the raising operators (e1
+    and e2; e1 alone in A1): used to certify oracle vectors."""
+    _check_keys(vec, signature, mode)
+    legw = [_leg_weights(lam, mode) for lam in signature]
+    for key, v in vec.items():
+        wts = [ws[i] for ws, i in zip(legw, key)]
+        if v and (sum(a for a, _ in wts), sum(b for _, b in wts)) != (0, 0):
             return False
-    return True
+    return not any(apply_raising(vec, signature, which, mode)
+                   for which in ((1,) if mode == "a1" else (1, 2)))
 
 
 # ----------------------------------------------------------------------
@@ -283,14 +297,7 @@ def _kernel_dim(mode, sig):
     # the maximal vectors of X of weight mu, the highest weight of V_lam*
     sig, mu = sig[:-1], dual(sig[-1], mode)
     cols = _tuples_of_weight(sig, mode, mu)
-    rows = {}
-    for which in ((1,) if mode == "a1" else (1, 2)):
-        for j, t in enumerate(cols):
-            for leg, lam in enumerate(sig):
-                for src, dst, coeff in _e_moves(lam, mode, which):
-                    if t[leg] == src:
-                        t2 = t[:leg] + (dst,) + t[leg + 1:]
-                        rows.setdefault(t2, {})[j] = coeff
+    rows = _raising_rows(cols, sig, mode, (1,) if mode == "a1" else (1, 2))
     return len(cols) - _rank(rows.values())
 
 

@@ -846,7 +846,7 @@ def test_euler_of_open_webs_is_the_invariant_vector_norm():
             D = dual_diskoid(w)
         except (WebError, DiskoidError):
             continue
-        assert euler_estimate(D) == sum(abs(x) for x in web_vector(w).flat)
+        assert euler_estimate(D) == sum(abs(x) for x in web_vector(w).values())
         done += 1
 
 

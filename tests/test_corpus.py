@@ -56,7 +56,7 @@ def test_sidecar_values(name):
         if w.is_closed():
             assert chi == evaluate_closed(w, -1)
         else:
-            assert chi == sum(abs(x) for x in web_vector(w).flat)
+            assert chi == sum(abs(x) for x in web_vector(w).values())
     else:
         assert "euler_chi" not in exp
     if "path_tag" in exp:

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -12,9 +14,40 @@ from spiderweb.generate import grown_webs, random_signature, random_web
 from spiderweb.laurent import Laurent
 from spiderweb.skein import WebSum, normal_form
 from spiderweb.webs import WebError, rotate
-from spiderweb.weights import W1, W2
+from spiderweb.weights import W1, W2, add, is_dominant, minuscule_orbit
 
 from conftest import MU, NU, SIG12, all_signatures, is_gluable
+
+
+def test_minuscule_paths_against_brute_force():
+    # every walk through the orbits, kept when dominant and closed, in
+    # lexicographic order
+    for sig, mode in [((W1, W2) * 3, "a2"), ((W1,) * 6, "a2"),
+                      ((W2, W2, W1, W1, W2, W1, W1), "a2"),
+                      ((W1,) * 6, "a1"), ((), "a2"), ((W1,) * 3, "a1")]:
+        expected = []
+        for steps in itertools.product(
+                *(minuscule_orbit(lam, mode) for lam in sig)):
+            path = [(0, 0)]
+            for s in steps:
+                path.append(add(path[-1], s))
+            if all(map(is_dominant, path)) and path[-1] == (0, 0):
+                expected.append(tuple(path))
+        assert minuscule_paths(sig, mode) == sorted(expected)
+
+
+def test_minuscule_paths_leave_no_cycles():
+    # the walks are built without a self-referencing closure, so
+    # reference counting alone frees all they make, with gc disabled
+    sig = (W1,) * 4 + (W2,) * 4
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert len(minuscule_paths(sig)) == 23
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_minuscule_paths_small():

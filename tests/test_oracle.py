@@ -16,8 +16,8 @@ from conftest import SIG12, random_closed_web, relabelled
 from spiderweb import corpus, oracle
 from spiderweb.basis import dim_invariants, enumerate_basis
 from spiderweb.oracle import (
-    _tuples_of_weight, apply_raising, contract_closed, in_invariant_kernel,
-    invariant_kernel_dim, web_vector)
+    _e_moves, _tuples_of_weight, apply_raising, contract_closed,
+    in_invariant_kernel, invariant_kernel_dim, web_vector)
 from spiderweb.skein import evaluate_closed
 from spiderweb.generate import random_signature, random_web
 from spiderweb.webs import WebError, glue, mirror
@@ -50,23 +50,46 @@ def _rank_exact(M):
 
 
 def vectors_rank(vectors):
-    """Exact rank of a family of integer tensors (flattened)."""
-    return _rank_exact([np.asarray(v, dtype=object).reshape(-1).tolist()
-                        for v in vectors])
+    """Exact rank of a family of sparse integer tensors."""
+    keys = sorted(set().union(*vectors))
+    return _rank_exact([[v.get(k, 0) for k in keys] for v in vectors])
+
+
+def densify(vec, n, mode):
+    """The sparse tensor {index tuple: int} on n legs as a dense object
+    array."""
+    arr = np.zeros((2 if mode == "a1" else 3,) * n, dtype=object)
+    for key, v in vec.items():
+        arr[key] = v
+    return arr
+
+
+def dense_apply_raising(vec, signature, which, mode="a2"):
+    """e1 (which=1) or e2 (which=2) on a dense object array, one slice
+    per leg: the reference for the sparse `apply_raising`."""
+    out = np.zeros_like(vec)
+    for leg, lam in enumerate(signature):
+        for src, dst, coeff in _e_moves(lam, mode, which):
+            sl_src = [slice(None)] * len(signature)
+            sl_dst = [slice(None)] * len(signature)
+            sl_src[leg] = src
+            sl_dst[leg] = dst
+            out[tuple(sl_dst)] += coeff * vec[tuple(sl_src)]
+    return out
 
 
 def _reference_kernel_dim(sig, mode):
     """len(zero) - rank over Q of the raising operators on the weight-zero
     tuples: one row per weight-zero basis tensor, holding its images
-    under apply_raising, flattened."""
+    under `dense_apply_raising`, flattened."""
     zero = _tuples_of_weight(sig, mode, (0, 0))
     whiches = (1,) if mode == "a1" else (1, 2)
     images = []
     for t in zero:
-        vec = np.zeros((2 if mode == "a1" else 3,) * len(sig), dtype=object)
-        vec[t] = 1
+        vec = densify({t: 1}, len(sig), mode)
         images.append([x for which in whiches
-                       for x in apply_raising(vec, sig, which, mode).flat])
+                       for x in dense_apply_raising(vec, sig, which,
+                                                    mode).flat])
     # drop the coordinates no image reaches; they do not change the rank
     images = [list(col) for col in zip(*(r for r in zip(*images) if any(r)))]
     return len(zero) - _rank_exact(images)
@@ -144,27 +167,82 @@ def test_sparse_contraction_matches_dense_reference(seed, mode):
     sig = random_signature(rng, mode, max_legs=6)
     w = random_web(sig, rng, mode, max_vertices=6)
     vec = web_vector(w)
-    assert isinstance(vec, np.ndarray) and vec.dtype == object
+    assert isinstance(vec, dict) and all(vec.values())
+    assert all(len(k) == len(sig) for k in vec)
     ref = dense_web_vector(w)
-    assert vec.shape == ref.shape and vec.tolist() == ref.tolist()
+    assert densify(vec, len(sig), mode).tolist() == ref.tolist()
     # the criterion-5 pairing <w, w*>, and in A2 the closed webs of
     # `random_closed_web` (disjoint unions, free circles)
     for g in (glue(w, mirror(w)),
               random_closed_web(rng) if mode == "a2" else glue(w, w)):
         assert contract_closed(g) == dense_contract(g)[0] == \
-            int(web_vector(g))
+            web_vector(g).get((), 0)
 
 
-def test_cli_does_not_import_numpy():
-    # numpy is loaded only by the oracle functions that take or return
-    # arrays; no CLI import, count or Euler characteristic needs it
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(("a1", "a2")),
+       st.integers(0, 6))
+def test_sparse_raising_matches_dense_reference(seed, mode, n):
+    # random sparse tensors, not only invariant ones, so every leg's
+    # moves carry weight
+    rng = random.Random(seed)
+    d = 2 if mode == "a1" else 3
+    sig = tuple(rng.choice((W1,) if mode == "a1" else (W1, W2))
+                for _ in range(n))
+    vec = {tuple(rng.randrange(d) for _ in sig): rng.choice((-2, -1, 1, 3))
+           for _ in range(rng.randint(1, 2 * d ** n))}
+    for which in (1, 2):
+        out = apply_raising(vec, sig, which, mode)
+        assert all(out.values())
+        assert densify(out, n, mode).tolist() == dense_apply_raising(
+            densify(vec, n, mode), sig, which, mode).tolist()
+
+
+def test_web_vector_of_closed_webs():
+    # a closed web's value sits at the empty index tuple
+    assert web_vector(corpus.load_web("theta")) == {(): 6}
+    assert web_vector(corpus.load_web("loop")) == {(): 3}
+    assert in_invariant_kernel({(): 6}, ())
+
+
+def test_keys_of_wrong_length_rejected():
+    # zip would silently truncate a long key: single-y's vector with a
+    # fourth index appended must not pass for (w1, w1, w1)
+    w = corpus.load_web("single-y")
+    sig = w.boundary_signature()
+    vec = web_vector(w)
+    for bad in ({k + (0,): v for k, v in vec.items()},
+                {k[:-1]: v for k, v in vec.items()}):
+        with pytest.raises(ValueError):
+            in_invariant_kernel(bad, sig)
+        with pytest.raises(ValueError):
+            apply_raising(bad, sig, 1)
+
+
+def test_entries_out_of_range_rejected():
+    for bad, sig, mode in [({(0, 3): 1}, (W1, W2), "a2"),
+                           ({(-1, 0): 1}, (W1, W2), "a2"),
+                           ({(2, 0): 1}, (W1, W1), "a1")]:
+        with pytest.raises(ValueError):
+            in_invariant_kernel(bad, sig, mode)
+        with pytest.raises(ValueError):
+            apply_raising(bad, sig, 1, mode)
+
+
+def test_library_never_imports_numpy():
+    # web vectors are sparse dicts: no CLI import, count, Euler
+    # characteristic or tensor-oracle run (closed, open A2 and A1 webs,
+    # and the oracle selftest) loads numpy
     root = Path(__file__).resolve().parent.parent
     code = ("import sys\n"
             "from spiderweb import cli\n"
             "assert 'numpy' not in sys.modules\n"
             "for argv in (['count', '--boundary', 'w1,w2', '--q', '2'],\n"
             "             ['euler', 'corpus:theta'],\n"
-            "             ['oracle', 'corpus:theta']):\n"
+            "             ['oracle', 'corpus:theta'],\n"
+            "             ['oracle', 'corpus:single-y'],\n"
+            "             ['oracle', 'corpus:a1-example'],\n"
+            "             ['selftest', 'tensor-oracle']):\n"
             "    assert cli.main(argv) == 0, argv\n"
             "assert 'numpy' not in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -204,7 +282,7 @@ def test_web_vector_in_kernel():
     for name in ("single-y", "a2-example"):
         w = corpus.load_web(name)
         vec = web_vector(w)
-        assert np.any(vec)
+        assert vec
         assert in_invariant_kernel(vec, w.boundary_signature(), w.mode)
 
 
@@ -213,15 +291,13 @@ def test_raising_annihilates_invariants():
     vec = web_vector(w)
     sig = w.boundary_signature()
     for which in (1, 2):
-        assert not np.any(apply_raising(vec, sig, which))
+        assert apply_raising(vec, sig, which) == {}
 
 
 def test_noninvariant_detected():
     sig = (W1, W1, W1)
     # a delta function on one index tuple is not invariant
-    vec = np.zeros((3, 3, 3), dtype=object)
-    vec[0, 1, 2] = 1
-    assert not in_invariant_kernel(vec, sig)
+    assert not in_invariant_kernel({(0, 1, 2): 1}, sig)
 
 
 def test_kernel_dims_match_paths():
@@ -361,12 +437,9 @@ def test_tuples_of_weight_in_lexicographic_order():
 
 def test_highest_weight_vectors_are_not_invariant():
     # each is killed by the raising operators but has nonzero weight
-    assert not in_invariant_kernel(np.array([1, 0, 0], dtype=object), (W1,))
-    e00 = np.zeros((3, 3), dtype=object)
-    e00[0, 0] = 1
-    assert not in_invariant_kernel(e00, (W1, W1))
-    assert not in_invariant_kernel(np.array([1, 0], dtype=object), (W1,),
-                                   mode="a1")
+    assert not in_invariant_kernel({(0,): 1}, (W1,))
+    assert not in_invariant_kernel({(0, 0): 1}, (W1, W1))
+    assert not in_invariant_kernel({(0,): 1}, (W1,), mode="a1")
 
 
 def test_kernel_dim_zero_for_nongluable():
@@ -391,7 +464,7 @@ def test_web_vector_digest_of_small_catalogs():
     count = 0
     for sig, mode in sigs:
         for w in enumerate_basis(sig, mode).webs():
-            v = np.asarray(web_vector(w), dtype=object)
+            v = densify(web_vector(w), len(sig), mode)
             h.update(repr((mode, sig, v.shape, v.reshape(-1).tolist())).encode())
             count += 1
     assert count == 184
@@ -409,4 +482,4 @@ def test_contract_closed_ignores_dart_names():
         sig = random_signature(rng, mode, max_legs=7)
         w = random_web(sig, rng, mode, max_vertices=8)
         vec = web_vector(w)
-        assert web_vector(relabelled(w, rng)).tolist() == vec.tolist()
+        assert web_vector(relabelled(w, rng)) == vec
