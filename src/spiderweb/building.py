@@ -8,9 +8,13 @@ t-adic truncation.  The generic constructor searches for it (`_hnf`);
 minuscule neighbours are built in it directly, and distances read
 elementary divisors off the triangular shape.  Configuration and fibre
 counts for polygons and diskoids, Satake partitions, the Euler
-characteristic (counted at the torus-fixed points, in the standard
-apartment), and the incidence solver for the twelve-leg hexagon web live
-here too.
+characteristic, and the incidence solver for the twelve-leg hexagon web
+live here too.
+
+One counter, `_count`, runs in the building over F_q (a `FieldParam`)
+or in its standard apartment (`APARTMENT`, q = 1), where it counts the
+Euler characteristic; `_enumerate`, its search with no peel, is the
+oracle in both.
 
 The color calibration is fixed once: the w1-neighbors of a class L are
 the kernels of the q^2+q+1 functionals on L/tL, the w2-neighbors the
@@ -43,7 +47,8 @@ def _is_prime(n):
 
 
 class FieldParam:
-    """F_q and the cache of `neighbors`, freed with it.
+    """F_q and the cache of `neighbors`, freed with it; as a space to
+    count configurations in, the building over F_q.
 
     N is accepted and ignored: the arithmetic is exact.  The only caller
     that passes it is the benchmark (`perfbench/workloads.py` `_fp`), with
@@ -59,6 +64,19 @@ class FieldParam:
 
     def __repr__(self):
         return "FieldParam(q=%d)" % self.q
+
+    def base(self):
+        return base_class(self)
+
+    def sphere(self, x, lam):
+        return neighbors(x, lam)
+
+    def sphere_set(self, x, lam):  # for membership tests
+        neighbors(x, lam)
+        return self.nbr_cache[x.cols, lam][1]
+
+    def distance(self, x, y):
+        return lattice_distance(x, y)
 
 
 def auto_precision(labels):
@@ -431,11 +449,6 @@ class ConfigCount:
         return "<ConfigCount q=%d: %d>" % (self.fp.q, self.count)
 
 
-def _nbr_set(L, color):
-    neighbors(L, color)
-    return L.fp.nbr_cache[L.cols, color][1]
-
-
 def _fold(linkage):
     """The linkage's constraints, one per vertex pair: nbrs[v][u] is the
     required distance d(f(v), f(u)), so parallel edges count once.
@@ -470,79 +483,67 @@ def _fold(linkage):
     return nbrs if agree else None
 
 
-def _enumerate(linkage, fp, visit=None, rng=None):
-    """Count (or visit) all label-preserving maps to the building with
-    the base at the standard lattice, by brute force.  This is the oracle
-    of the peeled count (`_count`) and of `satake_partition`, and the only
-    counter that can visit configurations.
-
-    The search assigns the vertex with the most already-assigned
-    neighbors next (candidates generated from one neighbor's sphere,
-    verified by membership in the others'), which is a spanning-tree DFS
-    with non-tree-edge distance verification; `_fold` checks the linkage
-    and folds parallel edges into one constraint first.  `rng` only
-    shuffles tie-breaks, the result is schedule-independent.
-
-    When the very first free vertex hangs off the base alone, the base
-    stabilizer acts transitively on its sphere of candidates, so each
-    candidate heads an isomorphic subtree: one representative is explored
-    and the count carries the multiplicity.  Visits receive that
-    multiplicity; distances from the base are stabilizer-invariant."""
+def _placed(linkage, space, rng=None):
+    """The folded constraints (`_fold`), in vertex order or shuffled by
+    `rng`, and the pinned places: the base at space.base() and `fixed`.
+    None when no configuration exists; clashing pins raise."""
     nbrs = _fold(linkage)
-    base = base_class(fp)
-    assign = {linkage.base: base}
-    for v, cls in linkage.fixed.items():
-        cur = assign.get(v)
-        if cur is not None and cur != cls:
+    assign = {linkage.base: space.base()}
+    for v, x in linkage.fixed.items():
+        if assign.setdefault(v, x) != x:
             raise BuildingError("fixed assignment clashes at %r" % (v,))
-        assign[v] = cls
-    for u, v, lam in linkage.edges:
-        if u in assign and v in assign:
-            if lattice_distance(assign[u], assign[v]) != lam:
-                return 0
-    if nbrs is None:
-        return 0
-    order = list(linkage.vertices)
+    if nbrs is None or any(space.distance(assign[u], assign[v]) != lam
+                           for u, v, lam in linkage.edges
+                           if u in assign and v in assign):
+        return None
     if rng is not None:
+        order = list(nbrs)
         rng.shuffle(order)
-    todo = [v for v in order if v not in assign]
-    count = 0
+        nbrs = {v: nbrs[v] for v in order}
+    return nbrs, assign
 
-    def rec(todo, assign, mult):
-        nonlocal count
-        if not todo:
-            count += mult
-            if visit is not None:
-                visit(dict(assign), mult)
-            return
-        best_i, best_n = None, -1
-        for i, v in enumerate(todo):
-            n = sum(1 for u in nbrs[v] if u in assign)
-            if n > best_n:
-                best_i, best_n = i, n
-        v = todo[best_i]
-        rest = todo[:best_i] + todo[best_i + 1:]
-        anchors = [(u, lam) for u, lam in nbrs[v].items() if u in assign]
-        u0, lam0 = anchors[0]
-        cands = neighbors(assign[u0], dual(lam0))
-        if len(anchors) > 1:
-            sets = [_nbr_set(assign[u], dual(lam)) for u, lam in anchors[1:]]
-            cands = [c for c in cands if all(c in s for s in sets)]
-        symmetric = (len(assign) == 1 and not linkage.fixed
-                     and len(anchors) == 1 and assign[u0] == base)
-        if symmetric and cands:
-            assign[v] = cands[0]
-            rec(rest, assign, mult * len(cands))
-            del assign[v]
-        else:
-            for cand in cands:
-                assign[v] = cand
-                rec(rest, assign, mult)
-                del assign[v]
 
-    rec(todo, assign, 1)
-    del rec  # its closure holds rec itself, and with it base and fp
-    return count
+def _search(nbrs, assign, mult, space, visit):
+    """mult times the number of ways to place the vertices of `nbrs` not
+    in `assign` (see `_placed`), each passed to `visit` (unless None)
+    with its multiplicity.  The vertex with the most placed neighbours
+    (the first in `nbrs` on a tie) goes next, on one placed neighbour's
+    sphere and checked against the others' spheres.
+
+    When only the base is placed, its stabilizer is transitive on the
+    candidates (in the building by the Cartan decomposition, in the
+    apartment because the Weyl group is transitive on each minuscule
+    orbit), so one representative is explored and carries their number.
+    Distances from the base, all that visits read, are invariant."""
+    todo = [v for v in nbrs if v not in assign]
+    if not todo:
+        if visit is not None:
+            visit(dict(assign), mult)
+        return mult
+    v = max(todo, key=lambda x: sum(u in assign for u in nbrs[x]))
+    (u0, lam0), *others = [(u, lam) for u, lam in nbrs[v].items()
+                           if u in assign]
+    cands = space.sphere(assign[u0], dual(lam0))
+    if others:
+        sets = [space.sphere_set(assign[u], dual(lam)) for u, lam in others]
+        cands = [c for c in cands if all(c in s for s in sets)]
+    if len(assign) == 1 and cands:
+        cands, mult = cands[:1], mult * len(cands)
+    total = 0
+    for cand in cands:
+        assign[v] = cand
+        total += _search(nbrs, assign, mult, space, visit)
+    assign.pop(v, None)
+    return total
+
+
+def _enumerate(linkage, space, visit=None, rng=None):
+    """Count (or visit) all based label-preserving maps into the space
+    (a FieldParam's building, or APARTMENT) by `_search` alone: the
+    oracle of `_count` and of `satake_partition`, and the only counter
+    that visits configurations.  `rng` only shuffles tie-breaks."""
+    placed = _placed(linkage, space, rng)
+    return 0 if placed is None else _search(*placed, 1, space, visit)
 
 
 def _peel(nbrs, pinned, q):
@@ -592,29 +593,20 @@ def _peel(nbrs, pinned, q):
     return factor
 
 
-def _count(linkage, fp, rng=None):
-    """The number of based label-preserving maps of the linkage: `_peel`
-    at fp.q times the `_enumerate` count (with `rng`) of the core, the
-    unpeeled vertices and every edge between them.  `_fold` raises on a
-    malformed linkage; one whose parallel edges disagree or that has a
-    loop goes whole to `_enumerate`, which still raises on clashing
-    pinned classes and otherwise counts 0."""
-    nbrs = _fold(linkage)
-    if nbrs is None:
-        return _enumerate(linkage, fp, rng=rng)
-    factor = _peel(nbrs, {linkage.base, *linkage.fixed}, fp.q)
-    core = Linkage(list(nbrs), linkage.base,
-                   [e for e in linkage.edges if e[0] in nbrs and e[1] in nbrs],
-                   fixed=linkage.fixed)
-    return factor * _enumerate(core, fp, rng=rng)
+def _count(linkage, space, rng=None):
+    """The number of based label-preserving maps of the linkage into the
+    space: `_peel` at space.q times the `_search` count of the rest."""
+    placed = _placed(linkage, space, rng)
+    if placed is None:
+        return 0
+    factor = _peel(*placed, space.q)
+    return factor and factor * _search(*placed, 1, space, None)
 
 
-def count_configurations(linkage, fp=None, rng=None):
-    """Exact number of based label-preserving maps of the linkage,
-    counted by `_count` (pendants and chamber ears peeled, the core
-    enumerated); `_enumerate` is its brute-force oracle."""
-    if fp is None:
-        fp = FieldParam(2)
+def count_configurations(linkage, fp, rng=None):
+    """Exact number of based label-preserving maps of the linkage into
+    the building over F_q, counted by `_count` (pendants and chamber ears
+    peeled, the core searched); `_enumerate` is its brute-force oracle."""
     return ConfigCount(linkage, fp, _count(linkage, fp, rng=rng))
 
 
@@ -685,16 +677,17 @@ def satake_partition(signature, fp):
             for path in minuscule_paths(signature)}
 
 
-def _enumerated_partition(signature, fp):
+def _enumerated_partition(signature, space):
     """`satake_partition` by brute force, its oracle: the configurations
-    `_enumerate` visits, bucketed by their distance vectors."""
-    n, base, buckets = len(signature), base_class(fp), {}
+    that `_enumerate` visits in the space, bucketed by their distance
+    vectors."""
+    n, base, buckets = len(signature), space.base(), {}
 
     def visit(assign, mult):
-        key = (*(lattice_distance(base, assign[k]) for k in range(n)), ZERO)
+        key = (*(space.distance(base, assign[k]) for k in range(n)), ZERO)
         buckets[key] = buckets.get(key, 0) + mult
 
-    _enumerate(polygon_linkage(signature), fp, visit=visit)
+    _enumerate(polygon_linkage(signature), space, visit=visit)
     return buckets
 
 
@@ -730,7 +723,29 @@ def sample_polygon_config(signature, target_vector, fp, rng):
 
 
 # ----------------------------------------------------------------------
-# the Euler characteristic
+# the standard apartment and the Euler characteristic
+
+
+class _Apartment:
+    """The standard apartment as a space to count configurations in: the
+    weights, based at (0, 0), with d(x, y) the dominant W-conjugate of
+    y - x (see `euler_estimate`).  It is the building at q = 1."""
+
+    q = 1
+
+    def base(self):
+        return ZERO
+
+    def sphere(self, x, lam):
+        return [(x[0] + a, x[1] + b) for a, b in minuscule_orbit(lam)]
+
+    sphere_set = sphere  # three points
+
+    def distance(self, x, y):
+        return _dominant((y[0] - x[0], y[1] - x[1]))
+
+
+APARTMENT = _Apartment()
 
 
 def euler_estimate(D):
@@ -752,39 +767,11 @@ def euler_estimate(D):
     the value that interpolating the counts at primes gives, with no
     polynomiality to assume.
 
-    The apartment is the building at q = 1: `_peel` at q = 1 counts
-    pendants (3 places) and ears (2), and a depth-first search over the
-    rest places the vertex with the most placed neighbours next, at
-    x_u + e for a placed neighbour u and e in the minuscule orbit of
-    d(u, v), checked against the other placed neighbours.  A linkage that
+    The apartment is the building at q = 1, so `_count` counts there as
+    in the building: `_peel` at q = 1 counts pendants (3 places) and ears
+    (2), and `_search` places the rest.  A linkage that
     `_fold` finds contradictory has no configuration: chi = 0."""
-    link = diskoid_linkage(D)
-    nbrs = _fold(link)
-    if nbrs is None:
-        return 0
-    factor = _peel(nbrs, {link.base}, 1)
-    if not factor:
-        return 0
-    place = {link.base: ZERO}
-
-    def rec(todo):
-        if not todo:
-            return 1
-        v = max(todo, key=lambda x: sum(u in place for u in nbrs[x]))
-        rest = [x for x in todo if x != v]
-        (x0, lam0), *others = [(place[u], nbrs[u][v]) for u in nbrs[v]
-                               if u in place]
-        total = 0
-        for e in minuscule_orbit(lam0):
-            y = (x0[0] + e[0], x0[1] + e[1])
-            if all(_dominant((y[0] - x[0], y[1] - x[1])) == lam
-                   for x, lam in others):
-                place[v] = y
-                total += rec(rest)
-        place.pop(v, None)
-        return total
-
-    return factor * rec([v for v in nbrs if v != link.base])
+    return _count(diskoid_linkage(D), APARTMENT)
 
 
 # ----------------------------------------------------------------------

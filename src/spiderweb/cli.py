@@ -33,7 +33,7 @@ from .basis import (dim_invariants, enumerate_basis, expand_in_basis,
                     minuscule_paths, path_tag, rotated_catalog_check)
 from .oracle import (_tuples_of_weight, contract_closed, in_invariant_kernel,
                      invariant_kernel_dim, web_vector)
-from .building import (BuildingError, FieldParam, LatticeClass,
+from .building import (APARTMENT, BuildingError, FieldParam, LatticeClass,
                        _enumerated_partition, _Field, _mul_lower,
                        base_class, count_configurations, count_fibre,
                        diskoid_linkage, euler_estimate, hexagon_genericity,
@@ -602,8 +602,10 @@ def _st_building():
     buckets = satake_partition(sig, fp)
     checks.append(buckets == _enumerated_partition(sig, fp)
                   and sorted(buckets.values()) == [42, 49])
-    ones = satake_partition(sig, argparse.Namespace(q=1)).values()
-    checks.append(sum(ones) == len(_tuples_of_weight(sig, "a2", (0, 0))))
+    ones = satake_partition(sig, APARTMENT)
+    checks.append(ones == _enumerated_partition(sig, APARTMENT))
+    checks.append(sum(ones.values())
+                  == len(_tuples_of_weight(sig, "a2", (0, 0))))
     base = base_class(FieldParam(3))
     checks.append(lattice_distance(base, neighbors(base, W1)[0]) == W1)
     # at a class L off the base, the neighbours built in normal form

@@ -261,28 +261,20 @@ def geodesics(D, p, q):
     back = {v: {dual(x, D.mode) for x in xs}
             for v, xs in distance_sets(D, q).items()}
     adj = D.adjacency()
-    out = []
-
-    def rec(v, a, b, path, eids, steps):
+    out, stack = [], [(p, (0, 0), (p,), (), ())]
+    while stack:
+        v, (a, b), path, eids, steps = stack.pop()
         if (a, b) == d:
             if v == q:
-                out.append(Geodesic(tuple(path), tuple(eids), tuple(steps), d))
-            return
+                out.append(Geodesic(path, eids, steps, d))
+            continue
+        nxt = []
         for w, step, eid, _along in adj[v]:
             a2, b2 = a + step[0], b + step[1]
-            if a2 > d[0] or b2 > d[1]:
-                continue
-            if (d[0] - a2, d[1] - b2) not in back[w]:
-                continue
-            path.append(w)
-            eids.append(eid)
-            steps.append(step)
-            rec(w, a2, b2, path, eids, steps)
-            path.pop()
-            eids.pop()
-            steps.pop()
-
-    rec(p, 0, 0, [p], [], [])
+            if a2 <= d[0] and b2 <= d[1] and (d[0] - a2, d[1] - b2) in back[w]:
+                nxt.append((w, (a2, b2), path + (w,), eids + (eid,),
+                            steps + (step,)))
+        stack += reversed(nxt)  # depth first, in adjacency order
     return out
 
 
@@ -369,44 +361,44 @@ def diamond_move(D, g, site):
 
 def complete_extension(D, g):
     """A boundary-to-boundary geodesic containing g (CAT(0) inputs)."""
-    bset = set(D.boundary)
-    adj = D.adjacency()
-
-    def is_geodesic(u, total, v):
-        pareto = distance_sets(D, u)[v]
-        return total in pareto
-
-    def rec(verts, eids, steps, total):
-        u, v = verts[0], verts[-1]
-        if v not in bset:
-            for w, step, eid, _along in adj[v]:
-                if w in verts:
-                    continue
-                t2 = (total[0] + step[0], total[1] + step[1])
-                if not is_geodesic(u, t2, w):
-                    continue
-                r = rec(verts + (w,), eids + (eid,), steps + (step,), t2)
-                if r is not None:
-                    return r
-            return None
-        if u not in bset:
-            for w, step, eid, _along in adj[u]:
-                if w in verts:
-                    continue
-                st = dual(step, D.mode)
-                t2 = (total[0] + st[0], total[1] + st[1])
-                if not is_geodesic(w, t2, v):
-                    continue
-                r = rec((w,) + verts, (eid,) + eids, (st,) + steps, t2)
-                if r is not None:
-                    return r
-            return None
-        return Geodesic(verts, eids, steps, total)
-
-    r = rec(g.vertices, g.eids, g.steps, g.total)
+    r = _extend(D, set(D.boundary), D.adjacency(), g.vertices, g.eids,
+                g.steps, g.total)
     if r is None:
         raise DiskoidError("no complete extension found (non-CAT(0) input?)")
     return r
+
+
+def _extend(D, bset, adj, verts, eids, steps, total):
+    """The first boundary-to-boundary geodesic, depth first, that extends
+    the geodesic `verts` at its last vertex until that is on the boundary
+    `bset`, then at its first; None if there is none."""
+    u, v = verts[0], verts[-1]
+    if v not in bset:
+        for w, step, eid, _along in adj[v]:
+            if w in verts:
+                continue
+            t2 = (total[0] + step[0], total[1] + step[1])
+            if t2 not in distance_sets(D, u)[w]:
+                continue
+            r = _extend(D, bset, adj, verts + (w,), eids + (eid,),
+                        steps + (step,), t2)
+            if r is not None:
+                return r
+        return None
+    if u not in bset:
+        for w, step, eid, _along in adj[u]:
+            if w in verts:
+                continue
+            st = dual(step, D.mode)
+            t2 = (total[0] + st[0], total[1] + st[1])
+            if t2 not in distance_sets(D, w)[v]:
+                continue
+            r = _extend(D, bset, adj, (w,) + verts, (eid,) + eids,
+                        (st,) + steps, t2)
+            if r is not None:
+                return r
+        return None
+    return Geodesic(verts, eids, steps, total)
 
 
 # ----------------------------------------------------------------------

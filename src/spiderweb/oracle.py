@@ -190,12 +190,14 @@ def _raising_rows(cols, signature, mode, whiches):
     {column j: coefficient}}: column j is cols[j]."""
     rows = {}
     for which in whiches:
+        moves = [(leg, src, dst, coeff)
+                 for leg, lam in enumerate(signature)
+                 for src, dst, coeff in _e_moves(lam, mode, which)]
         for j, t in enumerate(cols):
-            for leg, lam in enumerate(signature):
-                for src, dst, coeff in _e_moves(lam, mode, which):
-                    if t[leg] == src:
-                        t2 = t[:leg] + (dst,) + t[leg + 1:]
-                        rows.setdefault(t2, {})[j] = coeff
+            for leg, src, dst, coeff in moves:
+                if t[leg] == src:
+                    t2 = t[:leg] + (dst,) + t[leg + 1:]
+                    rows.setdefault(t2, {})[j] = coeff
     return rows
 
 

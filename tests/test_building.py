@@ -12,15 +12,16 @@ from hypothesis import given, settings, strategies as st
 from spiderweb import building, corpus
 from spiderweb.basis import minuscule_paths, path_tag
 from spiderweb.building import (
-    BuildingError, FieldParam, LatticeClass, Linkage, _Field, _count,
-    _col_sub, _enumerate, _enumerated_partition, _hecke_factor, _padd,
-    _pinv_unit, _pmul, _pneg, _proj_plane, _pshift, _psub, _pval,
+    APARTMENT, BuildingError, FieldParam, LatticeClass, Linkage, _Field,
+    _count, _col_sub, _enumerate, _enumerated_partition, _hecke_factor,
+    _padd, _pinv_unit, _pmul, _pneg, _proj_plane, _pshift, _psub, _pval,
     auto_precision, base_class,
     count_configurations, count_fibre, diskoid_linkage, euler_estimate,
     hexagon_genericity, hexagon_solution_points, lattice_distance,
     neighbors, polygon_linkage, sample_polygon_config, satake_partition,
     solve_hexagon_incidence)
-from spiderweb.diskoid import DiskoidError, dual_diskoid
+from spiderweb.diskoid import (DiskoidError, complete_extension, dual_diskoid,
+                               geodesics)
 from spiderweb.generate import random_signature, random_web
 from spiderweb.oracle import _tuples_of_weight, contract_closed, web_vector
 from spiderweb.skein import evaluate_closed
@@ -120,6 +121,16 @@ def test_satake_partition_matches_enumeration(q):
 def test_satake_partition_matches_enumeration_length6(sig):
     fp = FieldParam(2)
     assert satake_partition(sig, fp) == _enumerated_partition(sig, fp)
+
+
+def test_satake_partition_matches_enumeration_in_the_apartment():
+    # q = 1: the closed form against the configurations that the one
+    # search visits in the apartment, every gluable signature up to 8 legs
+    sigs = gluable(*range(1, 9))
+    assert len(sigs) == 170
+    for sig in sigs:
+        assert satake_partition(sig, APARTMENT) == \
+            _enumerated_partition(sig, APARTMENT)
 
 
 @settings(max_examples=12, deadline=None)
@@ -454,12 +465,13 @@ def test_seed77_sphere_peels_to_its_base(monkeypatch):
     D = closed_diskoid(77)
     assert D.n_vertices() == 5
     cores = []
+    search = building._search
 
-    def spy(link, fp, **kw):
-        cores.append(len(link.vertices))
-        return _enumerate(link, fp, **kw)
+    def spy(nbrs, *args):
+        cores.append(len(nbrs))
+        return search(nbrs, *args)
 
-    monkeypatch.setattr(building, "_enumerate", spy)
+    monkeypatch.setattr(building, "_search", spy)
     link = diskoid_linkage(D)
     assert _count(link, FieldParam(2)) == 3 ** 3 * 7
     assert cores[-1] == 1
@@ -832,6 +844,8 @@ def test_euler_matches_skein_and_tensor_on_the_survey():
     for g, D in webs:
         assert euler_estimate(D) == evaluate_closed(g, -1) == \
             contract_closed(g)
+        # the unpeeled oracle: the same search in the apartment
+        assert _enumerate(diskoid_linkage(D), APARTMENT) == euler_estimate(D)
 
 
 def test_euler_of_open_webs_is_the_invariant_vector_norm():
@@ -864,6 +878,24 @@ def test_euler_estimate_does_no_lattice_arithmetic(monkeypatch):
     t0 = time.perf_counter()
     assert euler_estimate(D) == 24
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_apartment_counts_and_geodesics_leave_no_cycles():
+    # no self-referencing closure: reference counting alone frees all
+    # that the searches make, with gc disabled
+    D = dual_diskoid(corpus.load_web("w-nu"))
+    link = diskoid_linkage(D)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert euler_estimate(D) == 729
+            assert _enumerate(link, APARTMENT) == 729
+            (g,) = geodesics(D, 1, 2)
+            assert complete_extension(D, g).vertices == (1, 0, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_peeled_counts_interpolate_to_chi():
