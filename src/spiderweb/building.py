@@ -6,7 +6,7 @@ entries are polynomials over F_q: coefficient tuples without trailing
 zeros (zero is ``()``), so the form is canonical and exact, with no
 t-adic truncation.  The generic constructor searches for it (`_hnf`);
 minuscule neighbours are built in it directly, and distances read
-elementary divisors off the triangular shape.  Configuration and fibre
+elementary divisors off its pivot exponents.  Configuration and fibre
 counts for polygons and diskoids, Satake partitions, the Euler
 characteristic, and the incidence solver for the twelve-leg hexagon web
 live here too.
@@ -106,10 +106,6 @@ def _psub(a, b, q):
     return _trim(tuple([(x - y) % q for x, y in zip(a, b)]) + a[len(b):])
 
 
-def _pneg(a, q):
-    return tuple([(-x) % q for x in a])
-
-
 def _pmul(a, b, q):
     """The product; q is prime, so its leading coefficient is nonzero."""
     if len(a) > len(b):
@@ -163,7 +159,9 @@ def _pinv_unit(a, q, N):
 
 
 def _col_sub(col, f, other, q):
-    return tuple(_psub(p, _pmul(f, o, q), q) for p, o in zip(col, other))
+    """col - f.other, leaving the rows where other is zero as they are."""
+    return tuple(_psub(p, _pmul(f, o, q), q) if o else p
+                 for p, o in zip(col, other))
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +283,7 @@ def _hnf(cols, fp):
 def _reduced(cols, fp):
     """The normal form of lower-triangular columns with monomial pivots:
     entries left of each pivot reduced modulo it, rows top to bottom as in
-    `_hnf`, then one homothety shift."""
+    `_hnf`, then one homothety shift, none after a unit pivot."""
     q, cols = fp.q, list(cols)
     for i in (1, 2):
         e = len(cols[i][i]) - 1
@@ -293,18 +291,9 @@ def _reduced(cols, fp):
             f = cols[j][i][e:]
             if f:
                 cols[j] = _col_sub(cols[j], f, cols[i], q)
-    m = _least_val(cols)
+    m = 0 if 1 in (len(cols[i][i]) for i in range(3)) else _least_val(cols)
     return tuple(tuple(_pshift(p, -m) for p in c) if m else c
                  for c in cols)
-
-
-def _adj_lower(M, q):
-    """adj(M) for a lower-triangular M, both in column form."""
-    (a, b, d), (_z, c, e), (_z, _z, f) = M
-    return ((_pmul(c, f, q), _pneg(_pmul(b, f, q), q),
-             _psub(_pmul(b, e, q), _pmul(c, d, q), q)),
-            ((), _pmul(a, f, q), _pneg(_pmul(a, e, q), q)),
-            ((), (), _pmul(a, c, q)))
 
 
 def _mul_lower(X, Y, q):
@@ -322,23 +311,41 @@ def _least_val(M):
 
 def lattice_distance(L, Lp):
     """The dominant-weight distance d(L, L') from elementary divisors:
-    with d_k the least valuation of the k x k minors of C = adj(L).L'
-    (the entries of C, the entries of adj(C), and det C), the invariant
-    factors of L' relative to L are t^(d_k - d_{k-1}), up to homothety.
-    C is nonsingular, so each d_k is finite.
-
-    Normal forms are lower triangular, so adj(L), C and adj(C) are too:
-    only their six entries on and below the diagonal are formed, and
-    det C is the product of C's diagonal.  Above the diagonal a dense
-    product sums only zeros, so each value is a dense computation's,
-    which the tests keep."""
+    with m_k the least valuation of the k x k minors of C = adj(L).L',
+    the invariant factors of L' relative to L are t^(m_k - m_{k-1}), up
+    to homothety, and they are read off the pivot exponents.  L has the
+    columns (a, b, d), (0, c, e), (0, 0, f) with a, c, f = t^al, t^ga,
+    t^ph, and L' the same with primes.  So C is lower triangular, with
+    diagonal t^v00, t^v11, t^v22 for v00 = ga + ph + al',
+    v11 = al + ph + ga', v22 = al + ga + ph', and below it
+      C10 = t^ph (t^al b' - t^al' b),
+      C20 = t^al' (b e - t^ga d) - t^al e b' + t^(al + ga) d',
+      C21 = t^(al + ga) e' - t^(al + ga') e.
+    Then m3 = v00 + v11 + v22, m1 is the least valuation of C's six
+    entries, and adj(C) gives m2 = min(v11 + v22, v00 + v22, v00 + v11,
+    v10 + v22, v00 + v21, val(C10 C21 - t^v11 C20)).  Pivots multiply
+    by shifts; b e, e b' and C10 C21 are the only general products.  A
+    zero counts as valuation m3, above any minimum it enters; a dense
+    computation in the tests is the oracle."""
     q = L.fp.q
-    C = _mul_lower(_adj_lower(L.cols, q), Lp.cols, q)
-    A = _adj_lower(C, q)
-    d1, d2 = _least_val(C), _least_val(A)
-    d3 = sum(_pval(C[i][i]) for i in range(3))
-    e = sorted((d1, d2 - d1, d3 - d2))
-    return (e[2] - e[1], e[1] - e[0])
+    (a, b, d), (_z, c, e), (_z, _z, f) = L.cols
+    (a1, b1, d1), (_z, c1, e1), (_z, _z, f1) = Lp.cols
+    al, ga, ph = len(a) - 1, len(c) - 1, len(f) - 1
+    al1, ga1, ph1 = len(a1) - 1, len(c1) - 1, len(f1) - 1
+    v00, v11, v22 = ga + ph + al1, al + ph + ga1, al + ga + ph1
+    c10 = _pshift(_psub(_pshift(b1, al), _pshift(b, al1), q), ph)
+    c20 = _padd(_pshift(_psub(_pmul(b, e, q), _pshift(d, ga), q), al1),
+                _psub(_pshift(d1, al + ga), _pshift(_pmul(e, b1, q), al), q),
+                q)
+    c21 = _psub(_pshift(e1, al + ga), _pshift(e, al + ga1), q)
+    x = _psub(_pmul(c10, c21, q), _pshift(c20, v11), q)
+    m3 = v00 + v11 + v22
+    v10, v20, v21, vx = [m3 if v is None else v
+                         for v in map(_pval, (c10, c20, c21, x))]
+    m1 = min(v00, v11, v22, v10, v20, v21)
+    m2 = min(v11 + v22, v00 + v22, v00 + v11, v10 + v22, v00 + v21, vx)
+    s = sorted((m1, m2 - m1, m3 - m2))
+    return (s[2] - s[1], s[1] - s[0])
 
 
 # ----------------------------------------------------------------------
@@ -614,7 +621,9 @@ def count_fibre(D, boundary_config, fp):
     """Number of interior-vertex extensions of a boundary configuration
     of the diskoid D (boundary_config maps D's boundary vertices, and
     the base, to lattice classes), counted by `_count` with the boundary
-    in `fixed`, so it is never peeled; `_enumerate` is the oracle."""
+    in `fixed`, so it is never peeled; `_enumerate` is the oracle.  An
+    unassigned boundary vertex or a base off the standard lattice raises;
+    a boundary that breaks an edge of D counts 0 (`_placed` checks it)."""
     cfg = dict(boundary_config)
     cfg.setdefault(D.base, base_class(fp))
     if cfg[D.base] != base_class(fp):
@@ -623,9 +632,6 @@ def count_fibre(D, boundary_config, fp):
         if v not in cfg:
             raise BuildingError("boundary vertex %r not assigned" % (v,))
     link = diskoid_linkage(D)
-    for u, v, lam in link.edges:
-        if u in cfg and v in cfg and lattice_distance(cfg[u], cfg[v]) != lam:
-            raise BuildingError("inconsistent boundary configuration")
     return _count(Linkage(link.vertices, link.base, link.edges, fixed=cfg), fp)
 
 

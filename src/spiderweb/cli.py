@@ -13,6 +13,7 @@ path or any web argument (which is dualized).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import random
@@ -34,12 +35,12 @@ from .basis import (dim_invariants, enumerate_basis, expand_in_basis,
 from .oracle import (_tuples_of_weight, contract_closed, in_invariant_kernel,
                      invariant_kernel_dim, web_vector)
 from .building import (APARTMENT, BuildingError, FieldParam, LatticeClass,
-                       _enumerated_partition, _Field, _mul_lower,
-                       base_class, count_configurations, count_fibre,
-                       diskoid_linkage, euler_estimate, hexagon_genericity,
-                       lattice_distance, neighbors, polygon_linkage,
-                       sample_polygon_config, satake_partition,
-                       solve_hexagon_incidence)
+                       _enumerated_partition, _Field, _hecke_factor,
+                       _mul_lower, base_class, count_configurations,
+                       count_fibre, diskoid_linkage, euler_estimate,
+                       hexagon_genericity, lattice_distance, neighbors,
+                       polygon_linkage, sample_polygon_config,
+                       satake_partition, solve_hexagon_incidence)
 from .render import render_diskoid, render_web
 
 
@@ -618,6 +619,14 @@ def _st_building():
             for H in neighbors(base, c)])
         checks.append(all(lattice_distance(L, M) == c == weights.dual(
             lattice_distance(M, L)) for M in neighbors(L, c)))
+    # the c-neighbours of the classes two steps out through the kernels of
+    # x0 and x1, bucketed by distance from the base: `_hecke_factor`s
+    ys = [neighbors(base, W1)[i] for i in (0, 9)]
+    checks.append(all(
+        n == _hecke_factor(lattice_distance(base, x), c, nu, 3)
+        for y in ys for b in (W1, W2) for x in neighbors(y, b)
+        for c in (W1, W2) for nu, n in collections.Counter(
+            lattice_distance(base, M) for M in neighbors(x, c)).items()))
     rng = random.Random(1)
     ls, ps = _random_hexagon_sample(rng, _Field())
     checks.append(solve_hexagon_incidence(ls, ps) == 2)

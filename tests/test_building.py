@@ -10,23 +10,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spiderweb import building, corpus
-from spiderweb.basis import minuscule_paths, path_tag
+from spiderweb.basis import enumerate_basis, minuscule_paths, path_tag
 from spiderweb.building import (
     APARTMENT, BuildingError, FieldParam, LatticeClass, Linkage, _Field,
     _count, _col_sub, _enumerate, _enumerated_partition, _hecke_factor,
-    _padd, _pinv_unit, _pmul, _pneg, _proj_plane, _pshift, _psub, _pval,
+    _padd, _pinv_unit, _pmul, _proj_plane, _pshift, _psub, _pval,
     auto_precision, base_class,
     count_configurations, count_fibre, diskoid_linkage, euler_estimate,
     hexagon_genericity, hexagon_solution_points, lattice_distance,
     neighbors, polygon_linkage, sample_polygon_config, satake_partition,
     solve_hexagon_incidence)
-from spiderweb.diskoid import (DiskoidError, complete_extension, dual_diskoid,
-                               geodesics)
+from spiderweb.diskoid import (DiskoidError, complete_extension, distance,
+                               dual_diskoid, geodesics)
 from spiderweb.generate import random_signature, random_web
 from spiderweb.oracle import _tuples_of_weight, contract_closed, web_vector
 from spiderweb.skein import evaluate_closed
 from spiderweb.webs import WebError, glue, mirror
-from spiderweb.weights import W1, W2, dual as dual_weight
+from spiderweb.weights import W1, W2, dominance_leq, dual as dual_weight
 
 
 def test_fieldparam_validation():
@@ -269,8 +269,85 @@ def test_count_fibre_bigon():
 def test_count_fibre_rejects_bad_boundary():
     D = dual_diskoid(corpus.load_web("single-y"))
     fp = FieldParam(2)
-    with pytest.raises(BuildingError):
+    with pytest.raises(BuildingError, match="not assigned"):
         count_fibre(D, {D.base: base_class(fp)}, fp)
+    off = neighbors(base_class(fp), W1)[0]
+    with pytest.raises(BuildingError, match="standard lattice"):
+        count_fibre(D, {v: off for v in D.boundary}, fp)
+
+
+def test_count_fibre_of_an_inconsistent_boundary_is_zero():
+    # the bigon's other boundary vertex on the wrong sphere around the
+    # base: no configuration extends it, as `_enumerate` finds too
+    D = dual_diskoid(corpus.load_web("bigon"))
+    link = diskoid_linkage(D)
+    for q in (2, 3):
+        fp = FieldParam(q)
+        base = base_class(fp)
+        other = [v for v in D.boundary if v != D.base][0]
+        lam = next(lam for (u, v, lam) in D.edges.values()
+                   if (u, v) == (D.base, other))
+        cfg = {D.base: base, other: neighbors(base, dual_weight(lam))[0]}
+        pinned = Linkage(link.vertices, link.base, link.edges, fixed=cfg)
+        assert count_fibre(D, cfg, fp) == _enumerate(pinned, fp) == 0
+
+
+def test_count_fibre_checks_each_boundary_edge_once(monkeypatch):
+    # w-mu's dual diskoid has 12 edges between boundary vertices (the
+    # base among them), and each distance is computed once
+    w = corpus.load_web("w-mu")
+    D = dual_diskoid(w)
+    sig = w.boundary_signature()
+    fp = FieldParam(2)
+    cfg = sample_polygon_config(sig, path_tag(w), fp, random.Random(3))
+    cfg = {D.boundary[i]: cfg[i] for i in range(len(sig))}
+    calls = []
+
+    def spy(L, Lp):
+        calls.append(1)
+        return lattice_distance(L, Lp)
+
+    monkeypatch.setattr(building, "lattice_distance", spy)
+    assert count_fibre(D, cfg, fp) >= 1
+    assert len(calls) == 12
+
+
+def fibre_over(D, x, fp):
+    """The fibre of F(w) over the polygon point x (x[i] at D's i-th
+    boundary vertex): 0 when a vertex that D's boundary passes twice
+    meets two classes, else `count_fibre`."""
+    cfg = {}
+    for v, y in zip(D.boundary, x):
+        if cfg.setdefault(v, y) != y:
+            return 0
+    return count_fibre(D, cfg, fp)
+
+
+def test_satake_strata_are_triangular():
+    # every basis web w of every gluable signature of length at most 6,
+    # one seeded point x of each stratum p at q = 2: the fibre over
+    # path(w) is 1, and a nonzero fibre has p <= path(w) entrywise and
+    # each d(x_i, x_j) dominance-below D(w)'s boundary distance
+    fp = FieldParam(2)
+    seen = collections.Counter()
+    for sig in gluable(1, 2, 3, 4, 5, 6):
+        n = len(sig)
+        for top, w, _key in enumerate_basis(sig).entries:
+            D = dual_diskoid(w)
+            for p in minuscule_paths(sig):
+                x = sample_polygon_config(sig, p, fp, random.Random(7))
+                m = fibre_over(D, [x[i] for i in range(n)], fp)
+                kind = "diagonal" if p == top else "nonzero" if m else "zero"
+                seen[kind] += 1
+                if p == top:
+                    assert m == 1, (sig, p)
+                if m:
+                    assert all(map(dominance_leq, p, top)), (sig, p, top)
+                    assert all(dominance_leq(
+                        lattice_distance(x[i], x[j]),
+                        distance(D, D.boundary[i], D.boundary[j]))
+                        for i in range(n) for j in range(n) if i != j)
+    assert seen == {"diagonal": 176, "nonzero": 78, "zero": 634}
 
 
 def test_euler_estimate_theta():
@@ -576,7 +653,6 @@ def test_trimmed_kernel_matches_dense_reference(ops):
     results = [
         (_padd(ta, tb, q), tuple((x + y) % q for x, y in zip(a, b))),
         (_psub(ta, tb, q), tuple((x - y) % q for x, y in zip(a, b))),
-        (_pneg(ta, q), tuple(-x % q for x in a)),
         (_pmul(ta, tb, q), ref_mul(a, b, q)),
         (_pinv_unit(trimmed(unit), q, N), ref_inv(unit, q, N)),
     ]
@@ -605,7 +681,7 @@ def _adjugate(cols, q):
         c = [x for x in range(3) if x != j]
         v = _psub(_pmul(m[r[0]][c[0]], m[r[1]][c[1]], q),
                   _pmul(m[r[0]][c[1]], m[r[1]][c[0]], q), q)
-        return v if (i + j) % 2 == 0 else _pneg(v, q)
+        return v if (i + j) % 2 == 0 else _psub((), v, q)
 
     return tuple(tuple(cof(j, i) for i in range(3)) for j in range(3))
 
@@ -720,6 +796,22 @@ def test_distances_match_dense_reference(args):
         for Y in ys:
             assert lattice_distance(X, Y) == dense_distance(X, Y)
             assert lattice_distance(Y, X) == dense_distance(Y, X)
+
+
+long_steps = st.lists(
+    st.tuples(st.sampled_from((W1, W2)), st.integers(0, 10 ** 6)),
+    max_size=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), long_steps, long_steps)
+def test_distances_between_far_classes_match_dense_reference(q, s1, s2):
+    # the ends of two independent walks, which may lie far apart and
+    # far from the base, both ways (the paths keep their FieldParams)
+    p1, p2 = walk(q, s1), walk(q, s2)
+    X, Y = p1[-1], p2[-1]
+    assert lattice_distance(X, Y) == dense_distance(X, Y)
+    assert lattice_distance(Y, X) == dense_distance(Y, X)
 
 
 def test_neighbour_cache_belongs_to_its_fieldparam():
