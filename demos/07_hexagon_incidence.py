@@ -10,9 +10,9 @@ import random
 
 from spiderweb import corpus
 from spiderweb.basis import path_tag
-from spiderweb.building import (_Field, hexagon_genericity,
-                                hexagon_solution_points,
-                                solve_hexagon_incidence)
+from spiderweb.hexagon import (_Field, hexagon_genericity,
+                               hexagon_solution_points,
+                               solve_hexagon_incidence)
 from spiderweb.cli import format_path
 
 print("path tag of the 12-boundary web w(mu):")

@@ -7,9 +7,15 @@ zeros (zero is ``()``), so the form is canonical and exact, with no
 t-adic truncation.  The generic constructor searches for it (`_hnf`);
 minuscule neighbours are built in it directly, and distances read
 elementary divisors off its pivot exponents.  Configuration and fibre
-counts for polygons and diskoids, Satake partitions, the Euler
-characteristic, and the incidence solver for the twelve-leg hexagon web
-live here too.
+counts for polygons and diskoids, Satake partitions, stratum samples and
+the Euler characteristic live here too.
+
+Placements are built, not filtered out of spheres.  The link of a vertex
+is the incidence graph of P^2(F_q), so the places of a vertex next to
+two joined placed vertices are the q+1 chambers on their panel, which
+`panel` builds from a line of Y/tY.  A stratum sample draws its index
+among the Hecke factor's classes first and builds neighbours only up to
+it.
 
 One counter, `_count`, runs in the building over F_q (a `FieldParam`)
 or in its standard apartment (`APARTMENT`, q = 1), where it counts the
@@ -27,8 +33,8 @@ from __future__ import annotations
 
 import math
 import weakref
-from fractions import Fraction
 from functools import reduce
+from itertools import combinations, islice
 
 from .weights import W1, W2, ZERO, dual, minuscule_orbit, rho_level
 from .basis import minuscule_paths, path_steps
@@ -47,8 +53,8 @@ def _is_prime(n):
 
 
 class FieldParam:
-    """F_q and the cache of `neighbors`, freed with it; as a space to
-    count configurations in, the building over F_q.
+    """F_q and the cache of `neighbors` and `panel`, freed with it; as a
+    space to count configurations in, the building over F_q.
 
     N is accepted and ignored: the arithmetic is exact.  The only caller
     that passes it is the benchmark (`perfbench/workloads.py` `_fp`), with
@@ -74,6 +80,9 @@ class FieldParam:
     def sphere_set(self, x, lam):  # for membership tests
         neighbors(x, lam)
         return self.nbr_cache[x.cols, lam][1]
+
+    def panel(self, x, y):
+        return panel(x, y)
 
     def distance(self, x, y):
         return lattice_distance(x, y)
@@ -360,13 +369,37 @@ def _proj_plane(q):
     return pts
 
 
+def _times_t(A):
+    """The columns of A times t."""
+    return [tuple(_pshift(x, 1) for x in c) for c in A]
+
+
+def _neighbour(fp, A, tA, r, color):
+    """The `color`-neighbour at the point r of P^2(F_q) (see `neighbors`)
+    of the class with normal form A, where tA is `_times_t(A)`."""
+    q = fp.q
+    if color == W1:
+        p = max(i for i in range(3) if r[i])
+        s = pow(r[p], q - 2, q)
+        cols = [_col_sub(A[j], (r[j] * s % q,), A[p], q) if r[j]
+                else A[j] for j in range(p)] + [tA[p]] + list(A[p + 1:])
+    else:
+        p = r.index(1)
+        u = A[p]
+        for j in range(p + 1, 3):
+            if r[j]:
+                u = _col_sub(u, (q - r[j],), A[j], q)
+        cols = tA[:p] + [u] + tA[p + 1:]
+    return _Neighbour(fp, _reduced(cols, fp))
+
+
 def neighbors(L, color):
     """All classes at distance exactly `color` (w1 or w2) from L, one per
     point r of P^2(F_q) in `_proj_plane`'s order, cached on L.fp.
 
-    Each is built in normal form, not searched into it.  L's normal form
-    A is lower triangular with pivots t^e_i, and the neighbour of r is
-    spanned by A.H for a lower-triangular H:
+    Each is built in normal form, not searched into it (`_neighbour`).
+    L's normal form A is lower triangular with pivots t^e_i, and the
+    neighbour of r is spanned by A.H for a lower-triangular H:
       - w1, the kernel of r on L/tL: with r scaled so that its last
         nonzero r_p is 1, the columns e_j - r_j e_p (j < p), t e_p, e_j;
       - w2, the line r plus tL: r at its first nonzero p (r_p = 1), and
@@ -382,24 +415,62 @@ def neighbors(L, color):
         return hit[0]
     if color not in (W1, W2):
         raise BuildingError("neighbor color must be minuscule")
-    q, A = fp.q, L.cols
-    tA = [tuple(_pshift(x, 1) for x in c) for c in A]
-    out = []
-    for r in _proj_plane(q):
-        if color == W1:
-            p = max(i for i in range(3) if r[i])
-            s = pow(r[p], q - 2, q)
-            cols = [_col_sub(A[j], (r[j] * s % q,), A[p], q) if r[j]
-                    else A[j] for j in range(p)] + [tA[p]] + list(A[p + 1:])
-        else:
-            p = r.index(1)
-            u = A[p]
-            for j in range(p + 1, 3):
-                if r[j]:
-                    u = _col_sub(u, (q - r[j],), A[j], q)
-            cols = tA[:p] + [u] + tA[p + 1:]
-        out.append(_Neighbour(fp, _reduced(cols, fp)))
+    A = L.cols
+    tA = _times_t(A)
+    out = [_neighbour(fp, A, tA, r, color) for r in _proj_plane(fp.q)]
     fp.nbr_cache[L.cols, color] = out, frozenset(out)
+    return out
+
+
+def _pivot_sum(L):
+    """val det of L's normal form: the sum of its pivot exponents."""
+    return sum(len(L.cols[i][i]) - 1 for i in range(3))
+
+
+def panel(X, Y):
+    """The classes Z that complete the panel X, Y (d(X, Y) = w1, which
+    the caller guarantees) to a chamber: d(Y, Z) = d(Z, X) = w1.  They
+    are the w1-neighbours of Y whose kernel contains tX, q+1 of them, in
+    `neighbors`' order, cached on Y.fp.
+
+    Why.  d(X, Y) = w1 makes t^k.Y, for one integer k, the kernel of a
+    functional on X/tX: tX < t^k.Y < X, with index q at each step.  Then
+    val det gives 3k + s(Y) = s(X) + 1 for s the pivot sum, which fixes k.
+    The chambers on the panel are the lattices M with tX < M < t^k.Y, so
+    the t^-k.M are the w1-neighbours Z of Y that contain t^(1-k).X: the
+    kernels of the functionals r on Y/tY that vanish on the line
+    l = t^(1-k).X/tY.
+    In the coordinates of Y's columns y_j, the functional r is
+    c -> r.c (`neighbors`), and l is spanned by the image of any column
+    x_j of X outside t^k.Y: Y.c = t^(1-k).x_j, solved by forward
+    substitution (the pivots of Y are monomials, so every division is an
+    exact shift), and l = c mod t.  The q+1 points r of P^2(F_q) with
+    r.l = 0 give Z by `_neighbour`, with no distance computed.  The
+    filter of `neighbors(Y, w1)` by d(Z, X) = w1 is the oracle."""
+    fp = Y.fp
+    hit = fp.nbr_cache.get((X.cols, Y.cols))
+    if hit is not None:
+        return hit
+    q, A = fp.q, Y.cols
+    k, rem = divmod(_pivot_sum(X) + 1 - _pivot_sum(Y), 3)
+    if rem:
+        raise BuildingError("the panel's classes are not at distance w1")
+    (a, b, d), (_z, c, e), (_z, _z, f) = A
+    for x in X.cols:
+        v0, v1, v2 = (_pshift(p, 1 - k) for p in x)
+        c0 = _pshift(v0, 1 - len(a))
+        c1 = _pshift(_psub(v1, _pmul(b, c0, q), q), 1 - len(c))
+        c2 = _pshift(_psub(_psub(v2, _pmul(d, c0, q), q), _pmul(e, c1, q), q),
+                     1 - len(f))
+        ell = [y[0] if y else 0 for y in (c0, c1, c2)]
+        if any(ell):
+            break
+    else:
+        raise BuildingError("the panel's classes are not at distance w1")
+    tA = _times_t(A)
+    out = [_neighbour(fp, A, tA, r, W1) for r in _proj_plane(q)
+           if (r[0] * ell[0] + r[1] * ell[1] + r[2] * ell[2]) % q == 0]
+    fp.nbr_cache[X.cols, Y.cols] = out
     return out
 
 
@@ -513,9 +584,16 @@ def _placed(linkage, space, rng=None):
 def _search(nbrs, assign, mult, space, visit):
     """mult times the number of ways to place the vertices of `nbrs` not
     in `assign` (see `_placed`), each passed to `visit` (unless None)
-    with its multiplicity.  The vertex with the most placed neighbours
-    (the first in `nbrs` on a tie) goes next, on one placed neighbour's
-    sphere and checked against the others' spheres.
+    with its multiplicity.  The vertex v with the most placed neighbours
+    (the first in `nbrs` on a tie) goes next.
+
+    Its candidates are built, not filtered out of a sphere, where they
+    can be: two placed neighbours u, w of v joined by an edge make a
+    triangle, which must pass `_peel`'s chamber test (else v has no
+    place), and then v lies on the panel of u and w (`panel`, q+1
+    places).  The panels of all such pairs are intersected.  A placed
+    neighbour in no such pair is checked against its sphere; with no
+    pair at all, v goes on one placed neighbour's sphere.
 
     When only the base is placed, its stabilizer is transitive on the
     candidates (in the building by the Cartan decomposition, in the
@@ -528,12 +606,24 @@ def _search(nbrs, assign, mult, space, visit):
             visit(dict(assign), mult)
         return mult
     v = max(todo, key=lambda x: sum(u in assign for u in nbrs[x]))
-    (u0, lam0), *others = [(u, lam) for u, lam in nbrs[v].items()
-                           if u in assign]
-    cands = space.sphere(assign[u0], dual(lam0))
-    if others:
-        sets = [space.sphere_set(assign[u], dual(lam)) for u, lam in others]
-        cands = [c for c in cands if all(c in s for s in sets)]
+    placed = [(u, lam) for u, lam in nbrs[v].items() if u in assign]
+    panels, covered = [], set()
+    for (u, a), (w, b) in combinations(placed, 2):
+        c = nbrs[u].get(w)
+        if c is None:
+            continue
+        if not a == c == dual(b):
+            return 0
+        x, y = (assign[u], assign[w]) if a == W1 else (assign[w], assign[u])
+        panels.append(space.panel(x, y))
+        covered |= {u, w}
+    spheres = [(assign[u], dual(lam)) for u, lam in placed
+               if u not in covered]
+    # membership in a panel's list of q+1 beats building a set of it
+    cands, *within = panels or [space.sphere(*spheres.pop(0))]
+    within += [space.sphere_set(*xl) for xl in spheres]
+    if within:
+        cands = [c for c in cands if all(c in s for s in within)]
     if len(assign) == 1 and cands:
         cands, mult = cands[:1], mult * len(cands)
     total = 0
@@ -547,8 +637,10 @@ def _search(nbrs, assign, mult, space, visit):
 def _enumerate(linkage, space, visit=None, rng=None):
     """Count (or visit) all based label-preserving maps into the space
     (a FieldParam's building, or APARTMENT) by `_search` alone: the
-    oracle of `_count` and of `satake_partition`, and the only counter
-    that visits configurations.  `rng` only shuffles tie-breaks."""
+    oracle of `_count`'s peel and of `satake_partition`, and the only
+    counter that visits configurations.  It places vertices on panels as
+    `_count` does; the tests check both against a search that knows only
+    spheres.  `rng` only shuffles tie-breaks."""
     placed = _placed(linkage, space, rng)
     return 0 if placed is None else _search(*placed, 1, space, visit)
 
@@ -636,14 +728,14 @@ def count_fibre(D, boundary_config, fp):
 
 
 def _on_sphere(base, classes, nu):
-    """The classes y among `classes` with d(base, y) = nu = (a, b), in
-    order.  The pivot exponents of y's normal form add up to val det y,
-    the sum e2 + e3 of its elementary divisors against the base (e1 = 0),
-    so a pivot sum other than a + 2b rules y out before any distance."""
+    """The classes y among `classes` (any iterable, consumed lazily) with
+    d(base, y) = nu = (a, b), in order.  The pivot exponents of y's
+    normal form add up to val det y, the sum e2 + e3 of its elementary
+    divisors against the base (e1 = 0), so a pivot sum other than a + 2b
+    rules y out before any distance."""
     s = nu[0] + 2 * nu[1]
-    return [y for y in classes
-            if sum(_pval(y.cols[i][i]) for i in range(3)) == s
-            and lattice_distance(base, y) == nu]
+    return (y for y in classes
+            if _pivot_sum(y) == s and lattice_distance(base, y) == nu)
 
 
 def _dominant(w):
@@ -708,21 +800,31 @@ def sample_polygon_config(signature, target_vector, fp, rng):
 
     One walk: vertex k+1 is drawn among the signature[k]-neighbours of
     vertex k at distance target[k+1] from the base.  Whatever the earlier
-    draws, there are c(target[k], signature[k], target[k+1]) of them
+    draws, there are c = c(target[k], signature[k], target[k+1]) of them
     (`_hecke_factor`), never none, so every point of the stratum comes out
-    with the same probability, the product of their inverses.  The last
-    vertex, at target[n-1] = dual(signature[n-1]) from the base, closes
-    the polygon."""
+    with the same probability, the product of their inverses.  The index
+    of the draw among them is taken first, from c alone, and the
+    neighbours are built one at a time, in `neighbors`' order, only up to
+    the one it names.  The last vertex, at target[n-1] =
+    dual(signature[n-1]) from the base, closes the polygon."""
     tv = tuple(target_vector)
     if path_steps(signature, tv) is None:
         raise BuildingError("target vector is not a minuscule path of the "
                             "signature")
-    n = len(signature)
+    n, q = len(signature), fp.q
     base = base_class(fp)
     cfg = {0: base}
     for k in range(n - 1):
-        cands = _on_sphere(base, neighbors(cfg[k], signature[k]), tv[k + 1])
-        cfg[k + 1] = cands[rng.randrange(len(cands))]
+        lam = signature[k]
+        idx = rng.randrange(_hecke_factor(tv[k], lam, tv[k + 1], q))
+        A = cfg[k].cols
+        tA = _times_t(A)
+        built = (_neighbour(fp, A, tA, r, lam) for r in _proj_plane(q))
+        cfg[k + 1] = next(islice(_on_sphere(base, built, tv[k + 1]), idx,
+                                 None), None)
+        if cfg[k + 1] is None:
+            raise BuildingError("fewer classes on the stratum's step than "
+                                "its Hecke factor")
     if n and lattice_distance(cfg[n - 1], base) != signature[n - 1]:
         raise BuildingError("the sampled polygon does not close")
     return cfg
@@ -746,6 +848,13 @@ class _Apartment:
         return [(x[0] + a, x[1] + b) for a, b in minuscule_orbit(lam)]
 
     sphere_set = sphere  # three points
+
+    def panel(self, x, y):
+        """The two points z of y's w1-sphere with d(z, x) = w1, given
+        d(x, y) = w1: all but y + (y - x), since the three steps of the
+        w1-orbit add up to zero."""
+        return [z for z in self.sphere(y, W1)
+                if z != (2 * y[0] - x[0], 2 * y[1] - x[1])]
 
     def distance(self, x, y):
         return _dominant((y[0] - x[0], y[1] - x[1]))
@@ -778,237 +887,3 @@ def euler_estimate(D):
     (2), and `_search` places the rest.  A linkage that
     `_fold` finds contradictory has no configuration: chi = 0."""
     return _count(diskoid_linkage(D), APARTMENT)
-
-
-# ----------------------------------------------------------------------
-# the hexagon incidence problem
-
-
-class _Field:
-    """Exact field operations for Fraction (p=None) or F_p."""
-
-    def __init__(self, p=None):
-        if p is not None and not _is_prime(p):
-            raise BuildingError("field size must be prime, got %r" % (p,))
-        self.p = p
-
-    def of(self, x):
-        return x % self.p if self.p else Fraction(x)
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.p else a * b
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError
-        return pow(a, self.p - 2, self.p) if self.p else 1 / a
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def neg(self, a):
-        return (-a) % self.p if self.p else -a
-
-    def square_roots(self, a):
-        """Roots of x^2 = a in the field (list, possibly empty)."""
-        if self.p is None:
-            if a < 0:
-                return []
-            r = _fraction_sqrt(a)
-            return [] if r is None else ([0] if a == 0 else [r, -r])
-        if a == 0:
-            return [0]
-        if self.p == 2:
-            return [a % 2]
-        if pow(a, (self.p - 1) // 2, self.p) != 1:
-            return []
-        # p is small here: scan every residue
-        for x in range(self.p):
-            if (x * x) % self.p == a:
-                return [x, (-x) % self.p]
-        return []
-
-
-def _fraction_sqrt(a):
-    """The rational square root of a >= 0, or None."""
-    rn, rd = math.isqrt(a.numerator), math.isqrt(a.denominator)
-    if rn * rn == a.numerator and rd * rd == a.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _cross(a, b, F):
-    return (F.sub(F.mul(a[1], b[2]), F.mul(a[2], b[1])),
-            F.sub(F.mul(a[2], b[0]), F.mul(a[0], b[2])),
-            F.sub(F.mul(a[0], b[1]), F.mul(a[1], b[0])))
-
-
-def _dot(a, b, F):
-    s = F.of(0)
-    for x, y in zip(a, b):
-        s = F.add(s, F.mul(x, y))
-    return s
-
-
-def _solve3(cols, rhs, F):
-    """Solve M x = rhs for 3x3 M given by columns; None if singular."""
-    det = _dot(cols[0], _cross(cols[1], cols[2], F), F)
-    if not det:
-        return None
-    sol = []
-    for j in range(3):
-        m = list(cols)
-        m[j] = rhs
-        sol.append(F.div(_dot(m[0], _cross(m[1], m[2], F), F), det))
-    return tuple(sol)
-
-
-def _frame(lines, points, F):
-    """The points coerced into F, and the projective frame of the pairwise
-    line intersections e_1 = l1^l2, e_2 = l2^l3, e_3 = l3^l1."""
-    l1, l2, l3 = [tuple(F.of(x) for x in l) for l in lines]
-    points = [tuple(F.of(x) for x in p) for p in points]
-    return points, [_cross(l1, l2, F), _cross(l2, l3, F), _cross(l3, l1, F)]
-
-
-def _barycentric(points, e, F):
-    """Affine barycentric coordinates p_ij (rows: points) in the frame e,
-    normalized to sum to one."""
-    rows = []
-    for p in points:
-        bary = _solve3(e, p, F)
-        if bary is None:
-            raise BuildingError("degenerate sample: concurrent lines")
-        s = F.add(F.add(bary[0], bary[1]), bary[2])
-        if not s:
-            raise BuildingError("degenerate sample: point on the frame's "
-                                "vanishing line")
-        rows.append(tuple(F.div(b, s) for b in bary))
-    return rows
-
-
-def _generic_rows(lines, points, F):
-    """The barycentric rows of a generic sample, None otherwise (see
-    `hexagon_genericity`)."""
-    points, e = _frame(lines, points, F)
-    if not _dot(points[0], _cross(points[1], points[2], F), F):
-        return None  # collinear points
-    try:
-        P = _barycentric(points, e, F)
-    except BuildingError:
-        return None
-    if not all(P[i][k] for i in range(3) for k in (i, (i + 1) % 3)):
-        return None
-    return P
-
-
-def hexagon_genericity(lines, points, field=None):
-    """The genericity condition: the three points are not collinear, the
-    barycentric normalization exists (so the three lines are not
-    concurrent, and no point lies on the frame's vanishing line), and the
-    six coordinates that enter the incidence equations (p11, p12, p22,
-    p23, p33, p31) are all nonzero."""
-    return _generic_rows(lines, points, field or _Field()) is not None
-
-
-def solve_hexagon_incidence(lines, points, field=None, return_roots=False):
-    """Number of solutions, over the algebraic closure, of the hexagon
-    incidence system: points p'_i on the lines l_i and lines l'_i through
-    p_i, p'_{i-1}, p'_i.  Generic samples give exactly 2.
-
-    With return_roots=True also returns the t_1-roots that lie in the
-    ground field itself (these index the rational solutions)."""
-    F = field or _Field()
-    P = _generic_rows(lines, points, F)
-    if P is None:
-        raise BuildingError("degenerate sample: genericity fails")
-    p11, p12 = P[0][0], P[0][1]
-    p22, p23 = P[1][1], P[1][2]
-    p33, p31 = P[2][2], P[2][0]
-    # t1 = p11 / (1 - p12 / (1 - p33 / (1 - p31 / (1 - p22 / (1 - p23 / (1 - t1))))))
-    # as a Mobius transform in t1, composed from the inside out
-    one, zero = F.of(1), F.of(0)
-    mat = (one, zero, zero, one)  # identity; mat = (a, b, c, d) ~ (a t + b)/(c t + d)
-
-    def compose(m2, m1):
-        a2, b2, c2, d2 = m2
-        a1, b1, c1, d1 = m1
-        return (F.add(F.mul(a2, a1), F.mul(b2, c1)),
-                F.add(F.mul(a2, b1), F.mul(b2, d1)),
-                F.add(F.mul(c2, a1), F.mul(d2, c1)),
-                F.add(F.mul(c2, b1), F.mul(d2, d1)))
-
-    # innermost first: u -> 1 - p/(1 - u) = ((1-p) - u) / (1 - u)
-    for p in (p23, p22, p31, p33, p12):
-        step = (F.neg(one), F.sub(one, p), F.neg(one), one)
-        mat = compose(step, mat)
-    # outermost: t1 = p11 / ((a t + b)/(c t + d)) = (p11 c t + p11 d)/(a t + b)
-    a, b, c, d = mat
-    A, B, C, D = F.mul(p11, c), F.mul(p11, d), a, b
-    # fixed points: C t^2 + (D - A) t - B = 0
-    qa, qb, qc = C, F.sub(D, A), F.neg(B)
-    if not qa:
-        count = 1 if qb else 0
-        roots = [F.div(F.neg(qc), qb)] if qb else []
-    else:
-        disc = F.sub(F.mul(qb, qb), F.mul(F.of(4), F.mul(qa, qc)))
-        if F.p == 2:
-            # over F_2 discriminants degenerate; count closure roots by
-            # Artin-Schreier form and field roots by direct scan
-            roots = [t for t in (0, 1)
-                     if (qa * t * t + qb * t + qc) % 2 == 0]
-            count = 2 if qb else 1
-        else:
-            sq = F.square_roots(disc)
-            count = 1 if not disc else 2
-            inv2a = F.inv(F.mul(F.of(2), qa))
-            roots = [F.mul(F.sub(r, qb), inv2a) for r in sq]
-    if return_roots:
-        return count, roots
-    return count
-
-
-def hexagon_solution_points(lines, points, t1, field=None):
-    """The full solution (p'_i, l'_i) determined by a ground-field root
-    t1, in projective coordinates; raises on a non-solution."""
-    F = field or _Field()
-    points, e = _frame(lines, points, F)
-    P = _barycentric(points, e, F)
-    one = F.of(1)
-    # chase the chain of equations to recover s_i and t_i
-    p11, p12 = P[0][0], P[0][1]
-    p22, p23 = P[1][1], P[1][2]
-    p33, p31 = P[2][2], P[2][0]
-    t = {1: F.of(t1)}
-    s1 = F.sub(one, F.div(p11, t[1]))
-    s2 = F.div(p23, F.sub(one, t[1]))
-    t[2] = F.div(p22, F.sub(one, s2))
-    s3 = F.div(p31, F.sub(one, t[2]))
-    t[3] = F.div(p33, F.sub(one, s3))
-    if F.mul(s1, F.sub(one, t[3])) != p12:
-        raise BuildingError("t1 is not a root of the incidence system")
-
-    def combo(coeffs):
-        out = [F.of(0)] * 3
-        for cf, vec in zip(coeffs, e):
-            for i in range(3):
-                out[i] = F.add(out[i], F.mul(cf, vec[i]))
-        return tuple(out)
-
-    pp = [combo((t[1], F.of(0), F.sub(one, t[1]))),
-          combo((F.sub(one, t[2]), t[2], F.of(0))),
-          combo((F.of(0), F.sub(one, t[3]), t[3]))]
-    lp = [_cross(points[0], pp[0], F),
-          _cross(points[1], pp[1], F),
-          _cross(points[2], pp[2], F)]
-    # l'_i must also pass through p'_{i-1}
-    for i in range(3):
-        if _dot(lp[i], pp[(i - 1) % 3], F):
-            raise BuildingError("recovered lines miss p'_{i-1}")
-    return pp, lp

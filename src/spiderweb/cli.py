@@ -35,12 +35,12 @@ from .basis import (dim_invariants, enumerate_basis, expand_in_basis,
 from .oracle import (_tuples_of_weight, contract_closed, in_invariant_kernel,
                      invariant_kernel_dim, web_vector)
 from .building import (APARTMENT, BuildingError, FieldParam, LatticeClass,
-                       _enumerated_partition, _Field, _hecke_factor,
-                       _mul_lower, base_class, count_configurations,
-                       count_fibre, diskoid_linkage, euler_estimate,
-                       hexagon_genericity, lattice_distance, neighbors,
-                       polygon_linkage, sample_polygon_config,
-                       satake_partition, solve_hexagon_incidence)
+                       _enumerated_partition, _hecke_factor, _mul_lower,
+                       base_class, count_configurations, count_fibre,
+                       diskoid_linkage, euler_estimate, lattice_distance,
+                       neighbors, panel, polygon_linkage,
+                       sample_polygon_config, satake_partition)
+from .hexagon import _Field, hexagon_genericity, solve_hexagon_incidence
 from .render import render_diskoid, render_web
 
 
@@ -400,8 +400,12 @@ def cmd_fibre(args):
     fp = _fieldparam(args)
     rng = _rng(args)
     cfg = sample_polygon_config(sig, target, fp, rng)
-    bc = {D.boundary[k]: cfg[k] for k in range(len(D.boundary))}
-    n = count_fibre(D, bc, fp)
+    # where D's boundary passes one vertex twice, the point must put one
+    # class there, or nothing lies over it
+    bc = {}
+    clash = any(bc.setdefault(v, cfg[k]) != cfg[k]
+                for k, v in enumerate(D.boundary))
+    n = 0 if clash else count_fibre(D, bc, fp)
     emit(args, ["stratum %s over F_%d: fibre size %d"
                 % (format_path(target), fp.q, n)],
          {"q": fp.q, "target": [list(x) for x in target], "fibre": n})
@@ -619,6 +623,11 @@ def _st_building():
             for H in neighbors(base, c)])
         checks.append(all(lattice_distance(L, M) == c == weights.dual(
             lattice_distance(M, L)) for M in neighbors(L, c)))
+    # the chambers on each panel L, M, built from a line of M/tM, against
+    # the w1-sphere of M filtered by distance
+    checks.append(all(panel(L, M) == [
+        Z for Z in neighbors(M, W1) if lattice_distance(Z, L) == W1]
+        for M in neighbors(L, W1)))
     # the c-neighbours of the classes two steps out through the kernels of
     # x0 and x1, bucketed by distance from the base: `_hecke_factor`s
     ys = [neighbors(base, W1)[i] for i in (0, 9)]

@@ -10,14 +10,15 @@ from spiderweb import corpus
 from spiderweb.basis import (
     enumerate_basis, minuscule_paths, path_tag, rotated_catalog_check)
 from spiderweb.building import (
-    FieldParam, _Field, base_class, count_configurations,
-    count_fibre, euler_estimate, hexagon_genericity, lattice_distance,
-    polygon_linkage, sample_polygon_config, satake_partition,
-    solve_hexagon_incidence)
+    FieldParam, base_class, count_configurations, count_fibre,
+    euler_estimate, lattice_distance, polygon_linkage,
+    sample_polygon_config, satake_partition)
 from spiderweb.diskoid import (
     DiskoidError, complete_extension, diamond_move, diamond_sites,
     distance_sets, dual_diskoid, geodesics, is_cat0, leq_S)
 from spiderweb.generate import random_signature, random_web
+from spiderweb.hexagon import (
+    _Field, hexagon_genericity, solve_hexagon_incidence)
 from spiderweb.laurent import BIGON_A2, LOOP_A1, LOOP_A2, Laurent
 from spiderweb.oracle import contract_closed, invariant_kernel_dim
 from spiderweb.skein import evaluate_closed, normal_form

@@ -12,17 +12,19 @@ from hypothesis import given, settings, strategies as st
 from spiderweb import building, corpus
 from spiderweb.basis import enumerate_basis, minuscule_paths, path_tag
 from spiderweb.building import (
-    APARTMENT, BuildingError, FieldParam, LatticeClass, Linkage, _Field,
+    APARTMENT, BuildingError, FieldParam, LatticeClass, Linkage,
     _count, _col_sub, _enumerate, _enumerated_partition, _hecke_factor,
     _padd, _pinv_unit, _pmul, _proj_plane, _pshift, _psub, _pval,
     auto_precision, base_class,
     count_configurations, count_fibre, diskoid_linkage, euler_estimate,
-    hexagon_genericity, hexagon_solution_points, lattice_distance,
-    neighbors, polygon_linkage, sample_polygon_config, satake_partition,
-    solve_hexagon_incidence)
+    lattice_distance, neighbors, panel, polygon_linkage,
+    sample_polygon_config, satake_partition)
 from spiderweb.diskoid import (DiskoidError, complete_extension, distance,
                                dual_diskoid, geodesics)
 from spiderweb.generate import random_signature, random_web
+from spiderweb.hexagon import (
+    _Field, hexagon_genericity, hexagon_solution_points,
+    solve_hexagon_incidence)
 from spiderweb.oracle import _tuples_of_weight, contract_closed, web_vector
 from spiderweb.skein import evaluate_closed
 from spiderweb.webs import WebError, glue, mirror
@@ -224,6 +226,7 @@ def test_sample_polygon_config_rejects_a_non_path_at_once(monkeypatch):
         raise AssertionError("neighbors called for an invalid target")
 
     monkeypatch.setattr(building, "neighbors", gone)
+    monkeypatch.setattr(building, "_neighbour", gone)
     sig, fp = (W1, W2) * 3, FieldParam(2)
     zero = (0, 0)
     for target in ((zero, W1, zero, W1, zero, W1),          # too short
@@ -491,6 +494,117 @@ def test_peeled_fibre_matches_oracle_on_w_mu(q, seed):
                      fixed={**cfg, D.base: base_class(fp)})
     n = count_fibre(D, cfg, fp)
     assert n >= 1 and n == _enumerate(pinned, fp)
+
+
+def reference_count(linkage, fp):
+    """The configurations of the linkage counted by a search that knows
+    only spheres: each vertex goes on one placed neighbour's sphere and
+    is checked against the others' (`neighbors` and `sphere_set`), with
+    no panel, no peel and no first-vertex shortcut."""
+    placed = building._placed(linkage, fp)
+    if placed is None:
+        return 0
+    nbrs, assign = placed
+
+    def search():
+        todo = [v for v in nbrs if v not in assign]
+        if not todo:
+            return 1
+        v = max(todo, key=lambda x: sum(u in assign for u in nbrs[x]))
+        (u0, lam0), *others = [(u, lam) for u, lam in nbrs[v].items()
+                               if u in assign]
+        sets = [fp.sphere_set(assign[u], dual_weight(lam))
+                for u, lam in others]
+        total = 0
+        for cand in neighbors(assign[u0], dual_weight(lam0)):
+            if all(cand in s for s in sets):
+                assign[v] = cand
+                total += search()
+        assign.pop(v, None)
+        return total
+
+    return search()
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from((2, 3)))
+def test_count_matches_a_sphere_search_on_diskoids(seed, q):
+    # `_enumerate` places vertices on panels as `_count` does, so the
+    # oracle here is a search that never builds a panel
+    link = diskoid_linkage(closed_diskoid(seed))
+    fp = FieldParam(q)
+    assert _count(link, fp) == reference_count(link, fp) > 0
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_w_mu_fibres_match_a_sphere_search(q):
+    # over points of its own stratum and of others (fibres of 0 to 7)
+    w = corpus.load_web("w-mu")
+    D = dual_diskoid(w)
+    link = diskoid_linkage(D)
+    sig = w.boundary_signature()
+    fp = FieldParam(q)
+    for seed in range(3):
+        for p in (path_tag(w), minuscule_paths(sig)[seed]):
+            x = sample_polygon_config(sig, p, fp, random.Random(seed))
+            cfg = {D.boundary[i]: x[i] for i in range(len(sig))}
+            pinned = Linkage(link.vertices, link.base, link.edges, fixed=cfg)
+            assert count_fibre(D, cfg, fp) == reference_count(pinned, fp)
+
+
+short_steps = st.lists(
+    st.tuples(st.sampled_from((W1, W2)), st.integers(0, 10 ** 6)),
+    max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), short_steps,
+       st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3))
+def test_panels_are_the_filtered_spheres(q, steps, picks):
+    # the chambers on the panel x, y: the w1-neighbours of y at w1 from
+    # x, in their order, for x at the end of a walk (the path keeps its
+    # FieldParam), in the building and in the apartment
+    path = walk(q, steps)
+    x = path[-1]
+    ys = neighbors(x, W1)
+    for i in picks:
+        y = ys[i % len(ys)]
+        assert panel(x, y) == [z for z in neighbors(y, W1)
+                               if lattice_distance(z, x) == W1]
+    x = APARTMENT.base()
+    for color, i in steps:
+        x = APARTMENT.sphere(x, color)[i % 3]
+    for y in APARTMENT.sphere(x, W1):
+        assert APARTMENT.panel(x, y) == [
+            z for z in APARTMENT.sphere(y, W1)
+            if APARTMENT.distance(z, x) == W1]
+
+
+def filtered_draw(signature, target, fp, rng):
+    """`sample_polygon_config`'s walk drawn as it was first written: the
+    whole sphere built, filtered by distance from the base, and one
+    candidate drawn uniformly."""
+    base = base_class(fp)
+    cfg = {0: base}
+    for k in range(len(signature) - 1):
+        cands = [y for y in neighbors(cfg[k], signature[k])
+                 if lattice_distance(base, y) == target[k + 1]]
+        cfg[k + 1] = cands[rng.randrange(len(cands))]
+    return cfg
+
+
+def test_sampler_draws_by_hecke_index_as_it_drew_by_filtering():
+    # same candidates in the same order, and the same calls to rng
+    for q in (2, 3):
+        for sig in gluable(1, 2, 3, 4, 5, 6):
+            for target in minuscule_paths(sig):
+                for seed in range(3):
+                    r1, r2 = random.Random(seed), random.Random(seed)
+                    new = sample_polygon_config(sig, target, FieldParam(q), r1)
+                    old = filtered_draw(sig, target, FieldParam(q), r2)
+                    assert {k: x.cols for k, x in new.items()} == \
+                        {k: x.cols for k, x in old.items()}
+                    assert r1.getstate() == r2.getstate()
 
 
 @pytest.mark.parametrize("q", (2, 3))

@@ -1,12 +1,17 @@
 import json
 import os
+import random
 
 import pytest
 
 from spiderweb import cli, corpus
+from spiderweb.basis import enumerate_basis
+from spiderweb.building import FieldParam, sample_polygon_config
 from spiderweb.cli import main
 from spiderweb.diskoid import dual_diskoid, parse_diskoid
 from spiderweb.render import render_diskoid, render_web
+from spiderweb.webs import serialize_web
+from spiderweb.weights import W1, W2, ZERO
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -108,6 +113,26 @@ def test_fibre_of_a_closed_web_is_its_count(capsys):
     # configuration; the walk used to index a vertex the polygon lacks
     code, out, _ = run(capsys, "fibre", corpus_path("theta"), "--q", "3")
     assert code == 0 and out == "stratum 0 over F_3: fibre size 52\n"
+
+
+def test_fibre_over_a_clashing_boundary_is_empty(capsys, tmp_path):
+    # the basis web of w1 w2 w1 w2 with path 0;w1;w1+w2;w1;0 has a dual
+    # diskoid whose boundary passes the base twice; the seed-1 point of
+    # the stratum 0;w1;0;w1;0 puts two classes there, so nothing lies
+    # over it (the later class used to win, and the count was 1)
+    sig = (W1, W2, W1, W2)
+    w = next(w for top, w, _key in enumerate_basis(sig).entries
+             if top == (ZERO, W1, (1, 1), W1, ZERO))
+    D = dual_diskoid(w)
+    assert D.boundary == (2, 0, 1, 0)
+    target = (ZERO, W1, ZERO, W1, ZERO)
+    x = sample_polygon_config(sig, target, FieldParam(2), random.Random(1))
+    assert x[1] != x[3]
+    path = tmp_path / "w.web"
+    path.write_text(serialize_web(w))
+    code, out, _ = run(capsys, "fibre", str(path), "--q", "2", "--seed", "1",
+                       "--target", "0;w1;0;w1;0")
+    assert code == 0 and out == "stratum 0;w1;0;w1;0 over F_2: fibre size 0\n"
 
 
 def test_count_digon(capsys):
