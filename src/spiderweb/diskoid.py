@@ -8,6 +8,11 @@ backwards contributes the dual label.  The distance between vertices is
 the dominance-minimal path weight; diskoids dual to non-elliptic webs
 satisfy the combinatorial CAT(0) condition (every interior vertex meets
 at least six triangles) and have coherent (unique-minimum) distances.
+
+Geodesics (paths of least weight) grow depth first, a step kept only
+if the Pareto sets to the far end allow it.  On CAT(0) diskoids they are
+connected by diamond moves across flat rhombi (`diamond_sites`), and
+each extends to a boundary-to-boundary one (`complete_extension`).
 """
 
 from __future__ import annotations
@@ -32,10 +37,9 @@ class Geodesic(namedtuple("Geodesic", "vertices eids steps total")):
 
 class Diskoid:
     __slots__ = ("mode", "names", "base", "boundary", "edges", "triangles",
-                 "_adj", "_tris_at", "_tri_vsets", "_boundary_rows")
+                 "_adj", "_tris_at", "_boundary_rows")
 
-    def __init__(self, mode, names, base, boundary, edges, triangles,
-                 check=True):
+    def __init__(self, mode, names, base, boundary, edges, triangles):
         self.mode = mode
         self.names = tuple(names)
         self.base = base
@@ -44,10 +48,8 @@ class Diskoid:
         self.triangles = tuple(tuple(t) for t in triangles)
         self._adj = None
         self._tris_at = None
-        self._tri_vsets = None
         self._boundary_rows = {}
-        if check:
-            self.validate()
+        self.validate()
 
     # ------------------------------------------------------------------
 
@@ -86,16 +88,8 @@ class Diskoid:
 
     def triangle_vertices(self, t):
         """The vertex set of triangle index t."""
-        if self._tri_vsets is None:
-            self._tri_vsets = []
-            for tri in self.triangles:
-                vs = set()
-                for e in tri:
-                    u, v, _ = self.edges[e]
-                    vs.add(u)
-                    vs.add(v)
-                self._tri_vsets.append(frozenset(vs))
-        return self._tri_vsets[t]
+        return frozenset(x for e in self.triangles[t]
+                         for x in self.edges[e][:2])
 
     def triangles_at(self, v):
         if self._tris_at is None:
@@ -105,11 +99,6 @@ class Diskoid:
                     m[x] += 1
             self._tris_at = m
         return self._tris_at[v]
-
-    def edge_between(self, u, v):
-        """All edge ids joining u and v (multi-edges allowed)."""
-        return [e for e, (a, b, _) in self.edges.items()
-                if {a, b} == {u, v}]
 
     # ------------------------------------------------------------------
 
@@ -148,31 +137,17 @@ class Diskoid:
         for e in tri:
             if e not in self.edges:
                 raise DiskoidError("triangle uses unknown edge %r" % (e,))
-        # the three edges must close into a cycle...
-        ends = {}
-        for e in tri:
-            u, v, _ = self.edges[e]
-            ends.setdefault(u, []).append(e)
-            ends.setdefault(v, []).append(e)
-        if len(ends) != 3 or any(len(es) != 2 for es in ends.values()):
+        # the three edges close up: six endpoints, three vertices, each
+        # twice (there are no self-loops, so they form a cycle)...
+        ends = [x for e in tri for x in self.edges[e][:2]]
+        if len(set(ends)) != 3 or any(ends.count(x) != 2 for x in ends):
             raise DiskoidError("triangle edges do not close up")
-        # ...and be cyclically oriented: walking the cycle one way, the
-        # three step weights are all equal (all w1-type or all w2-type).
-        verts = list(ends)
-        a = verts[0]
-        e1 = ends[a][0]
-        u, v, lam = self.edges[e1]
-        b = v if u == a else u
-        s1 = lam if u == a else dual(lam, self.mode)
-        e2 = next(e for e in ends[b] if e != e1)
-        u, v, lam = self.edges[e2]
-        c = v if u == b else u
-        s2 = lam if u == b else dual(lam, self.mode)
-        e3 = next(e for e in ends[c] if e != e2)
-        u, v, lam = self.edges[e3]
-        s3 = lam if u == c else dual(lam, self.mode)
-        back = v if u == c else u
-        if back != a or not (s1 == s2 == s3):
+        # ...and, in A2, the steps round the cycle are all w1 or all w2:
+        # each edge's w1 direction (u -> v for a w1 edge, v -> u for a w2
+        # one) leaves a different vertex
+        tails = {u if lam == W1 else v
+                 for u, v, lam in (self.edges[e] for e in tri)}
+        if self.mode != "a1" and len(tails) != 3:
             raise DiskoidError("triangle is not a unit lattice triangle")
 
     def __repr__(self):
@@ -226,21 +201,16 @@ def distance_sets(D, p):
     return best
 
 
-def distance(D, p, q, strict=True):
-    """The dominance-minimal path weight from p to q.
-
-    With strict=True a non-coherent pair (Pareto antichain with more
-    than one minimum, possible only off CAT(0)) raises; otherwise the
-    full antichain is returned as a sorted tuple.
-    """
+def distance(D, p, q):
+    """The dominance-minimal path weight from p to q; a non-coherent pair
+    (a Pareto antichain with more than one minimum, possible only off
+    CAT(0)) raises."""
     pareto = distance_sets(D, p)[q]
     if not pareto:
         raise DiskoidError("no path from %r to %r" % (p, q))
     if len(pareto) > 1:
-        if strict:
-            raise DiskoidError("non-coherent distance %r -> %r: %r"
-                               % (p, q, sorted(pareto)))
-        return tuple(sorted(pareto))
+        raise DiskoidError("non-coherent distance %r -> %r: %r"
+                           % (p, q, sorted(pareto)))
     return pareto[0]
 
 
@@ -298,50 +268,33 @@ def diamond_sites(D, g):
     (v,w,x), sharing the diagonal v-x.  Flatness in both cases is the
     label pattern type(u->x) = type(v->w) and type(x->w) = type(u->v).
     """
+    tris = {D.triangle_vertices(t): tri for t, tri in enumerate(D.triangles)}
+
+    def side(T, a, b):
+        """The edge of triangle T joining a and b."""
+        return next(e for e in T if {D.edges[e][0], D.edges[e][1]} == {a, b})
+
     sites = []
-    tri_sets = {D.triangle_vertices(t): t for t in range(len(D.triangles))}
-
-    def flat(eux, exw, i):
-        return (_step_type(D, g.vertices[i - 1], x, eux)
-                == _step_type(D, g.vertices[i], g.vertices[i + 1], g.eids[i])
-                and _step_type(D, x, g.vertices[i + 1], exw)
-                == _step_type(D, g.vertices[i - 1], g.vertices[i],
-                              g.eids[i - 1]))
-
     for i in range(1, len(g.vertices) - 1):
-        u, v, w = g.vertices[i - 1], g.vertices[i], g.vertices[i + 1]
+        u, v, w = g.vertices[i - 1:i + 2]
         if u == w:
             continue
-        t_uvw = tri_sets.get(frozenset((u, v, w)))
+        T = tris.get(frozenset((u, v, w)))
         for x in D.names:
             if x in (u, v, w):
                 continue
-            found = None
-            # same-type rhombus: triangles (u,v,w), (u,w,x), diagonal u-w
-            if t_uvw is not None:
-                t2 = tri_sets.get(frozenset((u, w, x)))
-                if t2 is not None:
-                    tri1, tri2 = D.triangles[t_uvw], D.triangles[t2]
-                    if any(e in tri1 and e in tri2
-                           for e in D.edge_between(u, w)):
-                        eux = [e for e in tri2 if e in D.edge_between(u, x)]
-                        exw = [e for e in tri2 if e in D.edge_between(x, w)]
-                        if eux and exw:
-                            found = (eux[0], exw[0])
-            # mixed-type rhombus: triangles (u,v,x), (v,w,x), diagonal v-x
-            if found is None:
-                t1 = tri_sets.get(frozenset((u, v, x)))
-                t2 = tri_sets.get(frozenset((v, w, x)))
-                if t1 is not None and t2 is not None:
-                    tri1, tri2 = D.triangles[t1], D.triangles[t2]
-                    if any(e in tri1 and e in tri2
-                           for e in D.edge_between(v, x)):
-                        eux = [e for e in tri1 if e in D.edge_between(u, x)]
-                        exw = [e for e in tri2 if e in D.edge_between(x, w)]
-                        if eux and exw:
-                            found = (eux[0], exw[0])
-            if found is not None and flat(found[0], found[1], i):
-                sites.append((i, x, found))
+            T2 = tris.get(frozenset((u, w, x)))
+            if T and T2 and side(T, u, w) == side(T2, u, w):
+                pair = side(T2, u, x), side(T2, x, w)
+            else:
+                T1, T2 = (tris.get(frozenset((u, v, x))),
+                          tris.get(frozenset((v, w, x))))
+                if not (T1 and T2 and side(T1, v, x) == side(T2, v, x)):
+                    continue
+                pair = side(T1, u, x), side(T2, x, w)
+            if (_step_type(D, u, x, pair[0]) == g.steps[i]
+                    and _step_type(D, x, w, pair[1]) == g.steps[i - 1]):
+                sites.append((i, x, pair))
     return sites
 
 
@@ -360,45 +313,35 @@ def diamond_move(D, g, site):
 
 
 def complete_extension(D, g):
-    """A boundary-to-boundary geodesic containing g (CAT(0) inputs)."""
-    r = _extend(D, set(D.boundary), D.adjacency(), g.vertices, g.eids,
-                g.steps, g.total)
-    if r is None:
-        raise DiskoidError("no complete extension found (non-CAT(0) input?)")
-    return r
-
-
-def _extend(D, bset, adj, verts, eids, steps, total):
-    """The first boundary-to-boundary geodesic, depth first, that extends
-    the geodesic `verts` at its last vertex until that is on the boundary
-    `bset`, then at its first; None if there is none."""
-    u, v = verts[0], verts[-1]
-    if v not in bset:
-        for w, step, eid, _along in adj[v]:
-            if w in verts:
+    """A boundary-to-boundary geodesic containing g (CAT(0) inputs): the
+    first, depth first, that extends g at its last vertex until that is
+    on the boundary, then at its first.  A step keeps the path a geodesic
+    when the new total is a Pareto-minimal weight between its ends."""
+    bset, adj, sets = set(D.boundary), D.adjacency(), {}
+    stack = [g]
+    while stack:
+        h = stack.pop()
+        u, v = h.vertices[0], h.vertices[-1]
+        at_end = v not in bset
+        if not at_end and u in bset:
+            return h
+        nxt = []
+        for w, step, eid, _along in adj[v if at_end else u]:
+            if w in h.vertices:
                 continue
-            t2 = (total[0] + step[0], total[1] + step[1])
-            if t2 not in distance_sets(D, u)[w]:
-                continue
-            r = _extend(D, bset, adj, verts + (w,), eids + (eid,),
-                        steps + (step,), t2)
-            if r is not None:
-                return r
-        return None
-    if u not in bset:
-        for w, step, eid, _along in adj[u]:
-            if w in verts:
-                continue
-            st = dual(step, D.mode)
-            t2 = (total[0] + st[0], total[1] + st[1])
-            if t2 not in distance_sets(D, w)[v]:
-                continue
-            r = _extend(D, bset, adj, (w,) + verts, (eid,) + eids,
-                        (st,) + steps, t2)
-            if r is not None:
-                return r
-        return None
-    return Geodesic(verts, eids, steps, total)
+            if not at_end:
+                step = dual(step, D.mode)
+            t = (h.total[0] + step[0], h.total[1] + step[1])
+            src, dst = (u, w) if at_end else (w, v)
+            if src not in sets:
+                sets[src] = distance_sets(D, src)
+            if t in sets[src][dst]:
+                nxt.append(Geodesic(h.vertices + (w,), h.eids + (eid,),
+                                    h.steps + (step,), t) if at_end else
+                           Geodesic((w,) + h.vertices, (eid,) + h.eids,
+                                    (step,) + h.steps, t))
+        stack += reversed(nxt)  # depth first, in adjacency order
+    raise DiskoidError("no complete extension found (non-CAT(0) input?)")
 
 
 # ----------------------------------------------------------------------
@@ -467,14 +410,11 @@ def dual_diskoid(w):
     edges = {}
     dart_edge = {}
     eid = 0
-    done = set()
     rank = w.canonical_rank()
     for d in sorted(w.theta, key=lambda d: rank[d]):
-        if d in done:
+        if d in dart_edge:
             continue
         e = w.theta[d]
-        done.add(d)
-        done.add(e)
         if w.mode == "a2":
             head = d if d in w.heads else e
             tail = w.theta[head]

@@ -47,7 +47,7 @@ class _Field:
         return (-a) % self.p if self.p else -a
 
     def square_roots(self, a):
-        """Roots of x^2 = a in the field (list, possibly empty)."""
+        """Roots of x^2 = a in Q or in F_p, p odd (list, possibly empty)."""
         if self.p is None:
             if a < 0:
                 return []
@@ -55,8 +55,6 @@ class _Field:
             return [] if r is None else ([0] if a == 0 else [r, -r])
         if a == 0:
             return [0]
-        if self.p == 2:
-            return [a % 2]
         if pow(a, (self.p - 1) // 2, self.p) != 1:
             return []
         # p is small here: scan every residue
@@ -154,7 +152,10 @@ def solve_hexagon_incidence(lines, points, field=None, return_roots=False):
     p_i, p'_{i-1}, p'_i.  Generic samples give exactly 2.
 
     With return_roots=True also returns the t_1-roots that lie in the
-    ground field itself (these index the rational solutions)."""
+    ground field itself (these index the rational solutions).  No sample
+    over F_2 is generic: a generic row has p_ii = p_i,i+1 = 1 and sums
+    to 1, so the three points coincide.  The quadratic formula therefore
+    never meets characteristic 2."""
     F = field or _Field()
     P = _generic_rows(lines, points, F)
     if P is None:
@@ -189,17 +190,10 @@ def solve_hexagon_incidence(lines, points, field=None, return_roots=False):
         roots = [F.div(F.neg(qc), qb)] if qb else []
     else:
         disc = F.sub(F.mul(qb, qb), F.mul(F.of(4), F.mul(qa, qc)))
-        if F.p == 2:
-            # over F_2 discriminants degenerate; count closure roots by
-            # Artin-Schreier form and field roots by direct scan
-            roots = [t for t in (0, 1)
-                     if (qa * t * t + qb * t + qc) % 2 == 0]
-            count = 2 if qb else 1
-        else:
-            sq = F.square_roots(disc)
-            count = 1 if not disc else 2
-            inv2a = F.inv(F.mul(F.of(2), qa))
-            roots = [F.mul(F.sub(r, qb), inv2a) for r in sq]
+        sq = F.square_roots(disc)
+        count = 1 if not disc else 2
+        inv2a = F.inv(F.mul(F.of(2), qa))
+        roots = [F.mul(F.sub(r, qb), inv2a) for r in sq]
     if return_roots:
         return count, roots
     return count

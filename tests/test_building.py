@@ -402,6 +402,22 @@ def test_hexagon_finite_field():
         seen += 1
 
 
+def test_hexagon_over_f2_is_never_generic():
+    # a generic row has p_ii = p_i,i+1 = 1 and sums to 1, so over F_2 the
+    # three points coincide: the solver rejects every sample before it
+    # takes a root
+    F2 = _Field(2)
+    P2 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
+          (0, 1, 1), (1, 1, 1)]
+    rng = random.Random(7)
+    for lines, points in [(HEX_LINES, P2[3:6]), (HEX_LINES, [P2[6]] * 3),
+                          (P2[3:6], P2[:3])] + [
+            ([rng.choice(P2) for _ in range(3)],
+             [rng.choice(P2) for _ in range(3)]) for _ in range(20)]:
+        with pytest.raises(BuildingError, match="genericity fails"):
+            solve_hexagon_incidence(lines, points, F2)
+
+
 def test_hexagon_huge_rational_sample():
     # the discriminant's square root is taken far beyond float range
     points = [(1, 2, 3), (3, 10 ** 100 + 1, 2), (2, 5, 10 ** 100 + 7)]

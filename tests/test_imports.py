@@ -59,3 +59,55 @@ def test_no_module_imports_numpy():
     assert paths
     assert [p.name for p in paths
             if "numpy" in imported_modules(p.read_text())] == []
+
+
+def private_definitions(sources):
+    """{(file, name, line): used} for each single-underscore function,
+    method or class in the sources ({file: text}).  It is used when some
+    ast.Name, ast.Attribute or import in the sources names it outside its
+    own definition; docstrings and comments do not count."""
+    defs, refs = [], []
+    for path, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if node.name.startswith("_") and \
+                        not node.name.startswith("__"):
+                    defs.append((path, node.name, node.lineno,
+                                 node.end_lineno))
+            elif isinstance(node, ast.Name):
+                refs.append((path, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, node.attr, node.lineno))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                refs += [(path, part, node.lineno) for a in node.names
+                         for part in a.name.split(".")]
+    return {(path, name, first): any(
+                n == name and not (p == path and first <= line <= last)
+                for p, n, line in refs)
+            for path, name, first, last in defs}
+
+
+def test_private_definition_detection():
+    sources = {
+        "a.py": "def _used():\n    pass\n\n"
+                "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+                "class _C:\n    def _m(self):\n        return self._m()\n\n"
+                "    def __init__(self):\n        '''_gone'''\n"
+                "        _used()\n\n"
+                "def _gone():\n    pass\n",
+        "b.py": "from a import _C\n"}
+    assert private_definitions(sources) == {
+        ("a.py", "_used", 1): True, ("a.py", "_recursive", 4): False,
+        ("a.py", "_C", 7): True, ("a.py", "_m", 8): False,
+        ("a.py", "_gone", 15): False}
+
+
+def test_no_test_only_helpers_in_the_library():
+    # every private function, method or class of the library has a
+    # caller in the library itself, not only in the tests
+    sources = {str(p.relative_to(SRC)): p.read_text()
+               for p in sorted(SRC.rglob("*.py"))}
+    defs = private_definitions(sources)
+    assert len(defs) > 80
+    assert [key for key, used in defs.items() if not used] == []

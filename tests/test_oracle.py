@@ -21,7 +21,7 @@ from spiderweb.oracle import (
 from spiderweb.skein import evaluate_closed
 from spiderweb.generate import random_signature, random_web
 from spiderweb.webs import WebError, glue, mirror
-from spiderweb.weights import W1, W2
+from spiderweb.weights import W1, W2, dominance_leq, sub
 
 
 def _rank_exact(M):
@@ -452,6 +452,32 @@ def test_basis_vectors_linearly_independent():
     cat = enumerate_basis(sig)
     vecs = [web_vector(w) for w in cat.webs()]
     assert vectors_rank(vecs) == len(cat) == invariant_kernel_dim(sig)
+
+
+def test_web_vectors_are_unitriangular_in_the_tensor_basis(catalogs_le8):
+    # Khovanov and Kuperberg: read a basis web's path as a state, at leg k
+    # the index of p_k - p_(k-1) among the leg's weights.  A web's vector
+    # is +-1 at its own state, and nonzero at another basis web's state
+    # only if that web's path is entrywise dominance-below its own; so the
+    # catalog is independent in the library's own arithmetic
+    n_sigs = n_webs = off_diagonal = 0
+    for sig, cat in catalogs_le8.items():
+        if not len(cat):
+            continue
+        legs = [oracle._leg_weights(lam, "a2") for lam in sig]
+        state = {p: tuple(ws.index(sub(b, a))
+                          for ws, a, b in zip(legs, p, p[1:]))
+                 for p in cat.paths()}
+        for p, w, _key in cat.entries:
+            vec = web_vector(w)
+            assert vec[state[p]] in (1, -1)
+            for q in cat.paths():
+                if q != p and vec.get(state[q]):
+                    assert all(map(dominance_leq, q, p)), (sig, p, q)
+                    off_diagonal += 1
+        n_sigs += 1
+        n_webs += len(cat)
+    assert (n_sigs, n_webs, off_diagonal) == (170, 2584, 12832)
 
 
 def test_web_vector_digest_of_small_catalogs():

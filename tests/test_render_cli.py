@@ -188,6 +188,17 @@ def test_cat0(capsys):
     assert code == 0 and "CAT(0)" in out
 
 
+def test_cat0_rejects_a_malformed_diskoid(capsys, tmp_path):
+    # the single-Y dual with one triangle edge reversed
+    bad = tmp_path / "bad.dsk"
+    bad.write_text("type a2\nvertex a b c\nbase a\nboundary a b c\n"
+                   "edge e0 a b w1\nedge e1 b c w1\nedge e2 a c w1\n"
+                   "triangle e0 e1 e2\n")
+    code, out, err = run(capsys, "cat0", str(bad))
+    assert code == 1 and out == ""
+    assert "error: triangle is not a unit lattice triangle" in err
+
+
 def test_order(capsys):
     code, out, _ = run(capsys, "order", corpus_path("w-nu"),
                        corpus_path("w-mu"))
