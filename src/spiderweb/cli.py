@@ -64,7 +64,7 @@ def _corpus_name(spec):
 def load_web_arg(spec):
     if os.path.exists(spec):
         with open(spec) as f:
-            return parse_web(f.read(), strict=False)
+            return parse_web(f.read())
     name = _corpus_name(spec)
     if name is not None and name in corpus.names():
         return corpus.load_web(name)
@@ -151,7 +151,6 @@ def cmd_validate(args):
     lines, data = [], {"webs": []}
     for spec in args.web:
         w = load_web_arg(spec)
-        w.validate(strict=False)
         s = web_summary(w)
         data["webs"].append(s)
         lines.append("%s: ok (%s, %d legs [%s], %d vertices, %d edges, "
@@ -532,7 +531,7 @@ def _st_webs():
     checks = []
     for name in corpus.names():
         w = corpus.load_web(name)
-        checks.append(parse_web(serialize_web(w), strict=False) == w)
+        checks.append(parse_web(serialize_web(w)) == w)
         n = len(w.boundary)
         if n:
             checks.append(rotate(w, n) == w)

@@ -30,9 +30,8 @@ def web_text(name):
 
 
 def load_web(name):
-    """The parsed corpus web (lenient parse: the loop entry is a free
-    circle, which strict parsing rejects)."""
-    return parse_web(web_text(name), strict=False)
+    """The parsed corpus web."""
+    return parse_web(web_text(name))
 
 
 def expected(name):

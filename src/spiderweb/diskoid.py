@@ -17,11 +17,11 @@ each extends to a boundary-to-boundary one (`complete_extension`).
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from . import weights
 from .weights import W1, dual, dominance_leq
-from .webs import WebError
+from .webs import WebError, read_directives
 
 
 class DiskoidError(ValueError):
@@ -439,22 +439,20 @@ def dual_diskoid(w):
 # ----------------------------------------------------------------------
 # .dsk text format
 
+_DSK_DIRECTIVES = {"vertex": (None, None),
+                   "base": (1, "base needs 1 vertex"),
+                   "boundary": (None, None),
+                   "edge": (4, "edge EID TAIL HEAD LABEL"),
+                   "triangle": (3, "triangle needs 3 edges")}
+
+
 def parse_diskoid(text):
-    """Line-oriented .dsk format: ``type``, ``vertex NAME``, ``base NAME``,
-    ``boundary N0 N1 ...``, ``edge EID TAIL HEAD LABEL``,
-    ``triangle E0 E1 E2``; ``#`` comments."""
-    mode = None
-    names = []
-    base = None
-    boundary = []
-    edges = {}
-    triangles = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        kind, args = toks[0].lower(), toks[1:]
+    """Line-oriented .dsk format: ``type a1|a2``, ``vertex NAME ...``,
+    ``base NAME``, ``boundary N0 N1 ...``, ``edge EID TAIL HEAD LABEL``,
+    ``triangle E0 E1 E2``; ``#`` comments (read by `read_directives`)."""
+    names, base, boundary, edges, triangles = [], None, [], {}, []
+    for ln, kind, args in read_directives(text, _DSK_DIRECTIVES,
+                                          DiskoidError):
         if kind == "type":
             mode = args[0].lower()
         elif kind == "vertex":
@@ -462,20 +460,24 @@ def parse_diskoid(text):
         elif kind == "base":
             base = args[0]
         elif kind == "boundary":
-            boundary = list(args)
+            boundary = args
         elif kind == "edge":
-            if len(args) != 4:
-                raise DiskoidError("line %d: edge EID TAIL HEAD LABEL" % ln)
-            edges[args[0]] = (args[1], args[2], weights.parse_weight(args[3]))
-        elif kind == "triangle":
-            if len(args) != 3:
-                raise DiskoidError("line %d: triangle needs 3 edges" % ln)
-            triangles.append(tuple(args))
+            try:
+                lam = weights.parse_weight(args[3])
+            except ValueError as exc:
+                raise DiskoidError("line %d: %s" % (ln, exc))
+            edges[args[0]] = (args[1], args[2], lam)
         else:
-            raise DiskoidError("line %d: unknown directive %r" % (ln, toks[0]))
-    if mode is None:
-        raise DiskoidError("missing 'type' line")
-    return Diskoid(mode, names, base, boundary, edges, triangles)
+            triangles.append(tuple(args))
+    D = Diskoid(mode, names, base, boundary, edges, triangles)
+    # a rim edge (on fewer than two triangles) ends on the boundary; every
+    # dual has this by construction, so `Diskoid.validate` leaves it out
+    sides = Counter(e for tri in triangles for e in tri)
+    for e, (u, v, _lam) in edges.items():
+        if sides[e] < 2 and not {u, v} <= set(boundary):
+            raise DiskoidError("edge %r is on the rim but an end is not "
+                               "on the boundary" % (e,))
+    return D
 
 
 def serialize_diskoid(D):

@@ -181,10 +181,8 @@ class Grower:
     def build(self):
         if self.frontier:
             raise WebError("frontier is not empty")
-        w = Web(self.mode, self.theta, self.vertices, self.boundary,
-                self.heads, 0, check=False)
-        w.validate(strict=True)
-        return w
+        return Web(self.mode, self.theta, self.vertices, self.boundary,
+                   self.heads)
 
     def state_key(self):
         """Canonical key of the partial state (for search memoization).

@@ -9,14 +9,14 @@ A web is stored as a set of darts (half-edges) with:
   * ``heads``    — for A2, the dart at the arrival end of each edge's
                    w1-flow (an edge labelled w2 in one direction is stored
                    as w1 in the other),
-  * ``circles``  — a count of free closed loops (no darts); these only
-                   appear in skein-engine intermediates and lenient parses.
+  * ``circles``  — a count of free closed loops (no darts), as in the
+                   corpus loop and in skein-engine intermediates.
 
 Faces are the orbits of ``d -> sigma(theta(d))`` where ``sigma`` is the
 counterclockwise successor at interior vertices and ``b_i -> b_{i+1}`` on
 the boundary; the face of a dart lies to the right of motion along it.
-Planarity is enforced through the Euler characteristic of every connected
-component.
+Planarity is enforced by one Euler count over the whole web (see
+``_check_planarity``).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class Web:
         self._crank = None
         self._dual = None  # the dual diskoid, built by diskoid.dual_diskoid
         if check:
-            self.validate(strict=False)
+            self.validate()
 
     # ------------------------------------------------------------------
     # basic structure
@@ -146,7 +146,7 @@ class Web:
     # ------------------------------------------------------------------
     # validation
 
-    def validate(self, strict=True):
+    def validate(self):
         th = self.theta
         for d, e in th.items():
             if e == d or th.get(e) != d:
@@ -167,16 +167,14 @@ class Web:
             for tri in self.vertices:
                 if len(tri) != 3:
                     raise WebError("interior vertices must be trivalent")
-            for d in th:
-                e = th[d]
-                k = (d in self.heads) + (e in self.heads)
-                if k != 1:
+            for d, e in th.items():
+                if (d in self.heads) == (e in self.heads):
                     raise WebError("edge %r-%r must have exactly one head" % (d, e))
             for i, tri in enumerate(self.vertices):
                 flags = {d in self.heads for d in tri}
                 if len(flags) != 1:
                     raise WebError("vertex %d violates the all-in/all-out flow rule" % i)
-        self._check_planarity(strict)
+        self._check_planarity()
 
     def _components(self):
         """Connected components of the dart set; boundary darts all linked."""
@@ -205,24 +203,20 @@ class Web:
             comps.setdefault(find(d), []).append(d)
         return list(comps.values())
 
-    def _check_planarity(self, strict):
-        bset = set(self.boundary)
-        faces = self.faces()
-        for comp in self._components():
-            cset = set(comp)
-            has_bd = bool(cset & bset)
-            nv = len([tri for tri in self.vertices if tri[0] in cset])
-            if has_bd:
-                nv += 1  # the disk boundary acts as one more vertex
-            ne = len(comp) // 2
-            nf = len([f for f in faces if f.darts[0] in cset])
-            if nv - ne + nf != 2:
-                raise WebError("component fails the Euler planarity check "
-                               "(V-E+F = %d)" % (nv - ne + nf))
-            if strict and self.boundary and not has_bd:
-                raise WebError("closed component present (strict mode)")
-        if strict and self.circles:
-            raise WebError("free circles present (strict mode)")
+    def _check_planarity(self):
+        """V + [the web has legs] - E + F = 2 per connected component.
+
+        A connected map has V - E + F = 2 - 2g <= 2 on its surface of genus
+        g, with the disk boundary as one more vertex of the component that
+        holds the legs.  So the sum over the whole web reaches twice the
+        number of components only if every component is planar, and one
+        count replaces a scan of the vertices and faces per component."""
+        chi = (len(self.vertices) + bool(self.boundary) - len(self.theta) // 2
+               + len(self.faces()))
+        n = len(self._components())
+        if chi != 2 * n:
+            raise WebError("web fails the Euler planarity check (V-E+F = %d "
+                           "over %d components)" % (chi, n))
 
     # ------------------------------------------------------------------
     # derived data
@@ -368,7 +362,39 @@ def empty_web(mode):
 # ----------------------------------------------------------------------
 # parsing / serialization (.web format)
 
-def parse_web(text, strict=True):
+def read_directives(text, arities, error):
+    """Yield (line number, directive, arguments) for each line of a
+    line-oriented format (.web, .dsk), skipping ``#`` comments and blank
+    lines, with the directive lowercased.  ``arities`` maps each directive
+    but the shared ``type a1|a2`` to (argument count or None for any,
+    message).  An unknown directive, a wrong count, or a bad or missing
+    type raises ``error``."""
+    typed = False
+    for ln, raw in enumerate(text.splitlines(), 1):
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
+        kind, args = toks[0].lower(), toks[1:]
+        if kind == "type":
+            typed = True
+            if len(args) != 1 or args[0].lower() not in ("a1", "a2"):
+                raise error("line %d: type must be a1 or a2" % ln)
+        elif kind not in arities:
+            raise error("line %d: unknown directive %r" % (ln, toks[0]))
+        elif arities[kind][0] not in (None, len(args)):
+            raise error("line %d: %s" % (ln, arities[kind][1]))
+        yield ln, kind, args
+    if not typed:
+        raise error("missing 'type' line")
+
+
+_WEB_DIRECTIVES = {"bdarts": (None, None),
+                   "vertex": (3, "vertex needs 3 darts"),
+                   "edge": (2, "edge needs 2 darts"),
+                   "head": (1, "head needs 1 dart")}
+
+
+def parse_web(text):
     """Parse the line-oriented .web format.
 
     Lines: ``type a1|a2``, ``bdarts d0 d1 ...`` (clockwise from the base),
@@ -376,58 +402,31 @@ def parse_web(text, strict=True):
     ``#`` starts a comment.  An ``edge`` line whose darts are attached to
     no vertex and no boundary denotes a free circle.
     """
-    mode = None
-    boundary = []
-    vertices = []
-    edges = []
-    heads = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        kind, args = toks[0].lower(), toks[1:]
+    boundary, vertices, edges, heads = [], [], [], set()
+    for _ln, kind, args in read_directives(text, _WEB_DIRECTIVES, WebError):
         if kind == "type":
-            if len(args) != 1 or args[0].lower() not in ("a1", "a2"):
-                raise WebError("line %d: type must be a1 or a2" % ln)
             mode = args[0].lower()
         elif kind == "bdarts":
-            boundary = list(args)
+            boundary = args
         elif kind == "vertex":
-            if len(args) != 3:
-                raise WebError("line %d: vertex needs 3 darts" % ln)
             vertices.append(tuple(args))
         elif kind == "edge":
-            if len(args) != 2:
-                raise WebError("line %d: edge needs 2 darts" % ln)
             edges.append(tuple(args))
-        elif kind == "head":
-            if len(args) != 1:
-                raise WebError("line %d: head needs 1 dart" % ln)
-            heads.append(args[0])
         else:
-            raise WebError("line %d: unknown directive %r" % (ln, toks[0]))
-    if mode is None:
-        raise WebError("missing 'type' line")
-    attached = set(boundary)
-    for tri in vertices:
-        attached.update(tri)
+            heads.add(args[0])
+    attached = set(boundary).union(*vertices)
     theta = {}
     circles = 0
-    headset = set(heads)
     for a, b in edges:
         if a not in attached and b not in attached:
             circles += 1  # a free circle
-            headset.discard(a)
-            headset.discard(b)
+            heads -= {a, b}
             continue
         if a in theta or b in theta:
             raise WebError("dart used by two edges: %r/%r" % (a, b))
         theta[a] = b
         theta[b] = a
-    w = Web(mode, theta, vertices, boundary, headset, circles, check=False)
-    w.validate(strict=strict)
-    return w
+    return Web(mode, theta, vertices, boundary, heads, circles)
 
 
 def serialize_web(w):

@@ -15,6 +15,8 @@ combination of simple roots.
 
 from __future__ import annotations
 
+import re
+
 ZERO = (0, 0)
 W1 = (1, 0)
 W2 = (0, 1)
@@ -112,42 +114,18 @@ def format_weight(w):
 
 
 def parse_weight(text):
-    """Parse weights rendered by format_weight; case-insensitive."""
+    """Parse weights rendered by format_weight, ignoring case and spaces:
+    ``0``, or signed terms ``[+-]?\\d*w[12]`` of which only the first may
+    leave out its sign."""
     s = text.strip().lower().replace(" ", "")
-    if s in ("0", "+0", "-0"):
+    if re.fullmatch(r"[+-]?0", s):
         return ZERO
-    a = b = 0
-    # split into signed terms
-    terms = []
-    cur = ""
-    for ch in s:
-        if ch in "+-" and cur:
-            terms.append(cur)
-            cur = ch if ch == "-" else ""
-        else:
-            cur += ch
-    if cur:
-        terms.append(cur)
-    for t in terms:
-        if not t or t in ("+", "-"):
-            raise ValueError("bad weight syntax: %r" % text)
-        sign = 1
-        if t[0] == "-":
-            sign, t = -1, t[1:]
-        elif t[0] == "+":
-            t = t[1:]
-        if t.endswith("w1"):
-            name, coeff = "w1", t[:-2]
-        elif t.endswith("w2"):
-            name, coeff = "w2", t[:-2]
-        else:
-            raise ValueError("bad weight term in %r" % text)
-        k = sign * (int(coeff) if coeff else 1)
-        if name == "w1":
-            a += k
-        else:
-            b += k
-    return (a, b)
+    if not re.fullmatch(r"[+-]?\d*w[12]([+-]\d*w[12])*", s):
+        raise ValueError("bad weight syntax: %r" % text)
+    w = [0, 0]
+    for coeff, i in re.findall(r"([+-]?\d*)w([12])", s):
+        w[int(i) - 1] += int(coeff + "1" if coeff in "+-" else coeff)
+    return tuple(w)
 
 
 def parse_signature(text):

@@ -40,7 +40,7 @@ def test_sidecar_values(name):
     assert exp["signature"] == format_signature(w.boundary_signature())
     assert exp["nonelliptic"] == w.is_nonelliptic()
     # text roundtrip
-    assert parse_web(serialize_web(w), strict=False) == w
+    assert parse_web(serialize_web(w)) == w
 
     if "skein_value" in exp:
         val = evaluate_closed(w)

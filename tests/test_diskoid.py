@@ -582,3 +582,39 @@ def test_triangle_check_matches_its_first_version():
     # every verdict occurs, and A1 has no orientation to reject
     assert len(verdicts) == 9 and min(verdicts.values()) > 100
     assert ("a1", "is") not in verdicts
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("type a2", "type", "line 1: type must be a1 or a2"),
+    ("type a2", "type a3", "line 1: type must be a1 or a2"),
+    ("type a2", "type a2 a1", "line 1: type must be a1 or a2"),
+    ("base p0", "base", "line 3: base needs 1 vertex"),
+    ("base p0", "base p0 p1", "line 3: base needs 1 vertex"),
+    ("e1 p1 p2 w1", "e1 p1 p2 w3", "line 6: bad weight syntax: 'w3'"),
+    ("e1 p1 p2 w1", "e1 p1 p2 w1+", "line 6: bad weight syntax: 'w1\\+'"),
+    ("boundary p0 p1 p2", "boundary p0 p1",
+     "edge 'e1' is on the rim but an end is not on the boundary"),
+], ids=["type-bare", "type-a3", "type-two", "base-bare", "base-two",
+        "label-w3", "label-trailing-sign", "rim-off-boundary"])
+def test_every_directive_is_checked(old, new, message):
+    assert old in Y_DSK
+    with pytest.raises(DiskoidError, match=message):
+        parse_diskoid(Y_DSK.replace(old, new, 1))
+
+
+def test_directives_ignore_case_comments_and_blank_lines():
+    text = "# the single-Y dual\n\n" + Y_DSK.replace(
+        "type a2", "TYPE A2  # mode").replace("base p0", "Base p0\n")
+    assert serialize_diskoid(parse_diskoid(text)) == Y_DSK
+
+
+def test_every_dual_has_its_rim_on_the_boundary(catalogs_le8):
+    # parse_diskoid's rim check rejects no dual: a web edge with an end on
+    # the boundary borders two faces that touch the boundary
+    rng = random.Random(8)
+    webs = [random_web(random_signature(rng, max_legs=8), rng,
+                       max_vertices=10) for _ in range(200)]
+    webs += [w for cat in catalogs_le8.values() for w in cat.webs()]
+    for w in webs:
+        text = serialize_diskoid(dual_diskoid(w))
+        assert serialize_diskoid(parse_diskoid(text)) == text

@@ -1,3 +1,4 @@
+import collections
 import gc
 import hashlib
 import itertools
@@ -13,8 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SIG12, random_closed_web, relabelled
-from spiderweb import corpus, oracle
+from spiderweb import building, corpus, oracle
 from spiderweb.basis import dim_invariants, enumerate_basis
+from spiderweb.building import APARTMENT, Linkage, diskoid_linkage
+from spiderweb.diskoid import dual_diskoid
 from spiderweb.oracle import (
     _e_moves, _tuples_of_weight, apply_raising, contract_closed,
     in_invariant_kernel, invariant_kernel_dim, web_vector)
@@ -478,6 +481,67 @@ def test_web_vectors_are_unitriangular_in_the_tensor_basis(catalogs_le8):
         n_sigs += 1
         n_webs += len(cat)
     assert (n_sigs, n_webs, off_diagonal) == (170, 2584, 12832)
+
+
+def apartment_states(w):
+    """{state: number of label-preserving maps of w's dual diskoid D into
+    the apartment that send boundary vertex i to x_i}, where x_0 = 0 and
+    x_(i+1) - x_i is the weight of leg i's index s_i.  One search per web,
+    bucketed by the boundary's places.  A neighbour of the base is pinned
+    to each of its places in turn: with only the base placed, `_search`
+    explores one representative of each orbit of the base's stabilizer,
+    which is right for distances from the base but not for places."""
+    D = dual_diskoid(w)
+    legs = [oracle._leg_weights(lam, w.mode) for lam in w.boundary_signature()]
+    link = diskoid_linkage(D)
+    u, step, _eid, _along = D.adjacency()[D.base][0]
+    counts = collections.Counter()
+
+    def visit(assign, mult):
+        x = [assign[b] for b in D.boundary]
+        counts[tuple(ws.index(sub(b, a))
+                     for ws, a, b in zip(legs, x, x[1:] + x[:1]))] += mult
+
+    for place in APARTMENT.sphere(APARTMENT.base(), step):
+        building._enumerate(Linkage(link.vertices, link.base, link.edges,
+                                    fixed={u: place}), APARTMENT, visit)
+    return counts
+
+
+def inversions(s):
+    return sum(a > b for a, b in itertools.combinations(s, 2))
+
+
+def test_web_vectors_count_maps_into_the_apartment(catalogs_le8):
+    # the vector form of criterion 5: a basis web's coefficient at a state
+    # is, up to one sign per signature and (-1)^inv(state), the Euler
+    # characteristic of the fibre over the boundary that the state walks,
+    # counted at its torus-fixed points in the apartment
+    n_sigs = n_webs = 0
+    for sig, cat in catalogs_le8.items():
+        if len(sig) > 7 or not len(cat):
+            continue
+        signs = set()
+        for w in cat.webs():
+            vec = web_vector(w)
+            assert {s: abs(c) for s, c in vec.items()} == apartment_states(w)
+            signs |= {(c > 0) == (inversions(s) % 2 == 0)
+                      for s, c in vec.items()}
+        assert len(signs) == 1, sig
+        n_sigs += 1
+        n_webs += len(cat)
+    assert (n_sigs, n_webs) == (84, 638)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32))
+def test_random_web_vectors_count_maps_into_the_apartment(seed):
+    # elliptic webs too: the count needs no CAT(0)
+    rng = random.Random(seed)
+    sig = random_signature(rng, max_legs=7)
+    w = random_web(sig, rng, max_vertices=8)
+    assert {s: abs(c) for s, c in web_vector(w).items()} == \
+        apartment_states(w)
 
 
 def test_web_vector_digest_of_small_catalogs():

@@ -1,6 +1,8 @@
+import argparse
 import json
 import os
 import random
+import re
 
 import pytest
 
@@ -8,7 +10,7 @@ from spiderweb import cli, corpus
 from spiderweb.basis import enumerate_basis
 from spiderweb.building import FieldParam, sample_polygon_config
 from spiderweb.cli import main
-from spiderweb.diskoid import dual_diskoid, parse_diskoid
+from spiderweb.diskoid import dual_diskoid, parse_diskoid, serialize_diskoid
 from spiderweb.render import render_diskoid, render_web
 from spiderweb.webs import serialize_web
 from spiderweb.weights import W1, W2, ZERO
@@ -264,3 +266,59 @@ def test_hexagon_rejects_a_field_size_that_is_no_prime(capsys, p):
                          "--seed", "3")
     assert code == 1 and out == ""
     assert "field size must be prime, got %s" % p in err
+
+
+# ---------------------------------------------------------------- bad input
+
+
+Y_WEB = corpus.web_text("single-y")
+Y_DSK = serialize_diskoid(dual_diskoid(corpus.load_web("single-y")))
+
+
+def shortened(text, i):
+    """text with the last argument of line i dropped."""
+    lines = text.splitlines()
+    lines[i] = lines[i].rsplit(None, 1)[0]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command, suffix, text, i", [
+    pytest.param(command, suffix, text, i, id="%s-line%d" % (command, i + 1))
+    for command, suffix, text in (("cat0", ".dsk", Y_DSK),
+                                  ("validate", ".web", Y_WEB))
+    for i in range(len(text.splitlines()))])
+def test_a_shortened_line_is_an_error_not_a_traceback(
+        capsys, tmp_path, command, suffix, text, i):
+    bad = tmp_path / ("bad" + suffix)
+    bad.write_text(shortened(text, i))
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unknown_diskoid_type_is_an_error(capsys, tmp_path):
+    bad = tmp_path / "a3.dsk"
+    bad.write_text(Y_DSK.replace("type a2", "type a3"))
+    code, out, err = run(capsys, "cat0", str(bad))
+    assert code == 1 and out == ""
+    assert "error: line 1: type must be a1 or a2" in err
+
+
+@pytest.mark.parametrize("boundary", ["w1,w1+,w1", "w1,,w2", "w1,w2,"])
+def test_malformed_boundary_is_an_error(capsys, boundary):
+    code, out, err = run(capsys, "paths", "--boundary", boundary)
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad weight syntax")
+
+
+# ---------------------------------------------------------------- docs
+
+
+def test_subcommand_lists_agree():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        readme = re.search(r"Subcommands: `([^`]*)`", f.read()).group(1)
+    doc = re.search(r"Subcommands: (.*?)\.\n", cli.__doc__, re.S).group(1)
+    parser = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    assert set(readme.split()) == set(re.split(r"[,\s]+", doc)) == \
+        set(parser.choices)

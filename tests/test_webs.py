@@ -39,7 +39,7 @@ def test_empty_web():
 def test_serialize_roundtrip_corpus():
     for name in corpus.names():
         w = corpus.load_web(name)
-        w2 = parse_web(serialize_web(w), strict=False)
+        w2 = parse_web(serialize_web(w))
         assert w2 == w
         assert w2.canonical_key() == w.canonical_key()
 
@@ -179,7 +179,7 @@ def test_web_text_round_trip(seed, mode):
     if mode == "a2":
         webs.append(random_closed_web(rng))
     for w in webs:
-        back = parse_web(serialize_web(w), strict=False)
+        back = parse_web(serialize_web(w))
         assert back.canonical_key() == w.canonical_key()
 
 
@@ -316,3 +316,227 @@ def test_a1_mode():
     assert w.mode == "a1"
     assert w.boundary_signature() == (W1,) * 8
     assert w.n_vertices() == 0 and w.n_edges() == 4
+
+
+# ----------------------------------------------------------------------
+# every rejection of `Web.validate` and `parse_web`
+
+
+def edit_y(edit):
+    """The single Y's fields (mode, theta, vertices, boundary, heads) after
+    `edit` changes them in place; it returns a mode, or None for a2."""
+    w = Y()
+    theta, verts, bd, heads = (dict(w.theta), list(w.vertices),
+                               list(w.boundary), set(w.heads))
+    mode = edit(theta, verts, bd, heads) or "a2"
+    return mode, theta, verts, bd, heads
+
+
+def broken_involution(theta, verts, bd, heads):
+    theta[bd[0]] = bd[1]
+
+
+def attached_twice(theta, verts, bd, heads):
+    verts[0] = verts[0][:2] + (bd[0],)
+
+
+def attached_differ(theta, verts, bd, heads):
+    bd.pop()
+
+
+def a1_with_vertices(theta, verts, bd, heads):
+    heads.clear()
+    return "a1"
+
+
+def a1_with_heads(theta, verts, bd, heads):
+    theta.clear()
+    theta.update(a="b", b="a")
+    verts.clear()
+    bd[:] = ["a", "b"]
+    heads.clear()
+    heads.add("a")
+    return "a1"
+
+
+def four_valent(theta, verts, bd, heads):
+    theta.update(x="y", y="x")
+    verts[0] += ("y",)
+    bd.append("x")
+    heads.add("x")
+
+
+def headless_edge(theta, verts, bd, heads):
+    heads.discard(bd[2])
+
+
+def two_headed_edge(theta, verts, bd, heads):
+    heads.add(theta[bd[2]])
+
+
+def mixed_flow(theta, verts, bd, heads):
+    heads.discard(bd[2])
+    heads.add(theta[bd[2]])
+
+
+def crossing_arcs(theta, verts, bd, heads):
+    # two A1 arcs joining opposite legs of a square cross
+    theta.clear()
+    theta.update(a="c", c="a", b="d", d="b")
+    verts.clear()
+    bd[:] = ["a", "b", "c", "d"]
+    heads.clear()
+    return "a1"
+
+
+def twisted_theta(theta, verts, bd, heads):
+    # the theta web with one vertex rotation reversed: a torus map
+    th = corpus.load_web("theta")
+    theta.clear()
+    theta.update(th.theta)
+    verts[:] = [th.vertices[0], th.vertices[1][::-1]]
+    bd.clear()
+    heads.clear()
+    heads.update(th.heads)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (broken_involution, "edge involution broken at dart"),
+    (attached_twice, "a dart is attached twice"),
+    (attached_differ, "attached darts and edge darts differ"),
+    (a1_with_vertices, "A1 webs have no interior vertices"),
+    (a1_with_heads, "A1 webs carry no w1-flow heads"),
+    (four_valent, "interior vertices must be trivalent"),
+    (headless_edge, "must have exactly one head"),
+    (two_headed_edge, "must have exactly one head"),
+    (mixed_flow, "vertex 0 violates the all-in/all-out flow rule"),
+    (crossing_arcs, "fails the Euler planarity check"),
+    (twisted_theta, "fails the Euler planarity check"),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_validate_rejections(edit, message):
+    with pytest.raises(WebError, match=message):
+        Web(*edit_y(edit))
+
+
+def test_the_unedited_y_is_valid():
+    w = Web(*edit_y(lambda *parts: None))
+    assert w == Y()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("type a2", "type a3", "line 1: type must be a1 or a2"),
+    ("type a2", "type", "line 1: type must be a1 or a2"),
+    ("vertex d3 d4 d5", "vertex d3 d4", "line 3: vertex needs 3 darts"),
+    ("vertex d3 d4 d5", "vertex d3 d4 d5 d6", "line 3: vertex needs 3 darts"),
+    ("edge d0 d3", "edge d0", "line 4: edge needs 2 darts"),
+    ("edge d0 d3", "edge d0 d3 d4", "line 4: edge needs 2 darts"),
+    ("head d0", "head", "line 7: head needs 1 dart"),
+    ("head d0", "head d0 d3", "line 7: head needs 1 dart"),
+    ("bdarts", "face", "line 2: unknown directive 'face'"),
+    ("type a2\n", "", "missing 'type' line"),
+    ("edge d0 d3", "edge d0 d3\nedge d4 d0",
+     "dart used by two edges"),
+], ids=["type-value", "type-bare", "vertex-short", "vertex-long",
+        "edge-short", "edge-long", "head-short", "head-long",
+        "unknown-directive", "missing-type", "dart-in-two-edges"])
+def test_parse_web_rejections(old, new, message):
+    text = corpus.web_text("single-y")
+    assert old in text
+    with pytest.raises(WebError, match=message):
+        parse_web(text.replace(old, new, 1))
+
+
+def test_parse_web_reads_comments_case_and_circles():
+    text = "# the single Y\n" + corpus.web_text("single-y").replace(
+        "type a2", "TYPE A2  # mode").replace("head d0", "Head d0\n\n")
+    assert parse_web(text) == Y()
+    w = parse_web(text + "edge c0 c1\n")
+    assert w.circles == 1 and w.n_edges() == 3
+
+
+# ----------------------------------------------------------------------
+# planarity: the Euler count over the whole web against the first,
+# per-component check
+
+
+def reference_check_planarity(w):
+    """The first planarity check: V - E + F = 2 on each connected
+    component on its own, the disk boundary one more vertex of the
+    component that holds the legs."""
+    bset = set(w.boundary)
+    faces = w.faces()
+    for comp in w._components():
+        cset = set(comp)
+        has_bd = bool(cset & bset)
+        nv = len([tri for tri in w.vertices if tri[0] in cset])
+        if has_bd:
+            nv += 1
+        ne = len(comp) // 2
+        nf = len([f for f in faces if f.darts[0] in cset])
+        if nv - ne + nf != 2:
+            raise WebError("component fails the Euler planarity check "
+                           "(V-E+F = %d)" % (nv - ne + nf))
+
+
+def mutated(w, rng):
+    """w after one to three random edits that keep the edge involution,
+    the attachments and the flow rules, so that only planarity can fail:
+    a vertex rotation reversed, two edges re-paired head to tail, the
+    boundary permuted, or two darts of one flow swapped between their
+    attachment points (vertices or the boundary)."""
+    theta = dict(w.theta)
+    slots = [list(t) for t in w.vertices] + [list(w.boundary)]
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(4)
+        if kind == 0 and len(slots) > 1:
+            slots[rng.randrange(len(slots) - 1)].reverse()
+        elif kind == 1 and len(theta) >= 4:
+            (a, b), (c, d) = rng.sample(
+                [(h, theta[h]) for h in theta
+                 if h in w.heads or (w.mode == "a1" and str(h) < str(theta[h]))],
+                2)
+            theta.update({a: d, d: a, c: b, b: c})
+        elif kind == 2:
+            rng.shuffle(slots[-1])
+        elif kind == 3:
+            places = [(i, k) for i, s in enumerate(slots) for k in range(len(s))]
+            if len(places) >= 2:
+                (i, k), (j, m) = rng.sample(places, 2)
+                if (slots[i][k] in w.heads) == (slots[j][m] in w.heads):
+                    slots[i][k], slots[j][m] = slots[j][m], slots[i][k]
+    return Web(w.mode, theta, slots[:-1], slots[-1], w.heads, w.circles,
+               check=False)
+
+
+def test_planarity_count_matches_the_per_component_check():
+    rng = random.Random(2024)
+    sources = [corpus.load_web(name) for name in corpus.names()]
+    for k in range(300):
+        if k < 100:
+            sources.append(random_closed_web(rng))
+        elif k < 150:
+            sources.append(random_boundary_web(rng))
+            sources.append(beside(sources[-1], random_closed_web(rng)))
+        else:
+            mode = "a1" if k % 5 == 0 else "a2"
+            sig = random_signature(rng, mode, max_legs=8)
+            sources.append(random_web(sig, rng, mode, max_vertices=8))
+    tried = rejected = 0
+    for w in sources:
+        for _ in range(40):
+            m = mutated(w, rng)
+            try:
+                reference_check_planarity(m)
+                planar = True
+            except WebError:
+                planar = False
+            try:
+                Web(m.mode, m.theta, m.vertices, m.boundary, m.heads,
+                    m.circles)
+                assert planar
+            except WebError as exc:
+                assert not planar
+                assert "fails the Euler planarity check" in str(exc)
+            tried += 1
+            rejected += not planar
+    assert tried >= 10_000 and rejected >= 5_000, (tried, rejected)

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -122,3 +124,100 @@ def test_dominance_is_partial_order(u, v):
 @given(weights_st)
 def test_dual_involution(u):
     assert dual(dual(u)) == u
+
+
+# ----------------------------------------------------------------------
+# parse_weight against its first tokenizer
+
+
+def reference_parse_weight(text):
+    """The first weight parser: split into signed terms by hand."""
+    s = text.strip().lower().replace(" ", "")
+    if s in ("0", "+0", "-0"):
+        return (0, 0)
+    a = b = 0
+    terms = []
+    cur = ""
+    for ch in s:
+        if ch in "+-" and cur:
+            terms.append(cur)
+            cur = ch if ch == "-" else ""
+        else:
+            cur += ch
+    if cur:
+        terms.append(cur)
+    for t in terms:
+        if not t or t in ("+", "-"):
+            raise ValueError("bad weight syntax: %r" % text)
+        sign = 1
+        if t[0] == "-":
+            sign, t = -1, t[1:]
+        elif t[0] == "+":
+            t = t[1:]
+        if t.endswith("w1"):
+            name, coeff = "w1", t[:-2]
+        elif t.endswith("w2"):
+            name, coeff = "w2", t[:-2]
+        else:
+            raise ValueError("bad weight term in %r" % text)
+        k = sign * (int(coeff) if coeff else 1)
+        if name == "w1":
+            a += k
+        else:
+            b += k
+    return (a, b)
+
+
+def junk(text):
+    """The strings the first tokenizer accepted by accident: blank, a
+    trailing '+', or a sign right after a '+'."""
+    s = text.strip().lower().replace(" ", "")
+    return not s or s.endswith("+") or "++" in s or "+-" in s
+
+
+ALPHABET = "w12+-03 W9"
+
+
+def check_against_reference(text):
+    """parse_weight agrees with the first tokenizer, except that it
+    raises on junk; returns whether the string was junk it now rejects."""
+    try:
+        want = reference_parse_weight(text)
+    except ValueError:
+        want = None
+    if want is not None and not junk(text):
+        assert parse_weight(text) == want, text
+        return False
+    with pytest.raises(ValueError):
+        parse_weight(text)
+    return want is not None
+
+
+def test_parse_weight_matches_its_first_tokenizer():
+    strings = ("".join(t) for n in range(6)
+               for t in itertools.product(ALPHABET, repeat=n))
+    rng = random.Random(5)
+    sample = ["".join(rng.choice(ALPHABET) for _ in range(rng.randint(6, 12)))
+              for _ in range(20_000)]
+    sample += [format_weight((rng.randint(-12, 12), rng.randint(-12, 12)))
+               for _ in range(2_000)]
+    newly_rejected = sum(map(check_against_reference,
+                             itertools.chain(strings, sample)))
+    assert newly_rejected > 0
+
+
+@pytest.mark.parametrize("text", [
+    "", "   ", "w1+", "w1++w2", "w1+-w2", "w3", "w", "0w", "00", "0+w1",
+    "w1w2", "2w12w1", "w1-", "--w1", "+", "-"])
+def test_parse_weight_rejects_junk(text):
+    with pytest.raises(ValueError):
+        parse_weight(text)
+
+
+def test_parse_weight_accepts_signed_terms():
+    for text, w in [("+0", (0, 0)), ("-0", (0, 0)), ("0w1", (0, 0)),
+                    ("+w1", W1), ("-w2", (0, -1)), (" 2 W1 - 3w2 ", (2, -3)),
+                    ("w1+w1", (2, 0)), ("-w1+10w2-w2", (-1, 9))]:
+        assert parse_weight(text) == w
+    with pytest.raises(ValueError):
+        parse_signature("w1,,w2")

@@ -302,7 +302,7 @@ def main(out=OUT):
     index = []
     for name, (w, extra) in items.items():
         webtext = serialize_web(w)
-        w2 = parse_web(webtext, strict=False)
+        w2 = parse_web(webtext)
         assert w2 == w, name
         with open(os.path.join(out, name + ".web"), "w") as f:
             f.write(webtext)
