@@ -13,9 +13,9 @@ the Euler characteristic live here too.
 Placements are built, not filtered out of spheres.  The link of a vertex
 is the incidence graph of P^2(F_q), so the places of a vertex next to
 two joined placed vertices are the q+1 chambers on their panel, which
-`panel` builds from a line of Y/tY.  A stratum sample draws its index
-among the Hecke factor's classes first and builds neighbours only up to
-it.
+`panel` builds from a line of Y/tY; two panels through one vertex leave
+one chamber.  A stratum sample draws its index first, finds the
+neighbour it names by its Bruhat cell, and builds only that one.
 
 One counter, `_count`, runs in the building over F_q (a `FieldParam`)
 or in its standard apartment (`APARTMENT`, q = 1), where it counts the
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import weakref
 from functools import reduce
-from itertools import combinations, islice
+from itertools import combinations
 
 from .weights import W1, W2, ZERO, dual, minuscule_orbit, rho_level
 from .basis import minuscule_paths, path_steps
@@ -54,11 +54,8 @@ def _is_prime(n):
 
 class FieldParam:
     """F_q and the cache of `neighbors` and `panel`, freed with it; as a
-    space to count configurations in, the building over F_q.
-
-    N is accepted and ignored: the arithmetic is exact.  The only caller
-    that passes it is the benchmark (`perfbench/workloads.py` `_fp`), with
-    `auto_precision(labels)`."""
+    space to count configurations in, the building over F_q.  N is
+    accepted and ignored: the arithmetic is exact (`auto_precision`)."""
 
     __slots__ = ("q", "nbr_cache", "__weakref__")
 
@@ -81,8 +78,8 @@ class FieldParam:
         neighbors(x, lam)
         return self.nbr_cache[x.cols, lam][1]
 
-    def panel(self, x, y):
-        return panel(x, y)
+    def panel(self, x, y, *more):
+        return panel(x, y, *more)
 
     def distance(self, x, y):
         return lattice_distance(x, y)
@@ -222,11 +219,12 @@ class _Neighbour(LatticeClass):
         return fp
 
 
+_IDENTITY = ((1,), (), ()), ((), (1,), ()), ((), (), (1,))
+
+
 def base_class(fp):
     """The standard lattice O^3."""
-    z, o = (), (1,)
-    return LatticeClass(fp, ((o, z, z), (z, o, z), (z, z, o)),
-                        _normalized=True)
+    return LatticeClass(fp, _IDENTITY, _normalized=True)
 
 
 def _hnf(cols, fp):
@@ -422,55 +420,56 @@ def neighbors(L, color):
     return out
 
 
-def _pivot_sum(L):
-    """val det of L's normal form: the sum of its pivot exponents."""
-    return sum(len(L.cols[i][i]) - 1 for i in range(3))
-
-
-def panel(X, Y):
-    """The classes Z that complete the panel X, Y (d(X, Y) = w1, which
-    the caller guarantees) to a chamber: d(Y, Z) = d(Z, X) = w1.  They
-    are the w1-neighbours of Y whose kernel contains tX, q+1 of them, in
-    `neighbors`' order, cached on Y.fp.
-
-    Why.  d(X, Y) = w1 makes t^k.Y, for one integer k, the kernel of a
-    functional on X/tX: tX < t^k.Y < X, with index q at each step.  Then
-    val det gives 3k + s(Y) = s(X) + 1 for s the pivot sum, which fixes k.
-    The chambers on the panel are the lattices M with tX < M < t^k.Y, so
-    the t^-k.M are the w1-neighbours Z of Y that contain t^(1-k).X: the
-    kernels of the functionals r on Y/tY that vanish on the line
-    l = t^(1-k).X/tY.
-    In the coordinates of Y's columns y_j, the functional r is
-    c -> r.c (`neighbors`), and l is spanned by the image of any column
-    x_j of X outside t^k.Y: Y.c = t^(1-k).x_j, solved by forward
-    substitution (the pivots of Y are monomials, so every division is an
-    exact shift), and l = c mod t.  The q+1 points r of P^2(F_q) with
-    r.l = 0 give Z by `_neighbour`, with no distance computed.  The
-    filter of `neighbors(Y, w1)` by d(Z, X) = w1 is the oracle."""
-    fp = Y.fp
-    hit = fp.nbr_cache.get((X.cols, Y.cols))
-    if hit is not None:
-        return hit
-    q, A = fp.q, Y.cols
-    k, rem = divmod(_pivot_sum(X) + 1 - _pivot_sum(Y), 3)
-    if rem:
-        raise BuildingError("the panel's classes are not at distance w1")
+def _line(A, cols, k, q):
+    """The first nonzero c mod t among the solutions c of A.c = t^k.x
+    for the columns x (t^k.x in the span of A); None if all lie in
+    t.O^3.  A's pivots are monomials, so forward substitution divides by
+    exact shifts alone."""
     (a, b, d), (_z, c, e), (_z, _z, f) = A
-    for x in X.cols:
-        v0, v1, v2 = (_pshift(p, 1 - k) for p in x)
+    for x in cols:
+        v0, v1, v2 = (_pshift(p, k) for p in x)
         c0 = _pshift(v0, 1 - len(a))
         c1 = _pshift(_psub(v1, _pmul(b, c0, q), q), 1 - len(c))
         c2 = _pshift(_psub(_psub(v2, _pmul(d, c0, q), q), _pmul(e, c1, q), q),
                      1 - len(f))
         ell = [y[0] if y else 0 for y in (c0, c1, c2)]
         if any(ell):
-            break
-    else:
-        raise BuildingError("the panel's classes are not at distance w1")
+            return ell
+    return None
+
+
+def panel(X, Y, *more):
+    """The classes Z that complete the panel X, Y (d(X, Y) = w1, which
+    the caller guarantees) to a chamber: d(Y, Z) = d(Z, X) = w1, q+1 of
+    them in `neighbors`' order, cached on Y.fp.  Each further X' keeps
+    those on the panel X', Y too: one, once two lines l below differ.
+
+    Why.  d(X, Y) = w1 makes t^k.Y, for one integer k, the kernel of a
+    functional on X/tX: tX < t^k.Y < X, with index q at each step.  Then
+    val det gives 3k + s(Y) = s(X) + 1 for s the pivot sum, which fixes k.
+    The chambers on the panel are the lattices M with tX < M < t^k.Y, so
+    the t^-k.M are the w1-neighbours Z of Y that contain t^(1-k).X: the
+    kernels of the functionals r on Y/tY (as in `neighbors`) that vanish
+    on l = t^(1-k).X/tY, which `_line` finds from X's columns: one
+    `_neighbour` for each r with r.l = 0, and no distance computed.  The
+    filter of `neighbors(Y, w1)` by d(Z, X) = w1 is the oracle."""
+    fp, key = Y.fp, (X.cols, Y.cols, *[Z.cols for Z in more])
+    hit = fp.nbr_cache.get(key)
+    if hit is not None:
+        return hit
+    q, A = fp.q, Y.cols
+    ells = []
+    for Z in (X, *more):
+        k, rem = divmod(sum(len(Z.cols[i][i]) - len(A[i][i])
+                            for i in range(3)) + 1, 3)
+        ells.append(None if rem else _line(A, Z.cols, 1 - k, q))
+        if ells[-1] is None:
+            raise BuildingError("the panel's classes are not at distance w1")
     tA = _times_t(A)
-    out = [_neighbour(fp, A, tA, r, W1) for r in _proj_plane(q)
-           if (r[0] * ell[0] + r[1] * ell[1] + r[2] * ell[2]) % q == 0]
-    fp.nbr_cache[X.cols, Y.cols] = out
+    out = fp.nbr_cache[key] = [
+        _neighbour(fp, A, tA, r, W1) for r in _proj_plane(q)
+        if not any((r[0] * l[0] + r[1] * l[1] + r[2] * l[2]) % q
+                   for l in ells)]
     return out
 
 
@@ -584,52 +583,60 @@ def _placed(linkage, space, rng=None):
 def _search(nbrs, assign, mult, space, visit):
     """mult times the number of ways to place the vertices of `nbrs` not
     in `assign` (see `_placed`), each passed to `visit` (unless None)
-    with its multiplicity.  The vertex v with the most placed neighbours
-    (the first in `nbrs` on a tie) goes next.
+    with its multiplicity; 0 when a triangle fails `_peel`'s chamber
+    test.  The vertex with the most placed neighbours (the first in
+    `nbrs` on a tie) goes next; which are placed depends only on the
+    depth, so the order and each vertex's calls (space method, placed
+    vertices, *label) are fixed once.  Placed u, w joined by an edge put
+    v on their panel; the panels through one y with d(y, v) = w1 are one
+    call (one chamber), the largest first; a placed neighbour in no
+    triangle adds its sphere."""
+    placed, plan = set(assign), []
+    todo = [v for v in nbrs if v not in placed]
+    while todo:
+        v = max(todo, key=lambda x: sum(u in placed for u in nbrs[x]))
+        todo.remove(v)
+        around = [(u, lam) for u, lam in nbrs[v].items() if u in placed]
+        groups, covered = {}, set()
+        for (u, a), (w, b) in combinations(around, 2):
+            c = nbrs[u].get(w)
+            if c is None:
+                continue
+            if not a == c == dual(b):
+                return 0
+            x, y = (u, w) if a == W1 else (w, u)
+            groups.setdefault(y, []).append(x)
+            covered |= {u, w}
+        calls = [(space.panel, (xs[0], y, *xs[1:])) for y, xs in
+                 sorted(groups.items(), key=lambda g: -len(g[1]))]
+        calls += [(space.sphere_set, (u,), dual(lam)) for u, lam in around
+                  if u not in covered]
+        if not groups:
+            calls[0] = (space.sphere, *calls[0][1:])
+        plan.append((v, calls))
+        placed.add(v)
+    return _place(plan, 0, assign, mult, visit)
 
-    Its candidates are built, not filtered out of a sphere, where they
-    can be: two placed neighbours u, w of v joined by an edge make a
-    triangle, which must pass `_peel`'s chamber test (else v has no
-    place), and then v lies on the panel of u and w (`panel`, q+1
-    places).  The panels of all such pairs are intersected.  A placed
-    neighbour in no such pair is checked against its sphere; with no
-    pair at all, v goes on one placed neighbour's sphere.
 
-    When only the base is placed, its stabilizer is transitive on the
-    candidates (in the building by the Cartan decomposition, in the
-    apartment because the Weyl group is transitive on each minuscule
-    orbit), so one representative is explored and carries their number.
-    Distances from the base, all that visits read, are invariant."""
-    todo = [v for v in nbrs if v not in assign]
-    if not todo:
+def _place(plan, i, assign, mult, visit):
+    if i == len(plan):
         if visit is not None:
             visit(dict(assign), mult)
         return mult
-    v = max(todo, key=lambda x: sum(u in assign for u in nbrs[x]))
-    placed = [(u, lam) for u, lam in nbrs[v].items() if u in assign]
-    panels, covered = [], set()
-    for (u, a), (w, b) in combinations(placed, 2):
-        c = nbrs[u].get(w)
-        if c is None:
-            continue
-        if not a == c == dual(b):
-            return 0
-        x, y = (assign[u], assign[w]) if a == W1 else (assign[w], assign[u])
-        panels.append(space.panel(x, y))
-        covered |= {u, w}
-    spheres = [(assign[u], dual(lam)) for u, lam in placed
-               if u not in covered]
+    v, calls = plan[i]
     # membership in a panel's list of q+1 beats building a set of it
-    cands, *within = panels or [space.sphere(*spheres.pop(0))]
-    within += [space.sphere_set(*xl) for xl in spheres]
+    cands, *within = [f(*[assign[u] for u in us], *lam)
+                      for f, us, *lam in calls]
     if within:
         cands = [c for c in cands if all(c in s for s in within)]
     if len(assign) == 1 and cands:
+        # the base's stabilizer is transitive on them (Cartan; Weyl in the
+        # apartment), and visits read only distances from the base
         cands, mult = cands[:1], mult * len(cands)
     total = 0
     for cand in cands:
         assign[v] = cand
-        total += _search(nbrs, assign, mult, space, visit)
+        total += _place(plan, i + 1, assign, mult, visit)
     assign.pop(v, None)
     return total
 
@@ -727,17 +734,6 @@ def count_fibre(D, boundary_config, fp):
     return _count(Linkage(link.vertices, link.base, link.edges, fixed=cfg), fp)
 
 
-def _on_sphere(base, classes, nu):
-    """The classes y among `classes` (any iterable, consumed lazily) with
-    d(base, y) = nu = (a, b), in order.  The pivot exponents of y's
-    normal form add up to val det y, the sum e2 + e3 of its elementary
-    divisors against the base (e1 = 0), so a pivot sum other than a + 2b
-    rules y out before any distance."""
-    s = nu[0] + 2 * nu[1]
-    return (y for y in classes
-            if _pivot_sum(y) == s and lattice_distance(base, y) == nu)
-
-
 def _dominant(w):
     """The dominant W-conjugate of a weight (a, b): reflect by
     s1 (a, b) = (-a, a + b) or s2 (a, b) = (a + b, -b) until both
@@ -752,16 +748,10 @@ def _hecke_factor(mu, lam, nu, q):
     """The number c(mu, lam, nu) of lam-neighbours at distance nu from the
     base of any point x at distance mu, at any integer q: the sum of
     q^(e1 + e2 + 1) over the e in `minuscule_orbit(lam)` whose dominant
-    W-conjugate dom(mu + e) is nu (Haines, IMRN 2003).  Why: the lam-sphere
-    around x is P^2(F_q); its orbits under the stabilizer of the base and x
-    are the Bruhat cells relative to the flag the base induces at x (full
-    for regular mu, partial on a wall, none at mu = 0), and the cell of
-    dimension e1 + e2 + 1 lands at dom(mu + e)."""
-    total = 0
-    for e in minuscule_orbit(lam):
-        if _dominant((mu[0] + e[0], mu[1] + e[1])) == nu:
-            total += q ** (e[0] + e[1] + 1)
-    return total
+    W-conjugate dom(mu + e) is nu (Haines, IMRN 2003), the sizes of the
+    Bruhat cells of P^2(F_q) that `_base_distances` reads."""
+    return sum(q ** (e[0] + e[1] + 1) for e in minuscule_orbit(lam)
+               if _dominant((mu[0] + e[0], mu[1] + e[1])) == nu)
 
 
 def satake_partition(signature, fp):
@@ -793,6 +783,36 @@ def _enumerated_partition(signature, space):
 # stratum sampling
 
 
+def _base_distances(A, mu, lam, q):
+    """d(base, y) for the lam-neighbours y, in `neighbors`' order, of the
+    class x with normal form A at mu = (a, b) from the base, none built:
+    dom(mu + e), e = `minuscule_orbit(lam)`[i] for y's Bruhat cell i.
+    For L < O^3 in x with elementary divisors 1, t^b, t^(a+b), in the
+    coordinates c of L = A.c, the base's flag has the plane
+    L.tO^3/tL = ker A(0) (b > 0; `row` is A(0)'s nonzero row) and the line
+    t^(a+b).O^3/tL (a > 0; `ell`).  The w1-neighbour at the functional r
+    raises the divisor t^(a+b) if r.ell != 0 (cell 0), else 1 if r = row
+    (cell 2), else t^b; for the w2-neighbour at the point r, ell and row
+    swap roles.  On a wall an absent ell or row empties its cell into
+    cell 1, whose weight has the same dominant conjugate there."""
+    a, b = mu
+    off = on = None
+    if b:
+        on = next(r for r in zip(*[[p[0] if p else 0 for p in c] for c in A])
+                  if any(r))
+    if a:
+        off = _line(A, _IDENTITY, a + b, q)
+    if lam == W2:
+        off, on = on, off
+    if on:  # scaled as `_proj_plane` lists it
+        s = pow(next(x for x in on if x), q - 2, q)
+        on = tuple(x * s % q for x in on)
+    land = [_dominant((a + e[0], b + e[1])) for e in minuscule_orbit(lam)]
+    return [land[0 if off and (off[0] * r[0] + off[1] * r[1]
+                               + off[2] * r[2]) % q else 2 if r == on else 1]
+            for r in _proj_plane(q)]
+
+
 def sample_polygon_config(signature, target_vector, fp, rng):
     """A uniformly random point of F(signature)(F_q) whose distance
     vector from the base is target_vector, which must be a minuscule path
@@ -803,28 +823,25 @@ def sample_polygon_config(signature, target_vector, fp, rng):
     draws, there are c = c(target[k], signature[k], target[k+1]) of them
     (`_hecke_factor`), never none, so every point of the stratum comes out
     with the same probability, the product of their inverses.  The index
-    of the draw among them is taken first, from c alone, and the
-    neighbours are built one at a time, in `neighbors`' order, only up to
-    the one it names.  The last vertex, at target[n-1] =
-    dual(signature[n-1]) from the base, closes the polygon."""
+    of the draw is taken first, from c alone, among the points r whose
+    Bruhat cells land at target[k+1] (`_base_distances`), and only the
+    neighbour it names is built.  The last vertex closes the polygon."""
     tv = tuple(target_vector)
     if path_steps(signature, tv) is None:
         raise BuildingError("target vector is not a minuscule path of the "
                             "signature")
-    n, q = len(signature), fp.q
-    base = base_class(fp)
+    n, q, base = len(signature), fp.q, base_class(fp)
     cfg = {0: base}
     for k in range(n - 1):
-        lam = signature[k]
+        lam, A = signature[k], cfg[k].cols
         idx = rng.randrange(_hecke_factor(tv[k], lam, tv[k + 1], q))
-        A = cfg[k].cols
-        tA = _times_t(A)
-        built = (_neighbour(fp, A, tA, r, lam) for r in _proj_plane(q))
-        cfg[k + 1] = next(islice(_on_sphere(base, built, tv[k + 1]), idx,
-                                 None), None)
-        if cfg[k + 1] is None:
+        hits = [r for r, nu in zip(_proj_plane(q),
+                                   _base_distances(A, tv[k], lam, q))
+                if nu == tv[k + 1]]
+        if idx >= len(hits):
             raise BuildingError("fewer classes on the stratum's step than "
                                 "its Hecke factor")
+        cfg[k + 1] = _neighbour(fp, A, _times_t(A), hits[idx], lam)
     if n and lattice_distance(cfg[n - 1], base) != signature[n - 1]:
         raise BuildingError("the sampled polygon does not close")
     return cfg
@@ -849,12 +866,11 @@ class _Apartment:
 
     sphere_set = sphere  # three points
 
-    def panel(self, x, y):
-        """The two points z of y's w1-sphere with d(z, x) = w1, given
-        d(x, y) = w1: all but y + (y - x), since the three steps of the
-        w1-orbit add up to zero."""
-        return [z for z in self.sphere(y, W1)
-                if z != (2 * y[0] - x[0], 2 * y[1] - x[1])]
+    def panel(self, x, y, *more):
+        """The points z of y's w1-sphere with d(z, u) = w1 for u = x and
+        each of `more`: all but y + (y - u), as the w1-steps add to 0."""
+        far = [(2 * y[0] - u[0], 2 * y[1] - u[1]) for u in (x, *more)]
+        return [z for z in self.sphere(y, W1) if z not in far]
 
     def distance(self, x, y):
         return _dominant((y[0] - x[0], y[1] - x[1]))

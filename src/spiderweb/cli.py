@@ -73,7 +73,9 @@ def load_web_arg(spec):
 
 
 def load_diskoid_arg(spec):
-    if os.path.exists(spec) and spec.endswith(".dsk"):
+    if spec.endswith(".dsk"):
+        if not os.path.exists(spec):
+            raise CliError("cannot find diskoid file %r" % (spec,))
         with open(spec) as f:
             return parse_diskoid(f.read())
     w = load_web_arg(spec)
@@ -495,9 +497,8 @@ def cmd_hexagon(args):
 def cmd_render(args):
     spec = args.object
     fmt = args.format if args.format in ("svg", "tikz") else "svg"
-    if os.path.exists(spec) and spec.endswith(".dsk"):
-        with open(spec) as f:
-            out = render_diskoid(parse_diskoid(f.read()), fmt)
+    if spec.endswith(".dsk"):
+        out = render_diskoid(load_diskoid_arg(spec), fmt)
     elif args.dual:
         out = render_diskoid(dual_diskoid(load_web_arg(spec)), fmt)
     else:

@@ -451,8 +451,8 @@ def parse_diskoid(text):
     ``base NAME``, ``boundary N0 N1 ...``, ``edge EID TAIL HEAD LABEL``,
     ``triangle E0 E1 E2``; ``#`` comments (read by `read_directives`)."""
     names, base, boundary, edges, triangles = [], None, [], {}, []
-    for ln, kind, args in read_directives(text, _DSK_DIRECTIVES,
-                                          DiskoidError):
+    for ln, kind, args in read_directives(text, _DSK_DIRECTIVES, DiskoidError,
+                                          once=("base", "boundary")):
         if kind == "type":
             mode = args[0].lower()
         elif kind == "vertex":
@@ -462,6 +462,8 @@ def parse_diskoid(text):
         elif kind == "boundary":
             boundary = args
         elif kind == "edge":
+            if args[0] in edges:
+                raise DiskoidError("line %d: a second edge %r" % (ln, args[0]))
             try:
                 lam = weights.parse_weight(args[3])
             except ValueError as exc:

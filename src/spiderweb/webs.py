@@ -43,7 +43,8 @@ class Face(namedtuple("Face", "darts internal")):
 
 class Web:
     __slots__ = ("mode", "theta", "vertices", "boundary", "heads", "circles",
-                 "_sigma", "_dart_vertex", "_faces", "_ckey", "_crank", "_dual")
+                 "_sigma", "_dart_vertex", "_faces", "_comps", "_ckey", "_crank",
+                 "_dual")
 
     def __init__(self, mode, theta, vertices, boundary, heads=(), circles=0,
                  check=True):
@@ -56,6 +57,7 @@ class Web:
         self._sigma = None
         self._dart_vertex = None
         self._faces = None
+        self._comps = None
         self._ckey = None
         self._crank = None
         self._dual = None  # the dual diskoid, built by diskoid.dual_diskoid
@@ -177,7 +179,11 @@ class Web:
         self._check_planarity()
 
     def _components(self):
-        """Connected components of the dart set; boundary darts all linked."""
+        """Connected components of the dart set; boundary darts all linked.
+        Kept on the web, as `faces` are: `validate` and `_canonicalize`
+        both read them."""
+        if self._comps is not None:
+            return self._comps
         parent = {d: d for d in self.theta}
 
         def find(x):
@@ -201,7 +207,8 @@ class Web:
         comps = {}
         for d in self.theta:
             comps.setdefault(find(d), []).append(d)
-        return list(comps.values())
+        self._comps = list(comps.values())
+        return self._comps
 
     def _check_planarity(self):
         """V + [the web has legs] - E + F = 2 per connected component.
@@ -362,21 +369,26 @@ def empty_web(mode):
 # ----------------------------------------------------------------------
 # parsing / serialization (.web format)
 
-def read_directives(text, arities, error):
+def read_directives(text, arities, error, once=()):
     """Yield (line number, directive, arguments) for each line of a
     line-oriented format (.web, .dsk), skipping ``#`` comments and blank
     lines, with the directive lowercased.  ``arities`` maps each directive
     but the shared ``type a1|a2`` to (argument count or None for any,
-    message).  An unknown directive, a wrong count, or a bad or missing
-    type raises ``error``."""
-    typed = False
+    message).  An unknown directive, a wrong count, a bad or missing type,
+    or a second ``type`` line or line of a directive in ``once`` raises
+    ``error``."""
+    first = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         toks = raw.split("#", 1)[0].split()
         if not toks:
             continue
         kind, args = toks[0].lower(), toks[1:]
+        if kind == "type" or kind in once:
+            if kind in first:
+                raise error("line %d: a second %r line (the first is line %d)"
+                            % (ln, kind, first[kind]))
+            first[kind] = ln
         if kind == "type":
-            typed = True
             if len(args) != 1 or args[0].lower() not in ("a1", "a2"):
                 raise error("line %d: type must be a1 or a2" % ln)
         elif kind not in arities:
@@ -384,7 +396,7 @@ def read_directives(text, arities, error):
         elif arities[kind][0] not in (None, len(args)):
             raise error("line %d: %s" % (ln, arities[kind][1]))
         yield ln, kind, args
-    if not typed:
+    if "type" not in first:
         raise error("missing 'type' line")
 
 
@@ -403,7 +415,8 @@ def parse_web(text):
     no vertex and no boundary denotes a free circle.
     """
     boundary, vertices, edges, heads = [], [], [], set()
-    for _ln, kind, args in read_directives(text, _WEB_DIRECTIVES, WebError):
+    for _ln, kind, args in read_directives(text, _WEB_DIRECTIVES, WebError,
+                                           once=("bdarts",)):
         if kind == "type":
             mode = args[0].lower()
         elif kind == "bdarts":

@@ -141,7 +141,7 @@ def test_satake_partition_matches_enumeration_in_the_apartment():
                 max_size=5))
 def test_pivot_sum_is_base_distance_level(q, steps):
     # the pivot exponents of a normal form add up to a + 2b for the
-    # distance (a, b) from the base, the test `_on_sphere` makes first
+    # distance (a, b) from the base
     base = L = base_class(FieldParam(q))
     for color, i in steps:
         L = neighbors(L, color)[i % (q * q + q + 1)]
@@ -171,7 +171,7 @@ def test_satake_partition_does_no_lattice_arithmetic(monkeypatch):
     def gone(*_args):
         raise AssertionError("lattice arithmetic in satake_partition")
 
-    for name in ("neighbors", "lattice_distance", "_on_sphere"):
+    for name in ("neighbors", "lattice_distance", "_base_distances"):
         monkeypatch.setattr(building, name, gone)
     fp = FieldParam(2)
     assert satake_partition((W1, W2), fp) == {((0, 0), W1, (0, 0)): 7}
@@ -351,6 +351,33 @@ def test_satake_strata_are_triangular():
                         distance(D, D.boundary[i], D.boundary[j]))
                         for i in range(n) for j in range(n) if i != j)
     assert seen == {"diagonal": 176, "nonzero": 78, "zero": 634}
+
+
+@pytest.mark.parametrize("q, nonzero, zero", ((2, 449, 4883), (3, 263, 5069)))
+def test_full_satake_sweep(q, nonzero, zero):
+    # every gluable signature of length at most 7: each basis web w, one
+    # seeded point x of each stratum p, with the checks of
+    # `test_satake_strata_are_triangular`; 5,970 fibres at each q
+    fp = FieldParam(q)
+    seen = collections.Counter()
+    for sig in gluable(*range(1, 8)):
+        n = len(sig)
+        for top, w, _key in enumerate_basis(sig).entries:
+            D = dual_diskoid(w)
+            for p in minuscule_paths(sig):
+                x = sample_polygon_config(sig, p, fp, random.Random(7))
+                m = fibre_over(D, [x[i] for i in range(n)], fp)
+                kind = "diagonal" if p == top else "nonzero" if m else "zero"
+                seen[kind] += 1
+                if p == top:
+                    assert m == 1, (sig, p)
+                if m:
+                    assert all(map(dominance_leq, p, top)), (sig, p, top)
+                    assert all(dominance_leq(
+                        lattice_distance(x[i], x[j]),
+                        distance(D, D.boundary[i], D.boundary[j]))
+                        for i in range(n) for j in range(n) if i != j)
+    assert seen == {"diagonal": 638, "nonzero": nonzero, "zero": zero}
 
 
 def test_euler_estimate_theta():
@@ -596,6 +623,31 @@ def test_panels_are_the_filtered_spheres(q, steps, picks):
             if APARTMENT.distance(z, x) == W1]
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((2, 3, 5)), short_steps,
+       st.lists(st.integers(0, 10 ** 6), min_size=2, max_size=3))
+def test_panels_through_one_class_meet_as_filtered_spheres(q, steps, picks):
+    # panel(x, y, *more) for classes x, x' with d(x, y) = d(x', y) = w1:
+    # the w1-neighbours of y at w1 from each, in their order, in the
+    # building and the apartment: q+1 when all x are one class, one when
+    # two lines of y/ty differ, none when three span it
+    path = walk(q, steps)
+    y = path[-1]
+    xs = neighbors(y, W2)
+    xs = [xs[i % len(xs)] for i in picks]
+    got = panel(xs[0], y, *xs[1:])
+    assert got == [z for z in neighbors(y, W1)
+                   if all(lattice_distance(z, x) == W1 for x in xs)]
+    assert len(got) in {1: (q + 1,), 2: (1,), 3: (0, 1)}[len(set(xs))]
+    y = APARTMENT.base()
+    for color, i in steps:
+        y = APARTMENT.sphere(y, color)[i % 3]
+    xs = [APARTMENT.sphere(y, W2)[i % 3] for i in picks]
+    assert APARTMENT.panel(xs[0], y, *xs[1:]) == [
+        z for z in APARTMENT.sphere(y, W1)
+        if all(APARTMENT.distance(z, x) == W1 for x in xs)]
+
+
 def filtered_draw(signature, target, fp, rng):
     """`sample_polygon_config`'s walk drawn as it was first written: the
     whole sphere built, filtered by distance from the base, and one
@@ -621,6 +673,59 @@ def test_sampler_draws_by_hecke_index_as_it_drew_by_filtering():
                     assert {k: x.cols for k, x in new.items()} == \
                         {k: x.cols for k, x in old.items()}
                     assert r1.getstate() == r2.getstate()
+
+
+def reference_scan_draw(signature, target, fp, rng):
+    """`sample_polygon_config`'s walk as it was before it read Bruhat
+    cells: the index drawn by Hecke factor, then neighbours built in
+    `neighbors`' order and filtered by pivot sum and distance from the
+    base until the one it names."""
+    base = base_class(fp)
+    cfg = {0: base}
+    for k in range(len(signature) - 1):
+        lam, nu = signature[k], target[k + 1]
+        idx = rng.randrange(_hecke_factor(target[k], lam, nu, fp.q))
+        A = cfg[k].cols
+        built = (building._neighbour(fp, A, building._times_t(A), r, lam)
+                 for r in _proj_plane(fp.q))
+        on_sphere = (y for y in built
+                     if sum(len(y.cols[i][i]) - 1 for i in range(3)) ==
+                     nu[0] + 2 * nu[1] and lattice_distance(base, y) == nu)
+        cfg[k + 1] = next(itertools.islice(on_sphere, idx, None))
+    return cfg
+
+
+def test_sampler_draws_as_the_scan_drew_at_larger_q():
+    # the Bruhat cells against the scan they replaced, at q = 5 and 7
+    for q in (5, 7):
+        for sig in gluable(1, 2, 3, 4, 5):
+            for target in minuscule_paths(sig):
+                for seed in range(3):
+                    r1, r2 = random.Random(seed), random.Random(seed)
+                    new = sample_polygon_config(sig, target, FieldParam(q), r1)
+                    old = reference_scan_draw(sig, target, FieldParam(q), r2)
+                    assert {k: x.cols for k, x in new.items()} == \
+                        {k: x.cols for k, x in old.items()}
+                    assert r1.getstate() == r2.getstate()
+
+
+def test_sampler_builds_one_class_per_step(monkeypatch):
+    # a w-mu draw: one `_neighbour` per step, and one distance, the
+    # closing check
+    w = corpus.load_web("w-mu")
+    sig = w.boundary_signature()
+    builds, dists = [], []
+    build, dist = building._neighbour, building.lattice_distance
+    monkeypatch.setattr(building, "_neighbour",
+                        lambda *a: builds.append(a) or build(*a))
+    monkeypatch.setattr(building, "lattice_distance",
+                        lambda *a: dists.append(a) or dist(*a))
+    for q in (2, 3):
+        builds.clear()
+        dists.clear()
+        sample_polygon_config(sig, path_tag(w), FieldParam(q),
+                              random.Random(1))
+        assert (len(builds), len(dists)) == (len(sig) - 1, 1)
 
 
 @pytest.mark.parametrize("q", (2, 3))
@@ -892,6 +997,21 @@ def test_neighbours_match_generic_normal_form(args):
         for color in (W1, W2):
             assert [M.cols for M in neighbors(L, color)] == \
                 [M.cols for M in generic_neighbors(L, color)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(walks)
+def test_bruhat_cells_land_where_the_neighbours_lie(args):
+    # the cell of every point r, read off the base's flag at x, lands at
+    # the distance of r's neighbour from the base, for every x along a
+    # walk, walls and the base among them, and both colours
+    path = walk(*args)
+    base, q = path[0], args[0]
+    for x in path:
+        mu = lattice_distance(base, x)
+        for lam in (W1, W2):
+            assert building._base_distances(x.cols, mu, lam, q) == \
+                [lattice_distance(base, y) for y in neighbors(x, lam)]
 
 
 def test_neighbours_step_back_by_a_homothety():

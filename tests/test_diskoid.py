@@ -594,8 +594,17 @@ def test_triangle_check_matches_its_first_version():
     ("e1 p1 p2 w1", "e1 p1 p2 w1+", "line 6: bad weight syntax: 'w1\\+'"),
     ("boundary p0 p1 p2", "boundary p0 p1",
      "edge 'e1' is on the rim but an end is not on the boundary"),
+    # a repeated line replaced the first one, and a repeated edge id
+    # passed as one edge
+    ("base p0", "base p0\nbase p1",
+     r"line 4: a second 'base' line \(the first is line 3\)"),
+    ("boundary p0 p1 p2", "boundary p0 p1 p2\nboundary p1 p2 p0",
+     r"line 5: a second 'boundary' line \(the first is line 4\)"),
+    ("edge e0 p0 p1 w1", "edge e0 p0 p1 w1\nedge e0 p0 p1 w1",
+     "line 6: a second edge 'e0'"),
 ], ids=["type-bare", "type-a3", "type-two", "base-bare", "base-two",
-        "label-w3", "label-trailing-sign", "rim-off-boundary"])
+        "label-w3", "label-trailing-sign", "rim-off-boundary", "base-twice",
+        "boundary-twice", "edge-id-twice"])
 def test_every_directive_is_checked(old, new, message):
     assert old in Y_DSK
     with pytest.raises(DiskoidError, match=message):

@@ -304,6 +304,23 @@ def test_unknown_diskoid_type_is_an_error(capsys, tmp_path):
     assert "error: line 1: type must be a1 or a2" in err
 
 
+def test_cat0_rejects_a_repeated_edge_id(capsys, tmp_path):
+    bad = tmp_path / "twice.dsk"
+    bad.write_text(Y_DSK.replace("edge e0 p0 p1 w1\n",
+                                 "edge e0 p0 p1 w1\n" * 2))
+    code, out, err = run(capsys, "cat0", str(bad))
+    assert code == 1 and out == ""
+    assert "error: line 6: a second edge 'e0'" in err
+
+
+@pytest.mark.parametrize("command", ["cat0", "render"])
+def test_a_missing_diskoid_file_is_named_as_one(capsys, tmp_path, command):
+    missing = str(tmp_path / "nonexistent.dsk")
+    code, out, err = run(capsys, command, missing)
+    assert code == 1 and out == ""
+    assert err == "error: cannot find diskoid file %r\n" % (missing,)
+
+
 @pytest.mark.parametrize("boundary", ["w1,w1+,w1", "w1,,w2", "w1,w2,"])
 def test_malformed_boundary_is_an_error(capsys, boundary):
     code, out, err = run(capsys, "paths", "--boundary", boundary)

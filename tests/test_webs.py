@@ -60,6 +60,22 @@ def test_internal_face_degrees():
     assert corpus.load_web("a2-example").is_nonelliptic()
 
 
+def test_components_are_found_once_per_web(monkeypatch):
+    # `validate` and the canonical key both read the components: one
+    # union-find per web, kept on it as its faces are
+    calls = []
+    find = Web._components
+
+    def spy(self):
+        calls.append(self._comps is None)
+        return find(self)
+
+    monkeypatch.setattr(Web, "_components", spy)
+    w = parse_web(corpus.web_text("a2-example"))
+    w.canonical_key()
+    assert calls == [True, False]
+
+
 def reflect(w):
     """Plain reflection: mirror(w) with the w1 flow kept."""
     m = mirror(w)
@@ -436,9 +452,14 @@ def test_the_unedited_y_is_valid():
     ("type a2\n", "", "missing 'type' line"),
     ("edge d0 d3", "edge d0 d3\nedge d4 d0",
      "dart used by two edges"),
+    ("bdarts d0 d1 d2", "bdarts d0 d1 d2\nbdarts d1 d2 d0",
+     r"line 3: a second 'bdarts' line \(the first is line 2\)"),
+    ("type a2", "type a2\ntype a1",
+     r"line 2: a second 'type' line \(the first is line 1\)"),
 ], ids=["type-value", "type-bare", "vertex-short", "vertex-long",
         "edge-short", "edge-long", "head-short", "head-long",
-        "unknown-directive", "missing-type", "dart-in-two-edges"])
+        "unknown-directive", "missing-type", "dart-in-two-edges",
+        "bdarts-twice", "type-twice"])
 def test_parse_web_rejections(old, new, message):
     text = corpus.web_text("single-y")
     assert old in text
