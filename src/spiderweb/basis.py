@@ -10,25 +10,31 @@ its tag.
 
 from __future__ import annotations
 
-from .weights import add, is_dominant, minuscule_orbit, rotate_signature, sub
+from .weights import is_dominant, minuscule_orbit, rotate_signature, sub
 from .webs import Web, WebError, rotate
 from .diskoid import dual_diskoid, mu_vector
 from .generate import Grower
 from .skein import WebSum, normal_form
 
 
-def minuscule_paths(signature, mode="a2"):
+def minuscule_paths(signature, mode="a2", factor=None):
     """All dominant walks 0 = mu_0, ..., mu_n = 0 with mu_k - mu_{k-1} in
-    the minuscule orbit of the k-th leg label, in lexicographic order."""
-    # extend the walks one leg at a time, keeping each walk that the
-    # later legs can still bring back to 0 (a step moves a + b by <= 1)
-    walks = [((0, 0),)]
+    the minuscule orbit of the k-th leg label lam_k, sorted by construction
+    (walks extended in order, each by steps of increasing end weight); given
+    factor, a dict from each walk to the product of factor(mu_{k-1}, lam_k,
+    mu_k) over its steps bar the last, carried along its prefix."""
+    walks, n = [(((0, 0),), 1)], len(signature)
     for k, lam in enumerate(signature, 1):
-        steps, left = minuscule_orbit(lam, mode), len(signature) - k
-        walks = [p + (nxt,) for p in walks
-                 for nxt in (add(p[-1], s) for s in steps)
-                 if is_dominant(nxt) and sum(nxt) <= left]
-    return sorted(walks)
+        steps, left, grown = sorted(minuscule_orbit(lam, mode)), n - k, []
+        for p, c in walks:
+            a, b = mu = p[-1]
+            for da, db in steps:  # a step moves a + b by at most 1
+                x, y = nu = a + da, b + db
+                if x >= 0 and y >= 0 and x + y <= left:
+                    grown.append((p + (nu,), c * factor(mu, lam, nu)
+                                  if factor and left else c))
+        walks = grown
+    return dict(walks) if factor else [p for p, _c in walks]
 
 
 def path_steps(signature, path, mode="a2"):

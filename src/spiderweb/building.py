@@ -367,22 +367,23 @@ def _proj_plane(q):
     return pts
 
 
-def _times_t(A):
-    """The columns of A times t."""
-    return [tuple(_pshift(x, 1) for x in c) for c in A]
+def _times_t(A, cols=(0, 1, 2)):
+    """The columns of A times t; those not in cols are left as they are."""
+    return [tuple(_pshift(x, 1) for x in c) if j in cols else c
+            for j, c in enumerate(A)]
 
 
 def _neighbour(fp, A, tA, r, color):
-    """The `color`-neighbour at the point r of P^2(F_q) (see `neighbors`)
-    of the class with normal form A, where tA is `_times_t(A)`."""
-    q = fp.q
-    if color == W1:
-        p = max(i for i in range(3) if r[i])
+    """The `color`-neighbour at the point r of P^2(F_q) (see `neighbors`) of
+    normal form A; tA is `_times_t(A)`, or None to shift just what it uses."""
+    q, w1 = fp.q, color == W1
+    p = max(i for i in range(3) if r[i]) if w1 else r.index(1)
+    tA = tA or _times_t(A, (p,) if w1 else {0, 1, 2} - {p})
+    if w1:
         s = pow(r[p], q - 2, q)
         cols = [_col_sub(A[j], (r[j] * s % q,), A[p], q) if r[j]
                 else A[j] for j in range(p)] + [tA[p]] + list(A[p + 1:])
     else:
-        p = r.index(1)
         u = A[p]
         for j in range(p + 1, 3):
             if r[j]:
@@ -760,9 +761,8 @@ def satake_partition(signature, fp):
     transitive on each sphere around it, so a bucket is the product of its
     path's `_hecke_factor`s bar the last (1: only the base lies at 0).
     Only fp.q is read; `_enumerated_partition` is the oracle."""
-    return {path: math.prod(_hecke_factor(*step, fp.q)
-                            for step in zip(path, signature, path[1:-1]))
-            for path in minuscule_paths(signature)}
+    return minuscule_paths(signature,
+                           factor=lambda *step: _hecke_factor(*step, fp.q))
 
 
 def _enumerated_partition(signature, space):
@@ -783,10 +783,11 @@ def _enumerated_partition(signature, space):
 # stratum sampling
 
 
-def _base_distances(A, mu, lam, q):
-    """d(base, y) for the lam-neighbours y, in `neighbors`' order, of the
-    class x with normal form A at mu = (a, b) from the base, none built:
-    dom(mu + e), e = `minuscule_orbit(lam)`[i] for y's Bruhat cell i.
+def _base_distances(A, mu, lam, q, nu):
+    """The points r of P^2(F_q), in `neighbors`' order, whose
+    lam-neighbour y of the class x with normal form A at mu = (a, b) from
+    the base lies at nu from it, none built: d(base, y) = dom(mu + e),
+    e = `minuscule_orbit(lam)`[i] for y's Bruhat cell i.
     For L < O^3 in x with elementary divisors 1, t^b, t^(a+b), in the
     coordinates c of L = A.c, the base's flag has the plane
     L.tO^3/tL = ker A(0) (b > 0; `row` is A(0)'s nonzero row) and the line
@@ -808,9 +809,10 @@ def _base_distances(A, mu, lam, q):
         s = pow(next(x for x in on if x), q - 2, q)
         on = tuple(x * s % q for x in on)
     land = [_dominant((a + e[0], b + e[1])) for e in minuscule_orbit(lam)]
-    return [land[0 if off and (off[0] * r[0] + off[1] * r[1]
-                               + off[2] * r[2]) % q else 2 if r == on else 1]
-            for r in _proj_plane(q)]
+    return [r for r in _proj_plane(q)
+            if land[0 if off and (off[0] * r[0] + off[1] * r[1]
+                                  + off[2] * r[2]) % q else
+                    2 if r == on else 1] == nu]
 
 
 def sample_polygon_config(signature, target_vector, fp, rng):
@@ -835,13 +837,11 @@ def sample_polygon_config(signature, target_vector, fp, rng):
     for k in range(n - 1):
         lam, A = signature[k], cfg[k].cols
         idx = rng.randrange(_hecke_factor(tv[k], lam, tv[k + 1], q))
-        hits = [r for r, nu in zip(_proj_plane(q),
-                                   _base_distances(A, tv[k], lam, q))
-                if nu == tv[k + 1]]
+        hits = _base_distances(A, tv[k], lam, q, tv[k + 1])
         if idx >= len(hits):
             raise BuildingError("fewer classes on the stratum's step than "
                                 "its Hecke factor")
-        cfg[k + 1] = _neighbour(fp, A, _times_t(A), hits[idx], lam)
+        cfg[k + 1] = _neighbour(fp, A, None, hits[idx], lam)
     if n and lattice_distance(cfg[n - 1], base) != signature[n - 1]:
         raise BuildingError("the sampled polygon does not close")
     return cfg

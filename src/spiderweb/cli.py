@@ -31,7 +31,8 @@ from .diskoid import (DiskoidError, distance, dual_diskoid, geodesics,
                       serialize_diskoid)
 from .generate import random_signature, random_web
 from .basis import (dim_invariants, enumerate_basis, expand_in_basis,
-                    minuscule_paths, path_tag, rotated_catalog_check)
+                    minuscule_paths, path_steps, path_tag,
+                    rotated_catalog_check)
 from .oracle import (_tuples_of_weight, contract_closed, in_invariant_kernel,
                      invariant_kernel_dim, web_vector)
 from .building import (APARTMENT, BuildingError, FieldParam, LatticeClass,
@@ -419,13 +420,14 @@ def cmd_partition(args):
     items = sorted(buckets.items())
     total = sum(buckets.values())
     lines = ["%s : %d" % (format_path(key), size) for key, size in items]
-    lines.append("total %d points in %d buckets, one per minuscule path"
-                 % (total, len(buckets)))
+    ok = all(path_steps(sig, key) is not None for key in buckets)
+    lines.append("total %d points in %d buckets, %s" % (
+        total, len(buckets), "one per minuscule path" if ok else "MISMATCH"))
     data = [{"path": [list(x) for x in key], "size": size}
             for key, size in items]
     emit(args, lines, {"buckets": data, "total": total,
-                       "buckets_match_paths": True})
-    return 0
+                       "buckets_match_paths": ok})
+    return 0 if ok else 1
 
 
 def cmd_euler(args):

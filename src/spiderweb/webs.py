@@ -332,7 +332,9 @@ class Web:
             parts.append(("bd", len(self.boundary), code))
         found = []
         for comp in closed:
-            seeds = sorted(comp, key=str)
+            # in A2 its darts lie at vertices, none on a loop (flows differ),
+            # so a seed's record 0 is (1, 4, head, 0): least codes skip heads
+            seeds = sorted((d for d in comp if d not in self.heads), key=str)
             best = self._encode_from(seeds[:1], len(comp))
             for s in seeds[1:]:
                 best = self._encode_from([s], len(comp), best[0]) or best

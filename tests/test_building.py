@@ -1,6 +1,7 @@
 import collections
 import gc
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -178,6 +179,27 @@ def test_satake_partition_does_no_lattice_arithmetic(monkeypatch):
     assert satake_partition((W1, W1, W1), fp) == \
         {((0, 0), W1, W2, (0, 0)): 21}
     assert sorted(satake_partition((W1, W2, W1, W2), fp).values()) == [42, 49]
+
+
+def reference_satake_partition(signature, fp, paths=None):
+    """`satake_partition` as it was before the walk carried the products:
+    each path's product of Hecke factors bar the last, worked out in full
+    for every path, in sorted path order."""
+    return {path: math.prod(_hecke_factor(*step, fp.q)
+                            for step in zip(path, signature, path[1:-1]))
+            for path in sorted(paths or minuscule_paths(signature))}
+
+
+def test_satake_partition_matches_the_per_path_products():
+    # same buckets in the same order: every signature of length <= 10 at
+    # q = 2, 3, 5 and 7 and in the apartment
+    spaces = [FieldParam(q) for q in (2, 3, 5, 7)] + [APARTMENT]
+    for n in range(11):
+        for sig in itertools.product((W1, W2), repeat=n):
+            paths = minuscule_paths(sig)
+            for space in spaces:
+                assert list(satake_partition(sig, space).items()) == list(
+                    reference_satake_partition(sig, space, paths).items())
 
 
 @pytest.mark.parametrize("q", (2, 3, 5))
@@ -1003,15 +1025,31 @@ def test_neighbours_match_generic_normal_form(args):
 @given(walks)
 def test_bruhat_cells_land_where_the_neighbours_lie(args):
     # the cell of every point r, read off the base's flag at x, lands at
-    # the distance of r's neighbour from the base, for every x along a
-    # walk, walls and the base among them, and both colours
+    # the distance of r's neighbour from the base: the points listed at
+    # each weight nu are those whose neighbours lie at nu, for every x
+    # along a walk, walls and the base among them, and both colours
     path = walk(*args)
     base, q = path[0], args[0]
     for x in path:
         mu = lattice_distance(base, x)
         for lam in (W1, W2):
-            assert building._base_distances(x.cols, mu, lam, q) == \
-                [lattice_distance(base, y) for y in neighbors(x, lam)]
+            at = [lattice_distance(base, y) for y in neighbors(x, lam)]
+            for nu in set(at):
+                assert building._base_distances(x.cols, mu, lam, q, nu) == \
+                    [r for r, d in zip(_proj_plane(q), at) if d == nu]
+
+
+@settings(max_examples=20, deadline=None)
+@given(walks)
+def test_a_lone_neighbour_is_built_as_the_sphere_builds_it(args):
+    # the sampler's step: each neighbour built from only the columns of x
+    # shifted by t that it uses, as `neighbors` builds it from all three
+    q = args[0]
+    for x in walk(*args):
+        for lam in (W1, W2):
+            assert [building._neighbour(x.fp, x.cols, None, r, lam).cols
+                    for r in _proj_plane(q)] == \
+                [y.cols for y in neighbors(x, lam)]
 
 
 def test_neighbours_step_back_by_a_homothety():

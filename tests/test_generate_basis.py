@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -19,21 +20,45 @@ from spiderweb.weights import W1, W2, add, is_dominant, minuscule_orbit
 from conftest import MU, NU, SIG12, all_signatures, is_gluable
 
 
+def brute_force_paths(sig, mode):
+    """Every walk through the legs' orbits that stays dominant and returns
+    to 0, in the order `itertools.product` lists the steps."""
+    out = []
+    for steps in itertools.product(
+            *(minuscule_orbit(lam, mode) for lam in sig)):
+        path = tuple(itertools.accumulate(steps, add, initial=(0, 0)))
+        if path[-1] == (0, 0) and all(map(is_dominant, path)):
+            out.append(path)
+    return out
+
+
 def test_minuscule_paths_against_brute_force():
     # every walk through the orbits, kept when dominant and closed, in
-    # lexicographic order
-    for sig, mode in [((W1, W2) * 3, "a2"), ((W1,) * 6, "a2"),
-                      ((W2, W2, W1, W1, W2, W1, W1), "a2"),
-                      ((W1,) * 6, "a1"), ((), "a2"), ((W1,) * 3, "a1")]:
-        expected = []
-        for steps in itertools.product(
-                *(minuscule_orbit(lam, mode) for lam in sig)):
-            path = [(0, 0)]
-            for s in steps:
-                path.append(add(path[-1], s))
-            if all(map(is_dominant, path)) and path[-1] == (0, 0):
-                expected.append(tuple(path))
-        assert minuscule_paths(sig, mode) == sorted(expected)
+    # lexicographic order: every A2 signature of length <= 8 and A1
+    # signature of length <= 10
+    sigs = [(sig, "a2") for n in range(9)
+            for sig in itertools.product((W1, W2), repeat=n)]
+    sigs += [((W1,) * n, "a1") for n in range(11)]
+    for sig, mode in sigs:
+        assert minuscule_paths(sig, mode) == \
+            sorted(brute_force_paths(sig, mode))
+
+
+def test_weighted_paths_multiply_every_step_but_the_last():
+    # a factor that tells the steps apart: each path's product over its
+    # steps bar the last, keyed in path order
+    def factor(mu, lam, nu):
+        return 2 + mu[0] + 3 * mu[1] + 5 * lam[0] + 7 * nu[0] + 11 * nu[1]
+
+    for mode, sigs in (("a2", itertools.product((W1, W2), repeat=7)),
+                       ("a1", [(W1,) * 8])):
+        for sig in sigs:
+            paths = minuscule_paths(sig, mode)
+            weighted = minuscule_paths(sig, mode, factor)
+            assert list(weighted) == paths
+            assert list(weighted.values()) == [
+                math.prod(factor(*s) for s in zip(p, sig, p[1:-1]))
+                for p in paths]
 
 
 def test_minuscule_paths_leave_no_cycles():

@@ -151,6 +151,19 @@ def test_partition_json(capsys):
     assert data["buckets_match_paths"] is True
 
 
+def test_partition_reports_a_bucket_that_is_no_path(capsys, monkeypatch):
+    # each bucket key is checked by `path_steps`: a key that leaves the
+    # dominant chamber is caught, with MISMATCH and exit code 1
+    bad = ((0, 0), (-1, 1), (0, 0))
+    monkeypatch.setattr(cli, "satake_partition", lambda sig, fp: {bad: 7})
+    code, out, _ = run(capsys, "partition", "--boundary", "w1,w2", "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["buckets_match_paths"] is False
+    code, out, _ = run(capsys, "partition", "--boundary", "w1,w2")
+    assert code == 1 and "MISMATCH" in out
+
+
 @pytest.mark.parametrize("argv", [
     ("count", "--boundary", "w1,w2"),
     ("fibre", corpus_path("single-y")),

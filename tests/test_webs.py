@@ -9,6 +9,7 @@ from conftest import (
     dual_reverse_signature, random_closed_web, reference_glue, relabelled,
     web_fields)
 from spiderweb import corpus, skein
+from spiderweb.basis import enumerate_basis
 from spiderweb.generate import grown_webs, random_signature, random_web
 from spiderweb.webs import (
     Web, WebError, empty_web, glue, mirror, parse_web, rotate, serialize_web)
@@ -310,6 +311,37 @@ def test_pruned_canonical_form_matches_exhaustive(seed):
                     w.circles, check=False)
         assert fresh.canonical_key() == key
         assert fresh.canonical_rank() == rank
+
+
+def test_closed_components_are_seeded_off_heads(monkeypatch):
+    # a closed component's least code starts at a dart that is no head,
+    # so only those are tried, one per edge; keys and ranks are still
+    # those of every seed tried (`exhaustive_canonical_form`), on glued
+    # webs drawn as criterion 5 draws them and every gram pair of
+    # w1^3 w2 w1 w2^3
+    rng, glued = random.Random(77), []
+    while len(glued) < 300:
+        w = random_web(random_signature(rng, max_legs=6), rng,
+                       max_vertices=4, split_bias=0.0)
+        try:
+            glued.append(glue(w, mirror(w)))
+        except WebError:
+            pass
+    basis = enumerate_basis((W1, W1, W1, W2, W1, W2, W2, W2)).webs()
+    assert len(basis) ** 2 == 529
+    glued += [glue(a, mirror(b)) for a in basis for b in basis]
+    seeds = []
+    encode = Web._encode_from
+    monkeypatch.setattr(Web, "_encode_from", lambda self, ss, *a:
+                        seeds.append(ss) or encode(self, ss, *a))
+    for g in glued:
+        seeds.clear()
+        fresh = Web(g.mode, g.theta, g.vertices, g.boundary, g.heads,
+                    g.circles, check=False)
+        assert (fresh.canonical_key(), fresh.canonical_rank()) == \
+            exhaustive_canonical_form(g)
+        assert len(seeds) == len(g.theta) // 2
+        assert not g.heads.intersection(d for ss in seeds for d in ss)
 
 
 def test_grown_webs_deduplicates():
