@@ -31,7 +31,7 @@ from .diskoid import (DiskoidError, distance, dual_diskoid, geodesics,
                       serialize_diskoid)
 from .generate import random_signature, random_web
 from .basis import (dim_invariants, enumerate_basis, expand_in_basis,
-                    minuscule_paths, path_steps, path_tag,
+                    minuscule_paths, path_tag,
                     rotated_catalog_check)
 from .oracle import (_tuples_of_weight, contract_closed, in_invariant_kernel,
                      invariant_kernel_dim, web_vector)
@@ -420,7 +420,7 @@ def cmd_partition(args):
     items = sorted(buckets.items())
     total = sum(buckets.values())
     lines = ["%s : %d" % (format_path(key), size) for key, size in items]
-    ok = all(path_steps(sig, key) is not None for key in buckets)
+    ok = set(buckets) == set(minuscule_paths(sig))
     lines.append("total %d points in %d buckets, %s" % (
         total, len(buckets), "one per minuscule path" if ok else "MISMATCH"))
     data = [{"path": [list(x) for x in key], "size": size}
@@ -598,7 +598,11 @@ def _st_oracle():
     checks.append(contract_closed(corpus.load_web("loop")) == 3)
     checks.append(invariant_kernel_dim((W1, W2, W1, W2, W1, W2)) == 6)
     y = corpus.load_web("single-y")
-    checks.append(in_invariant_kernel(web_vector(y), y.boundary_signature()))
+    vec = web_vector(y)
+    checks.append(in_invariant_kernel(vec, y.boundary_signature()))
+    # epsilon's six signed entries, the Y's darts meeting legs 0, 2, 1
+    checks.append(vec == {(0, 2, 1): 1, (1, 0, 2): 1, (2, 1, 0): 1,
+                          (0, 1, 2): -1, (2, 0, 1): -1, (1, 2, 0): -1})
     return checks
 
 

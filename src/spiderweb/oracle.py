@@ -8,8 +8,11 @@ multiply by the dimension.  Tensors are exact and sparse, dicts
 {index tuple: nonzero int}; the resulting closed-web scalars equal the
 skein evaluation at q = -1 with no correction factor.  The network is
 contracted in one sweep over the vertices, which absorbs them one at a
-time into a frontier tensor (see `_contract`).  A web's invariant
-vector is that tensor with its axes in leg order; the raising operators
+time into a frontier tensor.  Permuting the three colours scales a
+component of k vertices by sgn^k (k is even on a closed component, each
+edge joining an all-out vertex to an all-in one), so the sweep keeps one
+colouring per S3 orbit (see `_contract`).  A web's invariant vector is
+that tensor with its axes in leg order; the raising operators
 act on it sparsely, through the same rows that `_kernel_dim` eliminates
 (`_raising_rows`).
 
@@ -33,6 +36,8 @@ from .webs import WebError
 
 _EPS3 = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
          (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
+# the colour permutations with their signs (see `_contract`)
+_S3 = tuple(_EPS3.items())
 _ID3 = {(0, 0): 1, (1, 1): 1, (2, 2): 1}
 _EPS2 = {(0, 1): 1, (1, 0): -1}
 
@@ -90,20 +95,28 @@ def _contract(w):
     absorbed next (the first to reach that count wins a tie), by one
     join with epsilon on the shared axes.  A dart whose partner is a
     boundary leg stays open, under its own key.  No valid web pairs two
-    darts of one vertex, so nothing is traced."""
+    darts of one vertex, so nothing is traced.
+
+    A component's tensor is a signed sum over colourings of its darts
+    by 0, 1, 2.  Both copies of epsilon are alternating, so permuting
+    the colours by s gives T(s . key) = sgn(s)^k T(key) for k vertices,
+    and each S3 orbit holds one colouring giving the first vertex's
+    darts (0, 1, 2).  The sweep starts from that entry, not epsilon's
+    six, and sums the six images s . T' weighted by sgn(s)^k at the
+    end.  A closed A2 component has k even, as every edge joins an
+    all-out vertex to an all-in one: its scalar is 6 T'()."""
     theta, where = w.theta, w._vertex_map()
     # all-out vertices are read counterclockwise, all-in ones clockwise
     # (the reflected reading of the dual copy of epsilon); this
     # orientation rule makes closed values match the skein at q = -1
-    # with no extra signs.
-    tris = [tri if w.vertex_is_out(i) else tri[::-1]
-            for i, tri in enumerate(w.vertices)]
+    # with no extra signs.  A valid vertex's first dart shows which it is.
+    tris = [tri[::-1] if tri[0] in w.heads else tri for tri in w.vertices]
     done = [False] * len(tris)
     parts = []
     for start in range(len(tris)):
         if done[start]:
             continue
-        t, ax, links = {(): 1}, [], {start: 0}
+        t, ax, links, k = {}, [], {start: 0}, 0
         while links:
             # links counts each waiting vertex's darts into the
             # frontier; a count that rises moves its vertex to the end,
@@ -111,6 +124,7 @@ def _contract(w):
             v = max(links, key=links.get)
             del links[v]
             done[v] = True
+            k += 1
             tri, pa, pb, fb = tris[v], [], [], []
             for n, x in enumerate(tri):
                 u = where.get(theta[x])
@@ -122,9 +136,16 @@ def _contract(w):
                     if u is not None:
                         links[u] = links.pop(u, 0) + 1
             fa = [i for i in range(len(ax)) if i not in pa]
-            t = _join(t, pa, fa, _eps_index(tuple(pb), tuple(fb)))
+            # only the first vertex of a component meets an empty frontier
+            t = (_join(t, pa, fa, _eps_index(tuple(pb), tuple(fb)))
+                 if ax else {(0, 1, 2): 1})
             ax = [ax[i] for i in fa] + [tri[n] for n in fb]
-        parts.append((t, ax))
+        full = {}
+        for s, sgn in _S3:
+            for key, v in t.items():
+                key = tuple(map(s.__getitem__, key))
+                full[key] = full.get(key, 0) + sgn ** k * v
+        parts.append(({key: v for key, v in full.items() if v}, ax))
     # boundary-to-boundary edges, each read from its first leg
     pos = {d: k for k, d in enumerate(w.boundary)}
     for k, d in enumerate(w.boundary):

@@ -22,6 +22,7 @@ Planarity is enforced by one Euler count over the whole web (see
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import count
 
 from . import weights
 from .weights import W1, W2
@@ -508,12 +509,13 @@ def glue(w, wp):
     """Close w against wp (reflected) into a closed web.
 
     Requires boundary_signature(wp) to be the reverse-dual of w's; leg k of
-    w meets leg (-k mod n) of wp, bases aligned.  Darts are renamed (0, d)
-    and (1, d).  An edge that ends on a leg runs on through the chain of
-    joints and bare arcs to its far end, and a chain of bare arcs that
-    closes up becomes a free circle.  The signatures being reverse-dual,
-    the w1 flow agrees across every joint, so the heads are the old heads
-    on the darts that remain.
+    w meets leg (-k mod n) of wp, bases aligned.  Darts are renamed to
+    ints by position: dart d of w becomes its index in w.theta, and dart d
+    of wp len(w.theta) plus its index in wp.theta.  An edge that ends on a
+    leg runs on through the chain of joints and bare arcs to its far end,
+    and a chain of bare arcs that closes up becomes a free circle.  The
+    signatures being reverse-dual, the w1 flow agrees across every joint,
+    so the heads are the old heads on the darts that remain.
     """
     n = len(w.boundary)
     if len(wp.boundary) != n:
@@ -530,14 +532,16 @@ def glue(w, wp):
     # against the outward normal its stored data is unchanged, but seen
     # from the front its legs run counterclockwise, so leg k of w meets
     # leg (-k mod n) of wp.
-    theta, verts, heads = {}, [], []
-    for tag, web in ((0, w), (1, wp)):
-        theta.update(((tag, d), (tag, e)) for d, e in web.theta.items())
-        verts += [tuple((tag, d) for d in tri) for tri in web.vertices]
-        heads += [(tag, d) for d in web.heads]
+    theta, verts, heads, names = [], [], [], []
+    for web in (w, wp):
+        num = dict(zip(web.theta, count(len(theta))))
+        theta += map(num.__getitem__, web.theta.values())
+        verts += [(num[a], num[b], num[c]) for a, b, c in web.vertices]
+        heads += map(num.__getitem__, web.heads)
+        names.append(num)
     joint = {}
     for k in range(n):
-        a, b = (0, w.boundary[k]), (1, wp.boundary[(-k) % n])
+        a, b = names[0][w.boundary[k]], names[1][wp.boundary[(-k) % n]]
         joint[a], joint[b] = b, a
 
     def far(e):
@@ -548,7 +552,7 @@ def glue(w, wp):
             e = theta[j]
         return e
 
-    kept = {d: e for d, e in theta.items() if d not in joint}
+    kept = {d: e for d, e in enumerate(theta) if d not in joint}
     out = {d: e for d, e in kept.items() if e not in joint}
     for d, e in kept.items():
         if d not in out:

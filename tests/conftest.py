@@ -173,16 +173,18 @@ def web_fields(w):
 
 def reference_glue(w, wp):
     """glue(w, wp) as one splice: both webs side by side with darts
-    renamed (0, d) and (1, d), leg k of w jointed to leg -k mod n of wp,
-    and every boundary dart deleted."""
-    def ren(tag, web):
-        return ({(tag, a): (tag, b) for a, b in web.theta.items()},
-                [tuple((tag, d) for d in tri) for tri in web.vertices],
-                [(tag, d) for d in web.boundary],
-                {(tag, d) for d in web.heads})
+    renamed by position (dart d of w to its index in w.theta, dart d of
+    wp to len(w.theta) plus its index in wp.theta), leg k of w jointed to
+    leg -k mod n of wp, and every boundary dart deleted."""
+    def ren(offset, web):
+        name = {d: offset + i for i, d in enumerate(web.theta)}
+        return ({name[a]: name[b] for a, b in web.theta.items()},
+                [tuple(name[d] for d in tri) for tri in web.vertices],
+                [name[d] for d in web.boundary],
+                {name[d] for d in web.heads})
 
     th1, v1, b1, h1 = ren(0, w)
-    th2, v2, b2, h2 = ren(1, wp)
+    th2, v2, b2, h2 = ren(len(w.theta), wp)
     n = len(b1)
     base = Web(w.mode, {**th1, **th2}, v1 + v2, b1 + b2, h1 | h2,
                w.circles + wp.circles, check=False)

@@ -163,12 +163,13 @@ def dense_web_vector(w):
     return np.transpose(t, [ax.index(k) for k in keys])
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10 ** 6), st.sampled_from(("a1", "a2")))
-def test_sparse_contraction_matches_dense_reference(seed, mode):
+def check_sparse_against_dense(seed, mode):
+    """The sparse contractions of a random web of at most 10 vertices,
+    its pairing with its mirror and a random closed web against the
+    dense reference; returns the vertex counts of the web's components."""
     rng = random.Random(seed)
     sig = random_signature(rng, mode, max_legs=6)
-    w = random_web(sig, rng, mode, max_vertices=6)
+    w = random_web(sig, rng, mode, max_vertices=10)
     vec = web_vector(w)
     assert isinstance(vec, dict) and all(vec.values())
     assert all(len(k) == len(sig) for k in vec)
@@ -180,6 +181,30 @@ def test_sparse_contraction_matches_dense_reference(seed, mode):
               random_closed_web(rng) if mode == "a2" else glue(w, w)):
         assert contract_closed(g) == dense_contract(g)[0] == \
             web_vector(g).get((), 0)
+    return [sum(tri[0] in c for tri in w.vertices) for c in w._components()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(("a1", "a2")))
+def test_sparse_contraction_matches_dense_reference(seed, mode):
+    check_sparse_against_dense(seed, mode)
+
+
+def test_sparse_contraction_meets_odd_components():
+    # colour permutations act on an open component of k vertices by
+    # sgn^k; the sweep reaches odd k and components of 10 vertices
+    ks = [k for seed in range(40)
+          for k in check_sparse_against_dense(seed, "a2")]
+    assert any(k % 2 for k in ks) and max(ks) == 10
+
+
+def test_single_y_vector_is_epsilon():
+    # the Y's counterclockwise darts meet legs 0, 2, 1: its vector is
+    # epsilon's six signed entries in that leg order
+    eps = {p: (-1) ** sum(a > b for a, b in itertools.combinations(p, 2))
+           for p in itertools.permutations(range(3))}
+    assert web_vector(corpus.load_web("single-y")) == {
+        (a, c, b): v for (a, b, c), v in eps.items()}
 
 
 @settings(max_examples=60, deadline=None)

@@ -152,7 +152,7 @@ def test_partition_json(capsys):
 
 
 def test_partition_reports_a_bucket_that_is_no_path(capsys, monkeypatch):
-    # each bucket key is checked by `path_steps`: a key that leaves the
+    # the bucket keys must be the minuscule paths: a key that leaves the
     # dominant chamber is caught, with MISMATCH and exit code 1
     bad = ((0, 0), (-1, 1), (0, 0))
     monkeypatch.setattr(cli, "satake_partition", lambda sig, fp: {bad: 7})
@@ -161,6 +161,25 @@ def test_partition_reports_a_bucket_that_is_no_path(capsys, monkeypatch):
     data = json.loads(out)
     assert data["buckets_match_paths"] is False
     code, out, _ = run(capsys, "partition", "--boundary", "w1,w2")
+    assert code == 1 and "MISMATCH" in out
+
+
+def test_partition_reports_a_dropped_stratum(capsys, monkeypatch):
+    # every remaining key is a path, but one stratum is missing
+    real = cli.satake_partition
+
+    def dropped(sig, fp):
+        buckets = dict(real(sig, fp))
+        del buckets[next(iter(buckets))]
+        return buckets
+
+    monkeypatch.setattr(cli, "satake_partition", dropped)
+    argv = ("partition", "--boundary", "w1,w2,w1,w2", "--q", "2")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["buckets_match_paths"] is False and len(data["buckets"]) == 1
+    code, out, _ = run(capsys, *argv)
     assert code == 1 and "MISMATCH" in out
 
 

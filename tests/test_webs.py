@@ -105,6 +105,24 @@ def test_glue_closes():
     assert g == corpus.load_web("theta")
 
 
+def test_glue_numbers_darts_by_position():
+    # corpus darts are strings; a glued web's darts are ints, dart d of w
+    # at its index in w.theta and dart d of wp offset by len(w.theta)
+    for name in ("single-y", "a2-example"):
+        w = corpus.load_web(name)
+        m = mirror(w)
+        assert all(isinstance(d, str) for d in w.theta)
+        g = glue(w, m)
+        assert all(type(d) is int for d in g.theta)
+        inner = {d for tri in w.vertices for d in tri}
+        n = len(w.theta)
+        assert set(g.theta) == {i + off for off in (0, n)
+                                for i, d in enumerate(w.theta) if d in inner}
+        assert g.vertices == tuple(
+            tuple(off + list(w.theta).index(d) for d in tri)
+            for off, web in ((0, w), (n, m)) for tri in web.vertices)
+
+
 def test_glue_signature_mismatch():
     w = Y()
     with pytest.raises(WebError):
