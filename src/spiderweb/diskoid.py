@@ -9,10 +9,12 @@ the dominance-minimal path weight; diskoids dual to non-elliptic webs
 satisfy the combinatorial CAT(0) condition (every interior vertex meets
 at least six triangles) and have coherent (unique-minimum) distances.
 
-Geodesics (paths of least weight) grow depth first, a step kept only
-if the Pareto sets to the far end allow it.  On CAT(0) diskoids they are
-connected by diamond moves across flat rhombi (`diamond_sites`), and
-each extends to a boundary-to-boundary one (`complete_extension`).
+Each step adds w1 or w2, so on a coherent pair the geodesics (paths of
+least weight) are the paths with the fewest edges (`distance_sets`):
+they are walked depth first, a step kept when it ends one edge nearer
+the far end (`_hops`).  On CAT(0) diskoids they are connected by diamond
+moves across flat rhombi (`diamond_sites`), and each extends to a
+boundary-to-boundary one (`complete_extension`).
 """
 
 from __future__ import annotations
@@ -77,12 +79,13 @@ class Diskoid:
         return self._adj
 
     def boundary_row(self, i):
-        """Pareto sets from boundary vertex i to boundary vertices
-        0, ..., n-1, computed once per i."""
+        """Distances from boundary vertex i to boundary vertices 0, ...,
+        n-1, None where a pair is not coherent; computed once per i."""
         row = self._boundary_rows.get(i)
         if row is None:
             sets = distance_sets(self, self.boundary[i])
-            row = tuple(tuple(sets[b]) for b in self.boundary)
+            row = tuple(sets[b][0] if len(sets[b]) == 1 else None
+                        for b in self.boundary)
             self._boundary_rows[i] = row
         return row
 
@@ -166,39 +169,46 @@ def is_cat0(D):
 # ----------------------------------------------------------------------
 # weight-valued distance
 
-def _admit(antichain, cand, mode):
-    """Insert cand into a Pareto-minimal antichain; False if dominated."""
-    for u in antichain:
-        if dominance_leq(u, cand, mode):
-            return False
-    antichain[:] = [u for u in antichain if not dominance_leq(cand, u, mode)]
-    antichain.append(cand)
-    return True
-
-
 def distance_sets(D, p):
     """Pareto-minimal achievable path weights from p to every vertex.
 
-    Breadth-first over path length with dominance pruning; simple paths
-    suffice because deleting a cycle from a path weakly dominates it, so
-    the length cap is the vertex count.
+    The lemma: each step adds w1 or w2, so a path's weight has rho-level
+    a + b equal to its number of edges, while each simple root has level
+    1 (2 in A1); so lam <= mu forces level lam <= level mu, with equality
+    only at lam = mu.  Hence the breadth-first search, one path length a
+    layer, never finds a weight below one it has kept, and keeps each
+    weight that no kept one is below.  Deleting a cycle from an A2 path
+    weakly lowers its weight, and A1 weights of one parity are
+    comparable, so the frontier empties by itself.  And on a coherent
+    pair (one minimum d) every path with the fewest edges has weight d:
+    the geodesics are exactly those paths.
     """
-    adj = D.adjacency()
+    adj, mode = D.adjacency(), D.mode
     best = {v: [] for v in D.names}
     best[p] = [(0, 0)]
     frontier = {p: [(0, 0)]}
-    for _ in range(len(D.names)):
+    while frontier:
         nxt = {}
         for v, ws in frontier.items():
             for w, step, _eid, _along in adj[v]:
                 for (a, b) in ws:
                     cand = (a + step[0], b + step[1])
-                    if _admit(best[w], cand, D.mode):
+                    if not any(dominance_leq(u, cand, mode) for u in best[w]):
+                        best[w].append(cand)
                         nxt.setdefault(w, []).append(cand)
         frontier = nxt
-        if not frontier:
-            break
     return best
+
+
+def _hops(D, p):
+    """The number of edges on a shortest path from p, per vertex reached."""
+    adj, hop, queue = D.adjacency(), {p: 0}, [p]
+    for v in queue:
+        for w, _step, _eid, _along in adj[v]:
+            if w not in hop:
+                hop[w] = hop[v] + 1
+                queue.append(w)
+    return hop
 
 
 def distance(D, p, q):
@@ -218,33 +228,21 @@ def distance(D, p, q):
 # geodesics
 
 def geodesics(D, p, q):
-    """All weight-minimal paths from p to q (each with total weight
-    distance(D, p, q) and exactly <d, rho-check> edges).
-
-    A path p..w is extended only if what remains of d is the weight of a
-    Pareto-minimal path w..q: a geodesic's suffix is one, since a lesser
-    suffix would make a lesser path.  Reversing a path dualizes its
-    weight, so those weights are the duals of `distance_sets` from q."""
+    """All weight-minimal paths from p to q, depth first in adjacency
+    order.  Once `distance` finds the pair coherent they are the paths
+    with the fewest edges (see `distance_sets`), so a step from v to w is
+    kept when w is one edge nearer q."""
     d = distance(D, p, q)
-    if d == (0, 0):
-        return [Geodesic((p,), (), (), (0, 0))]
-    back = {v: {dual(x, D.mode) for x in xs}
-            for v, xs in distance_sets(D, q).items()}
-    adj = D.adjacency()
-    out, stack = [], [(p, (0, 0), (p,), (), ())]
+    hop, adj = _hops(D, q), D.adjacency()
+    out, stack = [], [(p, (p,), (), ())]
     while stack:
-        v, (a, b), path, eids, steps = stack.pop()
-        if (a, b) == d:
-            if v == q:
-                out.append(Geodesic(path, eids, steps, d))
+        v, path, eids, steps = stack.pop()
+        if v == q:
+            out.append(Geodesic(path, eids, steps, d))
             continue
-        nxt = []
-        for w, step, eid, _along in adj[v]:
-            a2, b2 = a + step[0], b + step[1]
-            if a2 <= d[0] and b2 <= d[1] and (d[0] - a2, d[1] - b2) in back[w]:
-                nxt.append((w, (a2, b2), path + (w,), eids + (eid,),
-                            steps + (step,)))
-        stack += reversed(nxt)  # depth first, in adjacency order
+        stack += reversed([(w, path + (w,), eids + (eid,), steps + (step,))
+                           for w, step, eid, _along in adj[v]
+                           if hop[w] == hop[v] - 1])
     return out
 
 
@@ -262,11 +260,10 @@ def diamond_sites(D, g):
     rerouted across a flat rhombus.
 
     At path position i the two edges u->v->w and the rerouted pair
-    u->x->w bound a rhombus of two triangles.  When the two steps have
-    the same minuscule type the triangles are (u,v,w) and (u,w,x),
-    sharing the diagonal u-w; when the types differ they are (u,v,x) and
-    (v,w,x), sharing the diagonal v-x.  Flatness in both cases is the
-    label pattern type(u->x) = type(v->w) and type(x->w) = type(u->v).
+    u->x->w bound a rhombus of the triangles (u,v,x) and (v,w,x), sharing
+    the diagonal v-x; it is flat when type(u->x) = type(v->w) and
+    type(x->w) = type(u->v).  No triangle spans u, v, w, since its edge
+    u-w would be a path with fewer edges (see `distance_sets`).
     """
     tris = {D.triangle_vertices(t): tri for t, tri in enumerate(D.triangles)}
 
@@ -277,21 +274,12 @@ def diamond_sites(D, g):
     sites = []
     for i in range(1, len(g.vertices) - 1):
         u, v, w = g.vertices[i - 1:i + 2]
-        if u == w:
-            continue
-        T = tris.get(frozenset((u, v, w)))
         for x in D.names:
-            if x in (u, v, w):
+            T1, T2 = (tris.get(frozenset((u, v, x))),
+                      tris.get(frozenset((v, w, x))))
+            if not (T1 and T2 and side(T1, v, x) == side(T2, v, x)):
                 continue
-            T2 = tris.get(frozenset((u, w, x)))
-            if T and T2 and side(T, u, w) == side(T2, u, w):
-                pair = side(T2, u, x), side(T2, x, w)
-            else:
-                T1, T2 = (tris.get(frozenset((u, v, x))),
-                          tris.get(frozenset((v, w, x))))
-                if not (T1 and T2 and side(T1, v, x) == side(T2, v, x)):
-                    continue
-                pair = side(T1, u, x), side(T2, x, w)
+            pair = side(T1, u, x), side(T2, x, w)
             if (_step_type(D, u, x, pair[0]) == g.steps[i]
                     and _step_type(D, x, w, pair[1]) == g.steps[i - 1]):
                 sites.append((i, x, pair))
@@ -316,8 +304,10 @@ def complete_extension(D, g):
     """A boundary-to-boundary geodesic containing g (CAT(0) inputs): the
     first, depth first, that extends g at its last vertex until that is
     on the boundary, then at its first.  A step keeps the path a geodesic
-    when the new total is a Pareto-minimal weight between its ends."""
-    bset, adj, sets = set(D.boundary), D.adjacency(), {}
+    when it still has the fewest edges between its ends (see
+    `distance_sets`), counted from the end that stays, so no step
+    returns to the path."""
+    bset, adj, hops = set(D.boundary), D.adjacency(), {}
     stack = [g]
     while stack:
         h = stack.pop()
@@ -325,17 +315,14 @@ def complete_extension(D, g):
         at_end = v not in bset
         if not at_end and u in bset:
             return h
+        stay = u if at_end else v
+        if stay not in hops:
+            hops[stay] = _hops(D, stay)
         nxt = []
         for w, step, eid, _along in adj[v if at_end else u]:
-            if w in h.vertices:
-                continue
-            if not at_end:
-                step = dual(step, D.mode)
-            t = (h.total[0] + step[0], h.total[1] + step[1])
-            src, dst = (u, w) if at_end else (w, v)
-            if src not in sets:
-                sets[src] = distance_sets(D, src)
-            if t in sets[src][dst]:
+            if hops[stay][w] == len(h.eids) + 1:
+                step = step if at_end else dual(step, D.mode)
+                t = (h.total[0] + step[0], h.total[1] + step[1])
                 nxt.append(Geodesic(h.vertices + (w,), h.eids + (eid,),
                                     h.steps + (step,), t) if at_end else
                            Geodesic((w,) + h.vertices, (eid,) + h.eids,
@@ -354,32 +341,27 @@ def mu_vector(D, i=0):
         raise DiskoidError("mu_vector needs a boundary")
     i %= n
     row = D.boundary_row(i)
-    out = []
-    for k in range(1, n + 1):
-        pareto = row[(i + k) % n]
-        if len(pareto) != 1:
-            raise DiskoidError("non-coherent distance in mu_vector")
-        out.append(pareto[0])
-    return tuple(out)
+    out = tuple(row[(i + k) % n] for k in range(1, n + 1))
+    if None in out:
+        raise DiskoidError("non-coherent distance in mu_vector")
+    return out
 
 
 def leq_S(D, E):
     """True iff every boundary-pair distance of D is dominance-below the
-    matching distance of E."""
+    matching distance of E (two diskoids of one mode)."""
     n = len(D.boundary)
     if len(E.boundary) != n:
         raise DiskoidError("boundary sizes differ")
+    if E.mode != D.mode:
+        raise DiskoidError("modes differ: %s and %s" % (D.mode, E.mode))
     for i in range(n):
-        dd = D.boundary_row(i)
-        de = E.boundary_row(i)
-        for j in range(n):
+        for j, (a, b) in enumerate(zip(D.boundary_row(i), E.boundary_row(i))):
             if i == j:
                 continue
-            a = dd[j]
-            b = de[j]
-            if len(a) != 1 or len(b) != 1:
+            if a is None or b is None:
                 raise DiskoidError("non-coherent distance in leq_S")
-            if not dominance_leq(a[0], b[0], D.mode):
+            if not dominance_leq(a, b, D.mode):
                 return False
     return True
 

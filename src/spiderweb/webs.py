@@ -181,33 +181,23 @@ class Web:
 
     def _components(self):
         """Connected components of the dart set; boundary darts all linked.
-        Kept on the web, as `faces` are: `validate` and `_canonicalize`
-        both read them."""
+        Each is found by following theta and sigma from the next unseen
+        dart, and they come in the order of their first darts, each in
+        theta order.  Kept on the web, as `faces` are: `validate` and
+        `_canonicalize` both read them."""
         if self._comps is not None:
             return self._comps
-        parent = {d: d for d in self.theta}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for d, e in self.theta.items():
-            union(d, e)
-        for tri in self.vertices:
-            for i in range(len(tri) - 1):
-                union(tri[i], tri[i + 1])
-        for i in range(len(self.boundary) - 1):
-            union(self.boundary[i], self.boundary[i + 1])
+        theta, sigma, root = self.theta, self._sigma_map(), {}
+        for d0 in theta:
+            stack = [] if d0 in root else [d0]
+            while stack:
+                d = stack.pop()
+                if d not in root:
+                    root[d] = d0
+                    stack += (theta[d], sigma[d])
         comps = {}
-        for d in self.theta:
-            comps.setdefault(find(d), []).append(d)
+        for d in theta:
+            comps.setdefault(root[d], []).append(d)
         self._comps = list(comps.values())
         return self._comps
 

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,8 @@ from spiderweb.diskoid import (
     mu_vector, parse_diskoid, serialize_diskoid)
 from spiderweb.generate import random_signature, random_web
 from spiderweb.webs import rotate
-from spiderweb.weights import W1, W2, dominance_leq, dual as dual_weight
+from spiderweb.weights import (
+    W1, W2, dominance_leq, dual as dual_weight, rho_level)
 
 from conftest import MU, NU
 
@@ -185,23 +187,27 @@ def simple_paths(D, p, q):
     return out
 
 
+def small_duals(seed, count, mode="a2", max_legs=8):
+    """Dual diskoids with at most 10 vertices of random webs without free
+    circles; in A2 most of them are not CAT(0)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        sig = random_signature(rng, mode, max_legs=max_legs)
+        w = random_web(sig, rng, mode, max_vertices=8)
+        if not w.circles and dual_diskoid(w).n_vertices() <= 10:
+            out.append(dual_diskoid(w))
+    return out
+
+
 def test_geodesics_match_brute_force():
     # every vertex pair of 60 small diskoids of random webs, most of them
     # not CAT(0): the geodesics are the simple paths of least weight (a
     # cycle adds a nonzero dominant weight), and a pair with no least
     # weight raises
-    rng = random.Random(3)
-    found = non_cat0 = 0
-    while found < 60:
-        sig = random_signature(rng, max_legs=8)
-        w = random_web(sig, rng, max_vertices=8)
-        if w.circles:
-            continue
-        D = dual_diskoid(w)
-        if D.n_vertices() > 10:
-            continue
-        found += 1
-        non_cat0 += not is_cat0(D)
+    duals = small_duals(3, 60)
+    non_cat0 = sum(not is_cat0(D) for D in duals)
+    for D in duals:
         for p in D.names:
             sets = distance_sets(D, p)
             for q in D.names:
@@ -215,6 +221,37 @@ def test_geodesics_match_brute_force():
                                     in simple_paths(D, p, q).items()
                                     if total == sets[q][0]}
     assert non_cat0 >= 30
+
+
+def pareto_minimal(ws, mode):
+    return {x for x in ws
+            if not any(y != x and dominance_leq(y, x, mode) for y in ws)}
+
+
+def test_distance_sets_match_brute_force():
+    # every vertex pair of 60 small A2 diskoids, most of them not CAT(0),
+    # and of 20 A1 ones: the Pareto sets over walks are those over simple
+    # paths, and their least-level entries are the weights of the paths
+    # with the fewest edges
+    duals = small_duals(2, 60) + small_duals(2, 20, "a1", max_legs=18)
+    assert sum(not is_cat0(D) for D in duals) >= 30
+    assert sum(D.mode == "a1" and D.n_vertices() >= 5 for D in duals) >= 10
+    incoherent = 0
+    for D in duals:
+        for p in D.names:
+            sets, hop = distance_sets(D, p), diskoid._hops(D, p)
+            for q in D.names:
+                paths = simple_paths(D, p, q)
+                assert len(set(sets[q])) == len(sets[q])
+                assert set(sets[q]) == pareto_minimal(set(paths.values()),
+                                                      D.mode)
+                low = min(map(rho_level, sets[q]))
+                assert low == hop[q]
+                assert {x for x in sets[q] if rho_level(x) == low} == {
+                    total for (_verts, eids), total in paths.items()
+                    if len(eids) == hop[q]}
+                incoherent += len(sets[q]) > 1
+    assert incoherent >= 2
 
 
 def test_diamond_move_is_involutive():
@@ -320,9 +357,36 @@ def test_boundary_rows_match_fresh_distances():
                     for i in range(n) for j in range(n) if i != j)
 
 
+def test_boundary_rows_mark_incoherent_pairs():
+    # a random dual whose boundary vertices 0 and 3 have two incomparable
+    # least weights: its rows hold None there and the distance elsewhere,
+    # and mu_vector and leq_S raise
+    D = random_duals(3, 103, max_legs=6)[-1]
+    n = len(D.boundary)
+    rows = [D.boundary_row(i) for i in range(n)]
+    assert [(i, j) for i in range(n) for j in range(n)
+            if rows[i][j] is None] == [(0, 3), (3, 0)]
+    assert len(distance_sets(D, D.boundary[0])[D.boundary[3]]) == 2
+    for i, j in itertools.product(range(n), repeat=2):
+        if rows[i][j] is not None:
+            assert rows[i][j] == distance(D, D.boundary[i], D.boundary[j])
+    for i in (0, 3):
+        with pytest.raises(DiskoidError, match="non-coherent distance in mu"):
+            mu_vector(D, i)
+    with pytest.raises(DiskoidError, match="non-coherent distance in leq_S"):
+        leq_S(D, D)
+
+
 def test_leq_S_needs_equal_boundaries():
     with pytest.raises(DiskoidError):
         leq_S(D_of("w-mu"), D_of("single-y"))
+    # eight legs each, but one diskoid is A1 and the other A2
+    D1 = D_of("a1-example")
+    D2 = dual_diskoid(next(iter(enumerate_basis((W1,) * 4 + (W2,) * 4)
+                                .webs())))
+    for D, E in ((D1, D2), (D2, D1)):
+        with pytest.raises(DiskoidError, match="modes differ"):
+            leq_S(D, E)
 
 
 def test_cat0_criterion():
@@ -497,14 +561,14 @@ def outcome(f, *args):
         return "DiskoidError: %s" % exc
 
 
-def random_duals(seed, count, max_legs=8, max_vertices=8):
-    """Dual diskoids of random webs without free circles; most of them
-    are not CAT(0)."""
+def random_duals(seed, count, max_legs=8, max_vertices=8, mode="a2"):
+    """Dual diskoids of random webs without free circles; in A2 most of
+    them are not CAT(0)."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        sig = random_signature(rng, max_legs=max_legs)
-        w = random_web(sig, rng, max_vertices=max_vertices)
+        sig = random_signature(rng, mode, max_legs=max_legs)
+        w = random_web(sig, rng, mode, max_vertices=max_vertices)
         if not w.circles:
             out.append(dual_diskoid(w))
     return out
@@ -557,6 +621,57 @@ def test_geodesic_layer_matches_its_first_version(catalogs_le8):
     # 30,741 geodesics on 2,836 diskoids, 128 of them not CAT(0)
     assert n > 30000 and moves > 8000 and errors > 4000
     assert sum(not is_cat0(D) for D, _sources in cases) > 100
+
+
+def reference_geodesics(D, p, q):
+    """The geodesics as the Pareto sets find them: a path p..w is extended
+    only if what remains of d is the weight of a Pareto-minimal path
+    w..q, read from the duals of `distance_sets` from q."""
+    d = distance(D, p, q)
+    if d == (0, 0):
+        return [diskoid.Geodesic((p,), (), (), (0, 0))]
+    back = {v: {dual_weight(x, D.mode) for x in xs}
+            for v, xs in distance_sets(D, q).items()}
+    adj = D.adjacency()
+    out, stack = [], [(p, (0, 0), (p,), (), ())]
+    while stack:
+        v, (a, b), path, eids, steps = stack.pop()
+        if (a, b) == d:
+            if v == q:
+                out.append(diskoid.Geodesic(path, eids, steps, d))
+            continue
+        nxt = []
+        for w, step, eid, _along in adj[v]:
+            a2, b2 = a + step[0], b + step[1]
+            if (a2 <= d[0] and b2 <= d[1]
+                    and (d[0] - a2, d[1] - b2) in back[w]):
+                nxt.append((w, (a2, b2), path + (w,), eids + (eid,),
+                            steps + (step,)))
+        stack += reversed(nxt)
+    return out
+
+
+def test_geodesics_match_their_pareto_version(catalogs_le8):
+    # list for list, in order, or the same error: from the base on the
+    # catalog webs of length <= 8 and on w-mu and w-nu; between every
+    # pair of the criterion-7 diskoids, of random ones (most of them not
+    # CAT(0)) and of random A1 ones
+    duals = [dual_diskoid(w) for cat in catalogs_le8.values()
+             for w in cat.webs()]
+    duals += [D_of("w-mu"), D_of("w-nu")]
+    cases = [(D, [D.base]) for D in duals]
+    cases += [(D, D.names) for D in criterion_7_duals() + random_duals(5, 150)
+              + random_duals(6, 40, max_legs=12, mode="a1")]
+    n = errors = 0
+    for D, sources in cases:
+        for p in sources:
+            for q in D.names:
+                got = outcome(geodesics, D, p, q)
+                assert got == outcome(reference_geodesics, D, p, q)
+                n += len(got) if isinstance(got, list) else 0
+                errors += isinstance(got, str)
+    assert n > 30000 and errors >= 2
+    assert sum(D.mode == "a1" and D.n_vertices() >= 6 for D, _s in cases) > 10
 
 
 def test_triangle_check_matches_its_first_version():

@@ -239,6 +239,17 @@ def test_order(capsys):
     assert code == 0 and "<=" in out
 
 
+def test_order_needs_one_mode(capsys, tmp_path):
+    # eight legs each, but the diskoids are of A1 and A2 webs
+    path = tmp_path / "a2.web"
+    path.write_text(serialize_web(next(iter(enumerate_basis(
+        (W1,) * 4 + (W2,) * 4).webs()))))
+    code, out, err = run(capsys, "order", corpus_path("a1-example"),
+                         str(path))
+    assert code == 1 and out == ""
+    assert "error: modes differ: a1 and a2" in err
+
+
 def test_rotate(capsys):
     code, out, _ = run(capsys, "rotate", corpus_path("a2-example"), "--i", "1")
     assert code == 0
