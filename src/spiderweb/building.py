@@ -4,11 +4,12 @@ Points are homothety classes of full rank-3 lattices over F_q[[t]].  A
 class is stored as its column normal form, lower triangular, whose
 entries are polynomials over F_q: coefficient tuples without trailing
 zeros (zero is ``()``), so the form is canonical and exact, with no
-t-adic truncation.  The generic constructor searches for it (`_hnf`);
-minuscule neighbours are built in it directly, and distances read
-elementary divisors off its pivot exponents.  Configuration and fibre
-counts for polygons and diskoids, Satake partitions, stratum samples and
-the Euler characteristic live here too.
+t-adic truncation.  It is built, never searched for: the constructor
+takes lower-triangular columns with monomial pivots, minuscule
+neighbours are spanned by such columns, and `_reduced` finishes both.
+Distances read elementary divisors off its pivot exponents.
+Configuration and fibre counts for polygons and diskoids, Satake
+partitions, stratum samples and the Euler characteristic live here too.
 
 Placements are built, not filtered out of spheres.  The link of a vertex
 is the incidence graph of P^2(F_q), so the places of a vertex next to
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from functools import reduce
 from itertools import combinations
 
 from .weights import W1, W2, ZERO, dual, minuscule_orbit, rho_level
@@ -147,23 +147,6 @@ def _pshift(a, k):
     return a[k:]
 
 
-def _pinv_unit(a, q, N):
-    """Inverse of a unit (valuation 0) mod t^N."""
-    if not a or not a[0]:
-        raise BuildingError("not a unit")
-    inv0 = pow(a[0], q - 2, q)
-    if len(a) == 1:
-        return (inv0,)
-    out = [inv0]
-    # out satisfies a*out = 1 mod t^k, extended one coefficient at a time
-    for k in range(1, N):
-        s = 0
-        for i in range(1, min(k, len(a) - 1) + 1):
-            s += a[i] * out[k - i]
-        out.append((-s * inv0) % q)
-    return _trim(tuple(out))
-
-
 def _col_sub(col, f, other, q):
     """col - f.other, leaving the rows where other is zero as they are."""
     return tuple(_psub(p, _pmul(f, o, q), q) if o else p
@@ -177,15 +160,26 @@ def _col_sub(col, f, other, q):
 class LatticeClass:
     """A homothety class of full lattices in F_q((t))^3, stored as the
     unique column Hermite normal form of a representative L with
-    L contained in O^3 but not in t.O^3.  Its entries are trimmed
-    coefficient tuples; given `cols` may carry trailing zeros."""
+    L contained in O^3 but not in t.O^3, its entries trimmed coefficient
+    tuples.  `cols` are three lower-triangular columns with pivots t^e,
+    entries any coefficient tuples, which `_reduced` normalises; other
+    columns raise BuildingError.  The generic normal form of any spanning
+    columns, its oracle, lives in the tests (`conftest.hnf`)."""
 
     __slots__ = ("fp", "cols")
 
     def __init__(self, fp, cols, _normalized=False):
         self.fp = fp
-        self.cols = cols if _normalized else _hnf(
-            tuple(tuple(_trim(p) for p in c) for c in cols), fp)
+        if not _normalized:
+            cols = tuple(tuple(_trim(tuple(x % fp.q for x in p)) for p in c)
+                         for c in cols)
+            if len(cols) != 3 or any(
+                    len(c) != 3 or any(c[:j]) or c[j][-1:] != (1,)
+                    or any(c[j][:-1]) for j, c in enumerate(cols)):
+                raise BuildingError("the columns are not lower triangular "
+                                    "with monomial pivots")
+            cols = _reduced(cols, fp)
+        self.cols = cols
 
     def __eq__(self, other):
         return isinstance(other, LatticeClass) and self.cols == other.cols
@@ -227,70 +221,12 @@ def base_class(fp):
     return LatticeClass(fp, _IDENTITY, _normalized=True)
 
 
-def _hnf(cols, fp):
-    """Column Hermite normal form over F_q[[t]]: lower triangular,
-    diagonal t^{e_i} with unit pivots normalized away, and entries left of
-    each pivot reduced modulo the pivot, divided by the least power of t
-    in an entry.  It takes any three or more spanning columns: it is
-    `LatticeClass(fp, cols)`, and the oracle of `neighbors`, which builds
-    this form directly.
-
-    It is the one routine that inverts a unit, and that inverse is a
-    power series, so it works mod t^(D+2), for D the sum of the three
-    largest column degrees.  That loses nothing.  Take any three
-    independent columns, with determinant delta: delta.O^3 lies in their
-    span, so in the span L of all columns, and v(delta) <= deg delta <= D.
-    So t^D.O^3 lies in L, and every pivot exponent is at most D; they add
-    up to v(det L) <= v(delta) <= D.  Modulo t^(D+2) no pivot vanishes,
-    and each entry, of degree below the pivot beneath it, comes out
-    exact.  Columns that span no full lattice leave a row with no pivot."""
-    q = fp.q
-    deg = sorted(max(map(len, c)) - 1 for c in cols)
-    N = max(sum(deg[-3:]), 0) + 2
-    M = [[cols[j][i] for j in range(len(cols))] for i in range(3)]  # rows
-
-    def col(j):
-        return tuple(M[i][j] for i in range(3))
-
-    def set_col(j, c):  # mod t^N
-        for i in range(3):
-            M[i][j] = _trim(c[i][:N])
-
-    ncols = len(cols)
-    for i in range(3):
-        best, bestv = None, None
-        for j in range(i, ncols):
-            v = _pval(M[i][j])
-            if v is not None and (bestv is None or v < bestv):
-                best, bestv = j, v
-        if best is None:
-            raise BuildingError("the columns span no full lattice")
-        if best != i:
-            ci, cb = col(i), col(best)
-            set_col(i, cb)
-            set_col(best, ci)
-        e = bestv
-        inv = _pinv_unit(_pshift(M[i][i], -e), q, N)
-        set_col(i, tuple(_pmul(p, inv, q) for p in col(i)))
-        for j in range(ncols):
-            if j == i:
-                continue
-            entry = M[i][j]
-            if j > i:
-                f = _pshift(entry, -e)             # full elimination
-            else:
-                f = entry[e:]                      # reduce mod t^e
-            if f:
-                set_col(j, _col_sub(col(j), f, col(i), q))
-    h = [col(j) for j in range(3)]
-    m = _least_val(h)
-    return tuple(tuple(_pshift(p, -m) for p in c) for c in h)
-
-
 def _reduced(cols, fp):
-    """The normal form of lower-triangular columns with monomial pivots:
-    entries left of each pivot reduced modulo it, rows top to bottom as in
-    `_hnf`, then one homothety shift, none after a unit pivot."""
+    """The normal form of lower-triangular columns with monomial pivots,
+    the library's one normal-form routine: entries left of each pivot
+    reduced modulo it, rows top to bottom (column i is zero above row i,
+    so a row once reduced stays so), then one homothety shift, none after
+    a unit pivot.  The generic normal form of the tests is its oracle."""
     q, cols = fp.q, list(cols)
     for i in (1, 2):
         e = len(cols[i][i]) - 1
@@ -301,13 +237,6 @@ def _reduced(cols, fp):
     m = 0 if 1 in (len(cols[i][i]) for i in range(3)) else _least_val(cols)
     return tuple(tuple(_pshift(p, -m) for p in c) if m else c
                  for c in cols)
-
-
-def _mul_lower(X, Y, q):
-    """X.Y for lower-triangular X and Y, all in column form."""
-    return tuple(tuple(reduce(lambda s, k: _padd(
-        s, _pmul(X[k][i], Y[j][k], q), q), range(j, i + 1), ())
-        for i in range(3)) for j in range(3))
 
 
 def _least_val(M):
@@ -407,7 +336,7 @@ def neighbors(L, color):
     `_reduced` finishes it with no pivot search and no unit inverse: at
     most three entries reduced modulo the pivot below them, row by row,
     then one homothety shift.
-    `LatticeClass(fp, cols)` of any spanning columns is the oracle."""
+    The generic normal form of the spans, in the tests, is the oracle."""
     fp = L.fp
     hit = fp.nbr_cache.get((L.cols, color))
     if hit is not None:

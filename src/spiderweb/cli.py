@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
+import itertools
 import json
 import os
 import random
@@ -36,7 +38,7 @@ from .basis import (dim_invariants, enumerate_basis, expand_in_basis,
 from .oracle import (_tuples_of_weight, contract_closed, in_invariant_kernel,
                      invariant_kernel_dim, web_vector)
 from .building import (APARTMENT, BuildingError, FieldParam, LatticeClass,
-                       _enumerated_partition, _hecke_factor, _mul_lower,
+                       _enumerated_partition, _hecke_factor, _padd, _pmul,
                        base_class, count_configurations, count_fibre,
                        diskoid_linkage, euler_estimate, lattice_distance,
                        neighbors, panel, polygon_linkage,
@@ -619,16 +621,24 @@ def _st_building():
                   == len(_tuples_of_weight(sig, "a2", (0, 0))))
     base = base_class(FieldParam(3))
     checks.append(lattice_distance(base, neighbors(base, W1)[0]) == W1)
-    # at a class L off the base, the neighbours built in normal form
-    # against `_hnf` of their spans L.H, for H the base's neighbours,
-    # and their distances both ways: d(L, M) = c = d(M, L)*
+    # at a class L off the base: its neighbours against the classes of
+    # their spans L.H, for H the base's neighbours; pairwise distinct by
+    # distance alone; and d(L, M) = c = d(M, L)* both ways
     L = neighbors(neighbors(base, W1)[5], W2)[7]
+
+    def span(H):  # L.H in column form: row i of column j is sum_k L_ik H_kj
+        return [[functools.reduce(lambda s, k: _padd(s, _pmul(
+            L.cols[k][i], H.cols[j][k], 3), 3), range(3), ())
+            for i in range(3)] for j in range(3)]
+
     for c in (W1, W2):
-        checks.append(neighbors(L, c) == [
-            LatticeClass(L.fp, _mul_lower(L.cols, H.cols, 3))
-            for H in neighbors(base, c)])
+        nbrs = neighbors(L, c)
+        checks.append(nbrs == [LatticeClass(L.fp, span(H))
+                               for H in neighbors(base, c)])
+        checks.append(all(lattice_distance(M, N) != (0, 0)
+                          for M, N in itertools.combinations(nbrs, 2)))
         checks.append(all(lattice_distance(L, M) == c == weights.dual(
-            lattice_distance(M, L)) for M in neighbors(L, c)))
+            lattice_distance(M, L)) for M in nbrs))
     # the chambers on each panel L, M, built from a line of M/tM, against
     # the w1-sphere of M filtered by distance
     checks.append(all(panel(L, M) == [

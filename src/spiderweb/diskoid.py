@@ -116,6 +116,9 @@ class Diskoid:
                 raise DiskoidError("edge %r is a self-loop" % (e,))
             if not weights.is_minuscule(lam, self.mode) or lam == (0, 0):
                 raise DiskoidError("edge %r label is not minuscule" % (e,))
+        if self.mode == "a1" and self.triangles:
+            raise DiskoidError("an A1 diskoid has no triangles (the A1 "
+                               "building is a tree)")
         for tri in self.triangles:
             self._check_triangle(tri)
         if self.boundary:

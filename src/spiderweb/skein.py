@@ -29,7 +29,8 @@ from __future__ import annotations
 import json
 
 from .laurent import Laurent, ONE, ZERO, LOOP_A1, LOOP_A2, BIGON_A2
-from .webs import Web, WebError, empty_web, glue, serialize_web
+from .webs import (Web, WebError, empty_web, glue, join_chains,
+                   serialize_web)
 
 
 class WebSum:
@@ -191,26 +192,14 @@ class _DartMap:
         for key in [key for key in small if not key.isdisjoint(gone)]:
             del small[key]
 
-        def far(e):
-            # the far end of the chain of joints from e, taken out of jp
-            while e in jp:
-                j = jp.pop(e)
-                del jp[j]
-                e = outer[j]
-            return e
-
-        ends = []
-        for e in ext:
-            x = outer[e]
-            if e in jp and x in theta:
-                y = far(e)
-                theta[x], theta[y] = y, x
-                ends += (x, y)
-        while jp:
-            far(next(iter(jp)))
-            self.circles += 1
-        for d in ends:
-            self._grow(d)
+        ends, circles = join_chains(jp, outer,
+                                    [e for e in ext if outer[e] in theta])
+        self.circles += circles
+        for e, y in ends.items():
+            theta[outer[e]], theta[y] = y, outer[e]
+        for e, y in ends.items():
+            self._grow(outer[e])
+            self._grow(y)
 
 
 # ----------------------------------------------------------------------

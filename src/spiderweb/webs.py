@@ -534,23 +534,31 @@ def glue(w, wp):
         a, b = names[0][w.boundary[k]], names[1][wp.boundary[(-k) % n]]
         joint[a], joint[b] = b, a
 
+    kept = {d: e for d, e in enumerate(theta) if d not in joint}
+    out = {d: e for d, e in kept.items() if e not in joint}
+    ends, circles = join_chains(joint, theta, kept.values())
+    for e, y in ends.items():
+        out[theta[e]], out[y] = y, theta[e]
+    return Web(w.mode, out, verts, (), [d for d in heads if d in out],
+               w.circles + wp.circles + circles, check=False)
+
+
+def join_chains(joint, partner, starts):
+    """Follow chains of joints, emptying `joint`, which pairs the darts of
+    each joint; partner[j] is the dart across the edge beyond joint dart
+    j: kept, or the next joint dart.  Returns the far end of the chain
+    from each start still in `joint` when reached, in order, and the
+    number of chains left over, which close up into free circles."""
     def far(e):
-        # the far end of the chain of joints from e, taken out of joint
         while e in joint:
             j = joint.pop(e)
             del joint[j]
-            e = theta[j]
+            e = partner[j]
         return e
 
-    kept = {d: e for d, e in enumerate(theta) if d not in joint}
-    out = {d: e for d, e in kept.items() if e not in joint}
-    for d, e in kept.items():
-        if d not in out:
-            e = far(e)
-            out[d], out[e] = e, d
-    circles = w.circles + wp.circles
+    ends = {e: far(e) for e in starts if e in joint}
+    circles = 0
     while joint:
         far(next(iter(joint)))
         circles += 1
-    return Web(w.mode, out, verts, (), [d for d in heads if d in out],
-               circles, check=False)
+    return ends, circles

@@ -6,6 +6,8 @@ import itertools
 import pytest
 
 from spiderweb.basis import enumerate_basis
+from spiderweb.building import (BuildingError, _col_sub, _least_val, _pmul,
+                                _pshift, _pval, _trim)
 from spiderweb.generate import random_signature, random_web
 from spiderweb.webs import Web, glue, mirror
 from spiderweb.weights import W1, W2, dual
@@ -190,3 +192,82 @@ def reference_glue(w, wp):
                w.circles + wp.circles, check=False)
     joints = [(b1[k], b2[(-k) % n]) for k in range(n)]
     return splice(base, (), joints, closed=True)
+
+
+def pinv_unit(a, q, N):
+    """Inverse of a unit (valuation 0) mod t^N."""
+    if not a or not a[0]:
+        raise BuildingError("not a unit")
+    inv0 = pow(a[0], q - 2, q)
+    if len(a) == 1:
+        return (inv0,)
+    out = [inv0]
+    # out satisfies a*out = 1 mod t^k, extended one coefficient at a time
+    for k in range(1, N):
+        s = 0
+        for i in range(1, min(k, len(a) - 1) + 1):
+            s += a[i] * out[k - i]
+        out.append((-s * inv0) % q)
+    return _trim(tuple(out))
+
+
+def hnf(cols, fp):
+    """Column Hermite normal form over F_q[[t]]: lower triangular,
+    diagonal t^{e_i} with unit pivots normalized away, and entries left of
+    each pivot reduced modulo the pivot, divided by the least power of t
+    in an entry.  It takes any three or more spanning columns, entries as
+    coefficient tuples, by pivot search and unit inverses: the generic
+    oracle of `_reduced`, `LatticeClass` and `neighbors`, which build this
+    form directly.
+
+    It is the one routine that inverts a unit, and that inverse is a
+    power series, so it works mod t^(D+2), for D the sum of the three
+    largest column degrees.  That loses nothing.  Take any three
+    independent columns, with determinant delta: delta.O^3 lies in their
+    span, so in the span L of all columns, and v(delta) <= deg delta <= D.
+    So t^D.O^3 lies in L, and every pivot exponent is at most D; they add
+    up to v(det L) <= v(delta) <= D.  Modulo t^(D+2) no pivot vanishes,
+    and each entry, of degree below the pivot beneath it, comes out
+    exact.  Columns that span no full lattice leave a row with no pivot."""
+    q = fp.q
+    cols = [[_trim(tuple(x % q for x in p)) for p in c] for c in cols]
+    deg = sorted(max(map(len, c)) - 1 for c in cols)
+    N = max(sum(deg[-3:]), 0) + 2
+    M = [[cols[j][i] for j in range(len(cols))] for i in range(3)]  # rows
+
+    def col(j):
+        return tuple(M[i][j] for i in range(3))
+
+    def set_col(j, c):  # mod t^N
+        for i in range(3):
+            M[i][j] = _trim(c[i][:N])
+
+    ncols = len(cols)
+    for i in range(3):
+        best, bestv = None, None
+        for j in range(i, ncols):
+            v = _pval(M[i][j])
+            if v is not None and (bestv is None or v < bestv):
+                best, bestv = j, v
+        if best is None:
+            raise BuildingError("the columns span no full lattice")
+        if best != i:
+            ci, cb = col(i), col(best)
+            set_col(i, cb)
+            set_col(best, ci)
+        e = bestv
+        inv = pinv_unit(_pshift(M[i][i], -e), q, N)
+        set_col(i, tuple(_pmul(p, inv, q) for p in col(i)))
+        for j in range(ncols):
+            if j == i:
+                continue
+            entry = M[i][j]
+            if j > i:
+                f = _pshift(entry, -e)             # full elimination
+            else:
+                f = entry[e:]                      # reduce mod t^e
+            if f:
+                set_col(j, _col_sub(col(j), f, col(i), q))
+    h = [col(j) for j in range(3)]
+    m = _least_val(h)
+    return tuple(tuple(_pshift(p, -m) for p in c) for c in h)

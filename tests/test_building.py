@@ -15,7 +15,7 @@ from spiderweb.basis import enumerate_basis, minuscule_paths, path_tag
 from spiderweb.building import (
     APARTMENT, BuildingError, FieldParam, LatticeClass, Linkage,
     _count, _col_sub, _enumerate, _enumerated_partition, _hecke_factor,
-    _padd, _pinv_unit, _pmul, _proj_plane, _pshift, _psub, _pval,
+    _padd, _pmul, _proj_plane, _pshift, _psub, _pval,
     auto_precision, base_class,
     count_configurations, count_fibre, diskoid_linkage, euler_estimate,
     lattice_distance, neighbors, panel, polygon_linkage,
@@ -30,6 +30,8 @@ from spiderweb.oracle import _tuples_of_weight, contract_closed, web_vector
 from spiderweb.skein import evaluate_closed
 from spiderweb.webs import WebError, glue, mirror
 from spiderweb.weights import W1, W2, dominance_leq, dual as dual_weight
+
+from conftest import hnf, pinv_unit
 
 
 def test_fieldparam_validation():
@@ -58,24 +60,33 @@ def test_neighbor_counts_and_distances():
 
 
 def test_functional_and_vector_classes():
-    # built as columns, independently of `neighbors`: the kernel of the
-    # functional x0 + 2 x1 on L/tL, and the line (0, 1, 1) plus t.L
+    # built as columns, independently of `neighbors`, and put in normal
+    # form by the generic `hnf`: the kernel of the functional x0 + 2 x1 on
+    # L/tL, and the line (0, 1, 1) plus t.L
     fp = FieldParam(3)
     L = base_class(fp)
     zero, one, t = (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)
-    F = LatticeClass(fp, ((t, zero, zero), (one, one, zero),
-                          (zero, zero, one)))
-    V = LatticeClass(fp, ((zero, one, one), (t, zero, zero),
-                          (zero, t, zero)))
+    F = LatticeClass(fp, hnf(((t, zero, zero), (one, one, zero),
+                              (zero, zero, one)), fp))
+    V = LatticeClass(fp, hnf(((zero, one, one), (t, zero, zero),
+                              (zero, t, zero)), fp))
     assert lattice_distance(L, F) == W1
     assert lattice_distance(L, V) == W2
     assert F in set(neighbors(L, W1)) and F not in set(neighbors(L, W2))
     assert V in set(neighbors(L, W2)) and V not in set(neighbors(L, W1))
     assert "(1, 0)" in repr(F)
+
+
+def test_generic_normal_form_needs_a_full_lattice():
     # columns of rank 2, however high their degree, leave a row unpivoted
+    fp = FieldParam(3)
+    zero, one, t = (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)
+    rank2 = ((one, zero, t), (zero, one, t),
+             (one, (2, 2, 0, 1), (0, 0, 2, 0, 1)))
     with pytest.raises(BuildingError, match="no full lattice"):
-        LatticeClass(fp, ((one, zero, t), (zero, one, t),
-                          (one, (2, 2, 0, 1), (0, 0, 2, 0, 1))))
+        hnf(rank2, fp)
+    with pytest.raises(BuildingError, match="not lower triangular"):
+        LatticeClass(fp, rank2)
 
 
 def test_edge_and_polygon_counts():
@@ -911,7 +922,7 @@ def test_trimmed_kernel_matches_dense_reference(ops):
         (_padd(ta, tb, q), tuple((x + y) % q for x, y in zip(a, b))),
         (_psub(ta, tb, q), tuple((x - y) % q for x, y in zip(a, b))),
         (_pmul(ta, tb, q), ref_mul(a, b, q)),
-        (_pinv_unit(trimmed(unit), q, N), ref_inv(unit, q, N)),
+        (pinv_unit(trimmed(unit), q, N), ref_inv(unit, q, N)),
     ]
     try:
         results.append((_pshift(ta, k), ref_shift(a, k)))
@@ -921,7 +932,7 @@ def test_trimmed_kernel_matches_dense_reference(ops):
     for got, expect in results:
         assert got == trimmed(expect)
         assert not got or got[-1]
-    inv = _pinv_unit(trimmed(unit), q, N)
+    inv = pinv_unit(trimmed(unit), q, N)
     assert trimmed(_pmul(trimmed(unit), inv, q)[:N]) == (1,)
 
 
@@ -973,11 +984,11 @@ def dense_distance(L, Lp):
 
 
 def generic_neighbors(L, color):
-    """L's neighbours from spans taken straight from its columns v, in
-    the order of `neighbors`, through `_hnf`: with r_p = 1 the first
-    nonzero coordinate of r, the kernel of r on L/tL is spanned by the
-    v_j - r_j v_p (j != p) and t v_p, and the line r plus tL by
-    sum r_j v_j and the t v_j (j != p)."""
+    """The normal forms of L's neighbours, from spans taken straight from
+    its columns v, in the order of `neighbors`, through `hnf`: with
+    r_p = 1 the first nonzero coordinate of r, the kernel of r on L/tL is
+    spanned by the v_j - r_j v_p (j != p) and t v_p, and the line r plus
+    tL by sum r_j v_j and the t v_j (j != p)."""
     q, v = L.fp.q, L.cols
     tv = [tuple(_pshift(x, 1) for x in c) for c in v]
     out = []
@@ -991,8 +1002,52 @@ def generic_neighbors(L, color):
             for j in range(p, 3):
                 u = _col_sub(u, ((q - r[j]) % q,), v[j], q)
             cols = [u] + [tv[j] for j in range(3) if j != p]
-        out.append(LatticeClass(L.fp, cols))
+        out.append(hnf(cols, L.fp))
     return out
+
+
+@st.composite
+def triangular_columns(draw):
+    """q and three lower-triangular columns with pivots t^e, entries below
+    them of any degree, all times a common power of t and padded with
+    trailing zeros."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    k = draw(st.integers(0, 3))
+
+    def entry(poly):
+        return (0,) * k + tuple(poly) + (0,) * draw(st.integers(0, 2))
+
+    cols = []
+    for j in range(3):
+        col = [entry(()) for i in range(j)]
+        col.append(entry((0,) * draw(st.integers(0, 4)) + (1,)))
+        col += [entry(draw(st.lists(st.integers(0, q - 1), max_size=8)))
+                for i in range(j + 1, 3)]
+        cols.append(tuple(col))
+    return q, tuple(cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(triangular_columns())
+def test_constructor_matches_generic_normal_form(args):
+    # `_reduced`, through the public constructor, against `hnf`
+    q, cols = args
+    fp = FieldParam(q)
+    assert LatticeClass(fp, cols).cols == hnf(cols, fp)
+
+
+def test_constructor_rejects_other_columns():
+    fp = FieldParam(3)
+    one, t = (1,), (0, 1)
+    for cols in [((one, (), ()), (one, t, ()), ((), (), one)),  # above
+                 (((), (), one), ((), one, ()), (one, (), ())),
+                 ((one, (), ()), ((), (1, 1), ()), ((), t, one)),  # 1 + t
+                 ((one, (), ()), ((), (0, 2), ()), ((), t, one)),  # 2t
+                 ((one, (), ()), ((), (), ()), ((), t, one)),      # zero
+                 ((one, (), ()), ((), one, ())),
+                 ((one, ()), ((), one), ((), ()))]:
+        with pytest.raises(BuildingError, match="not lower triangular"):
+            LatticeClass(fp, cols)
 
 
 walks = st.tuples(
@@ -1014,11 +1069,11 @@ def walk(q, steps):
 @given(walks)
 def test_neighbours_match_generic_normal_form(args):
     # every class along the walk: its neighbour lists, in order, are the
-    # `_hnf` normal forms of the spans
+    # `hnf` normal forms of the spans
     for L in walk(*args):
         for color in (W1, W2):
             assert [M.cols for M in neighbors(L, color)] == \
-                [M.cols for M in generic_neighbors(L, color)]
+                generic_neighbors(L, color)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1063,13 +1118,14 @@ def test_neighbours_step_back_by_a_homothety():
 
 def test_long_walks_are_exact():
     # repeated w1 steps along the last point of P^2 deepen one pivot by
-    # one each; no precision runs out, and `_hnf` keeps the normal form
+    # one each; no precision runs out, and `hnf` and the constructor keep
+    # the normal form
     for q in (2, 7):
         path = walk(q, [(W1, -1)] * 40)
         base, L = path[0], path[-1]
         assert lattice_distance(base, L) == dense_distance(base, L) == (40, 0)
         assert lattice_distance(L, base) == dense_distance(L, base) == (0, 40)
-        assert LatticeClass(L.fp, L.cols).cols == L.cols
+        assert hnf(L.cols, L.fp) == LatticeClass(L.fp, L.cols).cols == L.cols
 
 
 @settings(max_examples=20, deadline=None)

@@ -114,21 +114,28 @@ def test_malformed_diskoids_are_rejected(old, new, message):
 
 def test_wellformed_edits_are_accepted():
     # the reversed cycle, all w2 steps, and a closed sphere of two
-    # triangles; in A1 every step is w1 in both directions
+    # triangles
     for old, new in [
             ("edge e0 p0 p1 w1\nedge e1 p1 p2 w1\nedge e2 p2 p0 w1",
              "edge e0 p1 p0 w1\nedge e1 p2 p1 w1\nedge e2 p0 p2 w1"),
             ("edge e0 p0 p1 w1\nedge e1 p1 p2 w1\nedge e2 p2 p0 w1",
              "edge e0 p0 p1 w2\nedge e1 p1 p2 w2\nedge e2 p2 p0 w2"),
-            ("boundary p0 p1 p2\n", "triangle e1 e2 e0\n"),
-            ("type a2", "type a1")]:
+            ("boundary p0 p1 p2\n", "triangle e1 e2 e0\n")]:
         D = parse_diskoid(Y_DSK.replace(old, new, 1))
         assert D.n_vertices() == 3 and D.n_edges() == 3
-    D = parse_diskoid(Y_DSK.replace("type a2", "type a1").replace(
-        "edge e2 p2 p0", "edge e2 p0 p2"))
-    assert D.mode == "a1" and D.n_triangles() == 1
     with pytest.raises(DiskoidError, match="not a unit lattice triangle"):
         parse_diskoid(Y_DSK.replace("edge e2 p2 p0", "edge e2 p0 p2"))
+
+
+def test_a1_diskoids_have_no_triangles():
+    # the A1 building is a tree: a triangle is rejected whichever way its
+    # steps run, read from a file or built directly
+    for text in (Y_DSK, Y_DSK.replace("edge e2 p2 p0", "edge e2 p0 p2")):
+        with pytest.raises(DiskoidError, match="A1 diskoid has no triangles"):
+            parse_diskoid(text.replace("type a2", "type a1"))
+    edges = {0: (0, 1, W1), 1: (1, 2, W1), 2: (2, 0, W1)}
+    with pytest.raises(DiskoidError, match="A1 diskoid has no triangles"):
+        Diskoid("a1", range(3), 0, range(3), edges, [(0, 1, 2)])
 
 
 def test_triangle_rejections_without_the_parser():
@@ -255,9 +262,13 @@ def test_distance_sets_match_brute_force():
 
 
 def test_diamond_move_is_involutive():
+    # at most 100 random webs (the first 20 reach 5 sites), so a
+    # `diamond_sites` that finds nothing fails instead of looping on
     rng = random.Random(42)
     found = 0
-    while found < 5:
+    for _ in range(100):
+        if found >= 5:
+            break
         sig = random_signature(rng, max_legs=8)
         w = random_web(sig, rng, max_vertices=8, split_bias=0.0)
         if w.circles:
@@ -281,6 +292,7 @@ def test_diamond_move_is_involutive():
                         assert any(b.vertices == g.vertices
                                    and b.eids == g.eids for b in back)
                         found += 1
+    assert found >= 5
 
 
 def test_complete_extension_reaches_boundary():
