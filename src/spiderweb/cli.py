@@ -466,11 +466,8 @@ def _random_hexagon_sample(rng, F):
                   for _ in range(3)]
         if any(not any(v) for v in lines + points):
             continue
-        try:
-            if hexagon_genericity(lines, points, F):
-                return lines, points
-        except ZeroDivisionError:
-            continue
+        if hexagon_genericity(lines, points, F):
+            return lines, points
     raise CliError("could not sample a generic hexagon configuration")
 
 
@@ -488,12 +485,15 @@ def cmd_hexagon(args):
     for k in range(args.samples):
         ls, ps = _random_hexagon_sample(rng, F)
         count, roots = solve_hexagon_incidence(ls, ps, F, return_roots=True)
-        lines_out.append("sample %d: %d closure solutions, %d rational"
-                         % (k + 1, count, len(roots)))
+        # t_1 = oo (None) is the solution at p'_1 = e_1 - e_3
+        roots = ["inf" if r is None else str(r) for r in roots]
+        lines_out.append("sample %d: %d closure solutions, %d rational%s"
+                         % (k + 1, count, len(roots),
+                            " (t1 = %s)" % ", ".join(roots) if roots else ""))
         data.append({"lines": [list(l) for l in ls],
                      "points": [list(p) for p in ps],
                      "closure_solutions": count,
-                     "rational_roots": [str(r) for r in roots]})
+                     "rational_roots": roots})
     emit(args, lines_out, {"samples": data})
     return 0
 

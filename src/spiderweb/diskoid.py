@@ -148,12 +148,12 @@ class Diskoid:
         ends = [x for e in tri for x in self.edges[e][:2]]
         if len(set(ends)) != 3 or any(ends.count(x) != 2 for x in ends):
             raise DiskoidError("triangle edges do not close up")
-        # ...and, in A2, the steps round the cycle are all w1 or all w2:
-        # each edge's w1 direction (u -> v for a w1 edge, v -> u for a w2
-        # one) leaves a different vertex
+        # ...and the steps round the cycle are all w1 or all w2 (`validate`
+        # rejects A1 triangles first): each edge's w1 direction (u -> v for
+        # a w1 edge, v -> u for a w2 one) leaves a different vertex
         tails = {u if lam == W1 else v
                  for u, v, lam in (self.edges[e] for e in tri)}
-        if self.mode != "a1" and len(tails) != 3:
+        if len(tails) != 3:
             raise DiskoidError("triangle is not a unit lattice triangle")
 
     def __repr__(self):
@@ -394,21 +394,12 @@ def dual_diskoid(w):
     names = list(range(len(faces)))
     edges = {}
     dart_edge = {}
-    eid = 0
-    rank = w.canonical_rank()
-    for d in sorted(w.theta, key=lambda d: rank[d]):
-        if d in dart_edge:
-            continue
-        e = w.theta[d]
-        if w.mode == "a2":
-            head = d if d in w.heads else e
-            tail = w.theta[head]
-        else:
-            head, tail = d, e
+    web_edges = w.edges()
+    for eid, (d, e) in enumerate(web_edges):
+        # the head dart, d in A1
+        head, tail = (e, d) if e in w.heads else (d, e)
         edges[eid] = (face_of[head], face_of[tail], W1)
-        dart_edge[d] = eid
-        dart_edge[e] = eid
-        eid += 1
+        dart_edge[d] = dart_edge[e] = eid
     # one triangle per web vertex: the dual edges of its three web edges
     triangles = [tuple(dart_edge[d] for d in tri) for tri in w.vertices]
     if w.boundary:
@@ -416,7 +407,7 @@ def dual_diskoid(w):
         base = boundary[0]
     else:
         boundary = []
-        base = face_of[min(w.theta, key=lambda d: rank[d])] if w.theta else None
+        base = face_of[web_edges[0][0]] if web_edges else None
     w._dual = Diskoid(w.mode, names, base, boundary, edges, triangles)
     return w._dual
 

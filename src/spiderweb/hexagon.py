@@ -2,9 +2,24 @@
 
 Three lines l_i and three points p_i in the plane, over the rationals
 (`Fraction`) or F_p: find points p'_i on the lines l_i and lines l'_i
-through p_i, p'_(i-1) and p'_i.  In the frame of the pairwise line
-intersections the system is one Mobius fixed-point equation in t_1, so
-a generic sample has exactly two solutions over the algebraic closure.
+through p_i, p'_(i-1) and p'_i.
+
+Points and lines are integer (or `Fraction`) vectors, and a join of two
+points or a meet of two lines is their cross product, so no step
+divides: the field enters only in zero tests and in taking roots.  Since
+p'_2 = (p_2 v p'_1) ^ l_2 and p'_3 = (p_3 v p'_2) ^ l_3, the solutions
+are the fixed points of the closure map of l_1
+
+    phi: x -> (p_1 v ((p_3 v ((p_2 v x) ^ l_2)) ^ l_3)) ^ l_1,
+
+which composes three perspectivities, so it is a projectivity on a
+generic sample.  Write x = t_1 e_1 + (1 - t_1) e_3 in the frame
+e_1 = l_1 ^ l_2, e_2 = l_2 ^ l_3, e_3 = l_3 ^ l_1 (t_1 = oo at
+e_1 - e_3).  As x and phi(x) lie on l_1, x x phi(x) is a multiple of
+l_1, and its entry at a nonzero coordinate of l_1 is a binary quadratic
+form in t_1.  A projectivity other than the identity has exactly two
+fixed points over the algebraic closure, counted with multiplicity; the
+identity fixes all of l_1, and the solver raises.
 """
 
 from __future__ import annotations
@@ -16,224 +31,120 @@ from .building import BuildingError, _is_prime
 
 
 class _Field:
-    """Exact field operations for Fraction (p=None) or F_p."""
+    """The ground field, the rationals (p=None) or F_p: a zero test and
+    the roots of a quadratic.  Coordinates stay integers or Fractions."""
 
     def __init__(self, p=None):
         if p is not None and not _is_prime(p):
             raise BuildingError("field size must be prime, got %r" % (p,))
         self.p = p
 
-    def of(self, x):
-        return x % self.p if self.p else Fraction(x)
+    def zero(self, x):
+        return not (x % self.p if self.p else x)
 
-    def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.p else a * b
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError
-        return pow(a, self.p - 2, self.p) if self.p else 1 / a
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def neg(self, a):
-        return (-a) % self.p if self.p else -a
-
-    def square_roots(self, a):
-        """Roots of x^2 = a in Q or in F_p, p odd (list, possibly empty)."""
-        if self.p is None:
-            if a < 0:
-                return []
-            r = _fraction_sqrt(a)
-            return [] if r is None else ([0] if a == 0 else [r, -r])
-        if a == 0:
-            return [0]
-        if pow(a, (self.p - 1) // 2, self.p) != 1:
+    def roots(self, a, b, c):
+        """The distinct roots of the nonzero form a t^2 + b t + c in the
+        field, t = oo (None) first where a vanishes."""
+        p = self.p
+        ratio = ((lambda x, y: x * pow(y, p - 2, p) % p) if p
+                 else (lambda x, y: Fraction(x) / y))
+        if self.zero(a):
+            return [None] + ([] if self.zero(b) else [ratio(-c, b)])
+        d = b * b - 4 * a * c
+        if p:  # Euler's criterion, then a scan for the square root
+            r = (next(x for x in range(p) if self.zero(x * x - d))
+                 if pow(d % p, (p - 1) // 2, p) < 2 else 0)
+        else:
+            d = Fraction(d)
+            r = Fraction(math.isqrt(max(d.numerator, 0)),
+                         math.isqrt(d.denominator))
+        if not self.zero(r * r - d):
             return []
-        # p is small here: scan every residue
-        for x in range(self.p):
-            if (x * x) % self.p == a:
-                return [x, (-x) % self.p]
-        return []
+        return sorted({ratio(r - b, 2 * a), ratio(-r - b, 2 * a)})
 
 
-def _fraction_sqrt(a):
-    """The rational square root of a >= 0, or None."""
-    rn, rd = math.isqrt(a.numerator), math.isqrt(a.denominator)
-    if rn * rn == a.numerator and rd * rd == a.denominator:
-        return Fraction(rn, rd)
-    return None
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
 
 
-def _cross(a, b, F):
-    return (F.sub(F.mul(a[1], b[2]), F.mul(a[2], b[1])),
-            F.sub(F.mul(a[2], b[0]), F.mul(a[0], b[2])),
-            F.sub(F.mul(a[0], b[1]), F.mul(a[1], b[0])))
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _dot(a, b, F):
-    s = F.of(0)
-    for x, y in zip(a, b):
-        s = F.add(s, F.mul(x, y))
-    return s
+def _closure(lines, points, x):
+    """p'_2, p'_3 and phi(x) for a point x of l_1."""
+    (l1, l2, l3), (p1, p2, p3) = lines, points
+    q2 = _cross(_cross(p2, x), l2)
+    q3 = _cross(_cross(p3, q2), l3)
+    return q2, q3, _cross(_cross(p1, q3), l1)
 
 
-def _solve3(cols, rhs, F):
-    """Solve M x = rhs for 3x3 M given by columns; None if singular."""
-    det = _dot(cols[0], _cross(cols[1], cols[2], F), F)
-    if not det:
-        return None
-    sol = []
-    for j in range(3):
-        m = list(cols)
-        m[j] = rhs
-        sol.append(F.div(_dot(m[0], _cross(m[1], m[2], F), F), det))
-    return tuple(sol)
-
-
-def _frame(lines, points, F):
-    """The points coerced into F, and the projective frame of the pairwise
-    line intersections e_1 = l1^l2, e_2 = l2^l3, e_3 = l3^l1."""
-    l1, l2, l3 = [tuple(F.of(x) for x in l) for l in lines]
-    points = [tuple(F.of(x) for x in p) for p in points]
-    return points, [_cross(l1, l2, F), _cross(l2, l3, F), _cross(l3, l1, F)]
-
-
-def _barycentric(points, e, F):
-    """Affine barycentric coordinates p_ij (rows: points) in the frame e,
-    normalized to sum to one."""
-    rows = []
-    for p in points:
-        bary = _solve3(e, p, F)
-        if bary is None:
-            raise BuildingError("degenerate sample: concurrent lines")
-        s = F.add(F.add(bary[0], bary[1]), bary[2])
-        if not s:
-            raise BuildingError("degenerate sample: point on the frame's "
-                                "vanishing line")
-        rows.append(tuple(F.div(b, s) for b in bary))
-    return rows
-
-
-def _generic_rows(lines, points, F):
-    """The barycentric rows of a generic sample, None otherwise (see
-    `hexagon_genericity`)."""
-    points, e = _frame(lines, points, F)
-    if not _dot(points[0], _cross(points[1], points[2], F), F):
-        return None  # collinear points
-    try:
-        P = _barycentric(points, e, F)
-    except BuildingError:
-        return None
-    if not all(P[i][k] for i in range(3) for k in (i, (i + 1) % 3)):
-        return None
-    return P
+def _on_l1(lines, t1):
+    """t_1 e_1 + (1 - t_1) e_3 on l_1, or e_1 - e_3 at t_1 = oo (None)."""
+    e1, e3 = _cross(lines[0], lines[1]), _cross(lines[2], lines[0])
+    s, r = (1, -1) if t1 is None else (t1, 1 - t1)
+    return tuple(s * x + r * y for x, y in zip(e1, e3))
 
 
 def hexagon_genericity(lines, points, field=None):
-    """The genericity condition: the three points are not collinear, the
-    barycentric normalization exists (so the three lines are not
-    concurrent, and no point lies on the frame's vanishing line), and the
-    six coordinates that enter the incidence equations (p11, p12, p22,
-    p23, p33, p31) are all nonzero."""
-    return _generic_rows(lines, points, field or _Field()) is not None
+    """The genericity condition: the lines are not concurrent, the points
+    not collinear, no point is on l_1 + l_2 + l_3 (the barycentric
+    normalization in the frame e fails there), p_1 is on neither l_3 nor
+    l_1, p_2 on neither l_1 nor l_2, p_3 on neither l_2 nor l_3.  The
+    dual frame of e is det(l_1, l_2, l_3) (l_3, l_1, l_2), so the last
+    six are the barycentric coordinates p11, p12, p22, p23, p33, p31;
+    they keep each join and meet of the closure map nondegenerate."""
+    F = field or _Field()
+    (l1, l2, l3), (p1, p2, p3) = lines, points
+    rim = tuple(map(sum, zip(*lines)))
+    return not any(F.zero(x) for x in (
+        _dot(l1, _cross(l2, l3)), _dot(p1, _cross(p2, p3)),
+        _dot(p1, rim), _dot(p2, rim), _dot(p3, rim),
+        _dot(p1, l3), _dot(p1, l1), _dot(p2, l1), _dot(p2, l2),
+        _dot(p3, l2), _dot(p3, l3)))
+
+
+def _checked(lines, points, field):
+    F = field or _Field()
+    if not hexagon_genericity(lines, points, F):
+        raise BuildingError("degenerate sample: genericity fails")
+    return F
 
 
 def solve_hexagon_incidence(lines, points, field=None, return_roots=False):
     """Number of solutions, over the algebraic closure, of the hexagon
-    incidence system: points p'_i on the lines l_i and lines l'_i through
-    p_i, p'_{i-1}, p'_i.  Generic samples give exactly 2.
+    incidence system: 2 on a generic sample, 1 where the closure map's
+    two fixed points coincide; raises if it fixes every point of l_1.
 
-    With return_roots=True also returns the t_1-roots that lie in the
-    ground field itself (these index the rational solutions).  No sample
-    over F_2 is generic: a generic row has p_ii = p_i,i+1 = 1 and sums
-    to 1, so the three points coincide.  The quadratic formula therefore
-    never meets characteristic 2."""
-    F = field or _Field()
-    P = _generic_rows(lines, points, F)
-    if P is None:
-        raise BuildingError("degenerate sample: genericity fails")
-    p11, p12 = P[0][0], P[0][1]
-    p22, p23 = P[1][1], P[1][2]
-    p33, p31 = P[2][2], P[2][0]
-    # t1 = p11 / (1 - p12 / (1 - p33 / (1 - p31 / (1 - p22 / (1 - p23 / (1 - t1))))))
-    # as a Mobius transform in t1, composed from the inside out
-    one, zero = F.of(1), F.of(0)
-    mat = (one, zero, zero, one)  # identity; mat = (a, b, c, d) ~ (a t + b)/(c t + d)
-
-    def compose(m2, m1):
-        a2, b2, c2, d2 = m2
-        a1, b1, c1, d1 = m1
-        return (F.add(F.mul(a2, a1), F.mul(b2, c1)),
-                F.add(F.mul(a2, b1), F.mul(b2, d1)),
-                F.add(F.mul(c2, a1), F.mul(d2, c1)),
-                F.add(F.mul(c2, b1), F.mul(d2, d1)))
-
-    # innermost first: u -> 1 - p/(1 - u) = ((1-p) - u) / (1 - u)
-    for p in (p23, p22, p31, p33, p12):
-        step = (F.neg(one), F.sub(one, p), F.neg(one), one)
-        mat = compose(step, mat)
-    # outermost: t1 = p11 / ((a t + b)/(c t + d)) = (p11 c t + p11 d)/(a t + b)
-    a, b, c, d = mat
-    A, B, C, D = F.mul(p11, c), F.mul(p11, d), a, b
-    # fixed points: C t^2 + (D - A) t - B = 0
-    qa, qb, qc = C, F.sub(D, A), F.neg(B)
-    if not qa:
-        count = 1 if qb else 0
-        roots = [F.div(F.neg(qc), qb)] if qb else []
-    else:
-        disc = F.sub(F.mul(qb, qb), F.mul(F.of(4), F.mul(qa, qc)))
-        sq = F.square_roots(disc)
-        count = 1 if not disc else 2
-        inv2a = F.inv(F.mul(F.of(2), qa))
-        roots = [F.mul(F.sub(r, qb), inv2a) for r in sq]
-    if return_roots:
-        return count, roots
-    return count
+    With return_roots=True also returns the distinct t_1 of the
+    solutions over the ground field itself, None for t_1 = oo (see
+    `hexagon_solution_points`).  No sample over F_2 is generic: a
+    generic barycentric row has p_ii = p_i,i+1 = 1 and sums to 1, so the
+    three points coincide."""
+    F = _checked(lines, points, field)
+    k = next(i for i in range(3) if not F.zero(lines[0][i]))
+    u, v = _on_l1(lines, None), _on_l1(lines, 0)
+    fu, fv = _closure(lines, points, u)[2], _closure(lines, points, v)[2]
+    a, c = _cross(u, fu)[k], _cross(v, fv)[k]
+    b = _cross(u, fv)[k] + _cross(v, fu)[k]
+    if F.zero(a) and F.zero(b) and F.zero(c):
+        raise BuildingError("the closure map fixes every point of l_1")
+    count = 1 if F.zero(b * b - 4 * a * c) else 2
+    return (count, F.roots(a, b, c)) if return_roots else count
 
 
 def hexagon_solution_points(lines, points, t1, field=None):
-    """The full solution (p'_i, l'_i) determined by a ground-field root
-    t1, in projective coordinates; raises on a non-solution."""
-    F = field or _Field()
-    points, e = _frame(lines, points, F)
-    P = _barycentric(points, e, F)
-    one = F.of(1)
-    # chase the chain of equations to recover s_i and t_i
-    p11, p12 = P[0][0], P[0][1]
-    p22, p23 = P[1][1], P[1][2]
-    p33, p31 = P[2][2], P[2][0]
-    t = {1: F.of(t1)}
-    s1 = F.sub(one, F.div(p11, t[1]))
-    s2 = F.div(p23, F.sub(one, t[1]))
-    t[2] = F.div(p22, F.sub(one, s2))
-    s3 = F.div(p31, F.sub(one, t[2]))
-    t[3] = F.div(p33, F.sub(one, s3))
-    if F.mul(s1, F.sub(one, t[3])) != p12:
+    """The solution (p'_i, l'_i) at p'_1 = t1 e_1 + (1 - t1) e_3, or at
+    e_1 - e_3 for t1 = None, in projective coordinates (reduced mod p
+    over F_p); raises unless the closure map fixes p'_1."""
+    F = _checked(lines, points, field)
+    x = _on_l1(lines, t1)
+    q2, q3, y = _closure(lines, points, x)
+    if not all(F.zero(z) for z in _cross(x, y)):
         raise BuildingError("t1 is not a root of the incidence system")
-
-    def combo(coeffs):
-        out = [F.of(0)] * 3
-        for cf, vec in zip(coeffs, e):
-            for i in range(3):
-                out[i] = F.add(out[i], F.mul(cf, vec[i]))
-        return tuple(out)
-
-    pp = [combo((t[1], F.of(0), F.sub(one, t[1]))),
-          combo((F.sub(one, t[2]), t[2], F.of(0))),
-          combo((F.of(0), F.sub(one, t[3]), t[3]))]
-    lp = [_cross(points[0], pp[0], F),
-          _cross(points[1], pp[1], F),
-          _cross(points[2], pp[2], F)]
-    # l'_i must also pass through p'_{i-1}
-    for i in range(3):
-        if _dot(lp[i], pp[(i - 1) % 3], F):
-            raise BuildingError("recovered lines miss p'_{i-1}")
-    return pp, lp
+    # l'_i = p_i v p'_(i-1), and it meets p'_i because phi fixes x
+    out = [x, q2, q3], [_cross(p, q) for p, q in zip(points, (q3, x, q2))]
+    if F.p:
+        out = tuple([tuple(z % F.p for z in v) for v in vs] for vs in out)
+    return out

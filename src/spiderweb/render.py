@@ -121,22 +121,15 @@ def web_scene(w):
         raise WebError("cannot draw a web with unattached darts")
     nodes = sorted(set(vname.values()))
     neighbors = {v: [] for v in nodes}
-    rank = w.canonical_rank()
     edge_list = []
-    done = set()
-    for d in sorted(w.theta, key=lambda x: rank[x]):
-        e = w.theta[d]
-        if d in done:
-            continue
-        done.add(d)
-        done.add(e)
+    for d, e in w.edges():
         u, v = vname[d], vname[e]
         neighbors[u].append(v)
         neighbors[v].append(u)
         if w.mode == "a2":
-            head = d if d in w.heads else e
-            tail = w.theta[head]
-            edge_list.append((vname[tail], vname[head], True, ""))
+            # arrows run from the tail to the head
+            edge_list.append((u, v, True, "") if e in w.heads
+                             else (v, u, True, ""))
         else:
             edge_list.append((u, v, False, ""))
     pinned = {}

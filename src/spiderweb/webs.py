@@ -75,6 +75,13 @@ class Web:
     def n_edges(self):
         return len(self.theta) // 2
 
+    def edges(self):
+        """Each edge once, as (d, theta(d)) with d the canonically first
+        of its darts, in canonical order."""
+        rank, theta = self.canonical_rank(), self.theta
+        return [(d, theta[d]) for d in sorted(theta, key=rank.__getitem__)
+                if rank[d] < rank[theta[d]]]
+
     def n_vertices(self):
         return len(self.vertices)
 
@@ -170,6 +177,10 @@ class Web:
             for tri in self.vertices:
                 if len(tri) != 3:
                     raise WebError("interior vertices must be trivalent")
+            stray = self.heads - th.keys()
+            if stray:
+                raise WebError("head %r is on no edge"
+                               % (min(stray, key=str),))
             for d, e in th.items():
                 if (d in self.heads) == (e in self.heads):
                     raise WebError("edge %r-%r must have exactly one head" % (d, e))
@@ -446,21 +457,10 @@ def serialize_web(w):
         i = min(range(3), key=lambda j: rank[tri[j]])
         tri = tri[i:] + tri[:i]
         lines.append("vertex " + " ".join(name[d] for d in tri))
-    done = set()
-    edge_lines = []
-    head_lines = []
-    for d in sorted(w.theta, key=lambda d: rank[d]):
-        if d in done:
-            continue
-        e = w.theta[d]
-        done.add(d)
-        done.add(e)
-        edge_lines.append("edge %s %s" % (name[d], name[e]))
-        if d in w.heads:
-            head_lines.append("head %s" % name[d])
-        elif e in w.heads:
-            head_lines.append("head %s" % name[e])
-    lines += edge_lines + head_lines
+    edges = w.edges()
+    lines += ["edge %s %s" % (name[d], name[e]) for d, e in edges]
+    lines += ["head %s" % name[x] for edge in edges for x in edge
+              if x in w.heads]
     nd = len(w.theta)
     for k in range(w.circles):
         lines.append("edge c%d c%d" % (nd + 2 * k, nd + 2 * k + 1))

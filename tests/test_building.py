@@ -484,6 +484,133 @@ def test_hexagon_huge_rational_sample():
     assert solve_hexagon_incidence(HEX_LINES, points) == 2
 
 
+def hex_cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def hex_closes(lines, points, t1, p=None):
+    """Whether p'_1 = t1 e_1 + (1 - t1) e_3 (e_1 - e_3 for t1 = None)
+    comes back to itself when carried round the hexagon by joins and
+    meets: p'_2 = (p_2 v p'_1) ^ l_2, p'_3 = (p_3 v p'_2) ^ l_3, and
+    (p_1 v p'_3) ^ l_1."""
+    (l1, l2, l3), (p1, p2, p3) = lines, points
+    e1, e3 = hex_cross(l1, l2), hex_cross(l3, l1)
+    a, b = (1, -1) if t1 is None else (t1, 1 - t1)
+    x = [a * u + b * v for u, v in zip(e1, e3)]
+    y = hex_cross(hex_cross(p2, x), l2)
+    y = hex_cross(hex_cross(p3, y), l3)
+    y = hex_cross(hex_cross(p1, y), l1)
+    return all((z % p if p else z) == 0 for z in hex_cross(x, y))
+
+
+def hex_samples(rng, p, n):
+    """n random generic samples over F_p (or Q, p=None, coordinates -3..3),
+    with the field handle."""
+    F, lo, hi = _Field(p), (0 if p else -3), (p - 1 if p else 3)
+    out = []
+    while len(out) < n:
+        lines, points = ([tuple(rng.randint(lo, hi) for _ in range(3))
+                          for _ in range(3)] for _ in range(2))
+        if hexagon_genericity(lines, points, F):
+            out.append((lines, points, F))
+    return out
+
+
+def test_hexagon_rational_sample_has_its_two_roots():
+    n, roots = solve_hexagon_incidence(HEX_LINES, HEX_POINTS,
+                                       return_roots=True)
+    assert (n, roots) == (2, [None, Fraction(3, 4)])
+    for t1 in roots:
+        assert hex_closes(HEX_LINES, HEX_POINTS, t1)
+        pp, lp = hexagon_solution_points(HEX_LINES, HEX_POINTS, t1)
+    assert pp[0] == (0, Fraction(1, 4), Fraction(3, 4))
+    for t1 in (0, 1, Fraction(1, 2), Fraction(-3, 4)):
+        assert not hex_closes(HEX_LINES, HEX_POINTS, t1)
+        with pytest.raises(BuildingError, match="not a root"):
+            hexagon_solution_points(HEX_LINES, HEX_POINTS, t1)
+
+
+@pytest.mark.parametrize("p", [None, 3, 5, 7, 11, 13])
+def test_hexagon_roots_close_under_the_walk(p):
+    # over F_p the roots, oo included, are exactly the points of l_1
+    # that close; one double root is rational, two distinct ones come
+    # both or neither; an identity closure fixes every point
+    rng = random.Random(40 + (p or 0))
+    for lines, points, F in hex_samples(rng, p, 150):
+        brute = [t for t in [None] + list(range(p or 0))
+                 if hex_closes(lines, points, t, p)]
+        try:
+            n, roots = solve_hexagon_incidence(lines, points, F,
+                                               return_roots=True)
+        except BuildingError as exc:
+            assert "fixes every point of l_1" in str(exc)
+            assert p and len(brute) == p + 1
+            continue
+        assert all(hex_closes(lines, points, t, p) for t in roots)
+        assert len(roots) in ((1,) if n == 1 else (0, 2))
+        if p:
+            assert roots == brute
+            for t1 in [t for t in [None, *range(p)] if t not in brute][:2]:
+                with pytest.raises(BuildingError, match="not a root"):
+                    hexagon_solution_points(lines, points, t1, F)
+        for t1 in roots:
+            pp, lp = hexagon_solution_points(lines, points, t1, F)
+            for i in range(3):
+                # l'_i passes through p_i, p'_(i-1) and p'_i
+                for q in (points[i], pp[i - 1], pp[i]):
+                    assert F.zero(sum(a * b for a, b in zip(lp[i], q)))
+
+
+def test_hexagon_identity_closure_raises():
+    lines = [(0, 2, 2), (-1, 1, 2), (-3, 3, 3)]
+    points = [(-1, 2, 0), (0, 3, 0), (0, 1, 1)]
+    assert hexagon_genericity(lines, points)
+    assert all(hex_closes(lines, points, t)
+               for t in [None] + list(range(-3, 4)))
+    with pytest.raises(BuildingError, match="fixes every point of l_1"):
+        solve_hexagon_incidence(lines, points)
+
+
+def shipped_genericity(lines, points, p):
+    """The first genericity test, by barycentric rows: Cramer's rule in
+    the frame e of the pairwise line intersections, each row normalised
+    to sum to 1, and p11, p12, p22, p23, p33, p31 nonzero."""
+    red = (lambda x: x % p) if p else Fraction
+    inv = (lambda x: pow(x, p - 2, p)) if p else (lambda x: 1 / x)
+
+    def det(a, b, c):
+        return red(sum(x * y for x, y in zip(a, hex_cross(b, c))))
+
+    l1, l2, l3 = [[red(x) for x in l] for l in lines]
+    e = [hex_cross(l1, l2), hex_cross(l2, l3), hex_cross(l3, l1)]
+    if not det(*points) or not det(*e):
+        return False
+    rows = []
+    for q in points:
+        bary = [red(det(*(q if k == j else e[k] for k in range(3)))
+                    * inv(det(*e))) for j in range(3)]
+        if not red(sum(bary)):
+            return False
+        rows.append([red(b * inv(red(sum(bary)))) for b in bary])
+    return all(rows[i][k] for i in range(3) for k in (i, (i + 1) % 3))
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7, 13])
+def test_hexagon_genericity_matches_the_barycentric_rows(p):
+    rng, F = random.Random(p or 1), _Field(p)
+    lo, hi = (0, p - 1) if p else (-3, 3)
+    verdicts = collections.Counter()
+    for _ in range(2000):
+        lines, points = ([tuple(rng.randint(lo, hi) for _ in range(3))
+                          for _ in range(3)] for _ in range(2))
+        got = hexagon_genericity(lines, points, F)
+        assert got == shipped_genericity(lines, points, p)
+        verdicts[got] += 1
+    # no sample over F_2 is generic
+    assert (verdicts[True] == 0) if p == 2 else (verdicts[True] >= 10)
+
+
 def test_diskoid_linkage_shape():
     D = dual_diskoid(corpus.load_web("single-y"))
     link = diskoid_linkage(D)

@@ -687,28 +687,26 @@ def test_geodesics_match_their_pareto_version(catalogs_le8):
 
 
 def test_triangle_check_matches_its_first_version():
-    # random edge triples on three or four vertices, malformed ones
-    # included; no self-loops, since `validate` rejects those first
+    # random A2 edge triples on three or four vertices, malformed ones
+    # included; no self-loops, since `validate` rejects those first, and
+    # no A1 triples, since it rejects A1 triangles first
     rng = random.Random(12)
     verdicts = collections.Counter()
-    for mode in ("a1", "a2"):
-        for _ in range(5000):
-            n, m = rng.choice((3, 3, 4)), rng.randrange(3, 6)
-            edges = {e: (*rng.sample(range(n), 2),
-                         W1 if mode == "a1" else rng.choice((W1, W2)))
-                     for e in range(m)}
-            D = Diskoid(mode, (), None, (), {}, ())
-            D.edges = edges
-            t = rng.sample(range(m), 3)
-            # mostly three distinct known edges; edge 9 is unknown
-            tri = tuple(rng.choice((t, t, t, t, t, t, t[:2], t[:2] + t[:1],
-                                    t + [9], t[:2] + [9])))
-            got = outcome(D._check_triangle, tri)
-            assert got == outcome(reference_check_triangle, D, tri)
-            verdicts[mode, got and got.split()[2]] += 1
-    # every verdict occurs, and A1 has no orientation to reject
-    assert len(verdicts) == 9 and min(verdicts.values()) > 100
-    assert ("a1", "is") not in verdicts
+    for _ in range(5000):
+        n, m = rng.choice((3, 3, 4)), rng.randrange(3, 6)
+        edges = {e: (*rng.sample(range(n), 2), rng.choice((W1, W2)))
+                 for e in range(m)}
+        D = Diskoid("a2", (), None, (), {}, ())
+        D.edges = edges
+        t = rng.sample(range(m), 3)
+        # mostly three distinct known edges; edge 9 is unknown
+        tri = tuple(rng.choice((t, t, t, t, t, t, t[:2], t[:2] + t[:1],
+                                t + [9], t[:2] + [9])))
+        got = outcome(D._check_triangle, tri)
+        assert got == outcome(reference_check_triangle, D, tri)
+        verdicts[got and got.split()[2]] += 1
+    # every verdict occurs
+    assert len(verdicts) == 5 and min(verdicts.values()) > 100
 
 
 @pytest.mark.parametrize("old, new, message", [

@@ -11,6 +11,7 @@ from spiderweb.basis import enumerate_basis
 from spiderweb.building import FieldParam, sample_polygon_config
 from spiderweb.cli import main
 from spiderweb.diskoid import dual_diskoid, parse_diskoid, serialize_diskoid
+from spiderweb.hexagon import _Field, hexagon_solution_points
 from spiderweb.render import render_diskoid, render_web
 from spiderweb.webs import serialize_web
 from spiderweb.weights import W1, W2, ZERO
@@ -309,6 +310,19 @@ def test_hexagon_rejects_a_field_size_that_is_no_prime(capsys, p):
                          "--seed", "3")
     assert code == 1 and out == ""
     assert "field size must be prime, got %s" % p in err
+
+
+def test_hexagon_roots_rebuild(capsys):
+    code, out, _ = run(capsys, "hexagon", "--field", "7", "--seed", "1",
+                       "--samples", "6", "--json")
+    assert code == 0
+    F, reported = _Field(7), []
+    for s in json.loads(out)["samples"]:
+        for r in s["rational_roots"]:
+            t1 = None if r == "inf" else int(r)
+            hexagon_solution_points(s["lines"], s["points"], t1, F)
+            reported.append(t1)
+    assert None in reported and len(reported) > 3
 
 
 # ---------------------------------------------------------------- bad input

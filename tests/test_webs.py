@@ -220,6 +220,23 @@ def test_web_text_round_trip(seed, mode):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32), st.sampled_from(("a1", "a2")))
+def test_edges_walk_each_edge_once_in_canonical_order(seed, mode):
+    rng = random.Random(seed)
+    sig = random_signature(rng, mode, max_legs=6)
+    webs = [random_web(sig, rng, mode, max_vertices=6)]
+    if mode == "a2":
+        webs.append(random_closed_web(rng))
+    for w in webs:
+        rank = w.canonical_rank()
+        edges = w.edges()
+        assert sorted(d for edge in edges for d in edge) == sorted(w.theta)
+        assert all(w.theta[d] == e and rank[d] < rank[e] for d, e in edges)
+        firsts = [rank[d] for d, _ in edges]
+        assert firsts == sorted(firsts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(("a1", "a2")))
 def test_mirror_signature_is_reverse_dual(seed, mode):
     rng = random.Random(seed)
     sig = random_signature(rng, mode, max_legs=8)
@@ -455,6 +472,11 @@ def crossing_arcs(theta, verts, bd, heads):
     return "a1"
 
 
+def stray_head(theta, verts, bd, heads):
+    # a head on a dart of no edge: a round trip would drop it
+    heads.add("zz")
+
+
 def twisted_theta(theta, verts, bd, heads):
     # the theta web with one vertex rotation reversed: a torus map
     th = corpus.load_web("theta")
@@ -475,6 +497,7 @@ def twisted_theta(theta, verts, bd, heads):
     (four_valent, "interior vertices must be trivalent"),
     (headless_edge, "must have exactly one head"),
     (two_headed_edge, "must have exactly one head"),
+    (stray_head, "head 'zz' is on no edge"),
     (mixed_flow, "vertex 0 violates the all-in/all-out flow rule"),
     (crossing_arcs, "fails the Euler planarity check"),
     (twisted_theta, "fails the Euler planarity check"),
@@ -506,10 +529,11 @@ def test_the_unedited_y_is_valid():
      r"line 3: a second 'bdarts' line \(the first is line 2\)"),
     ("type a2", "type a2\ntype a1",
      r"line 2: a second 'type' line \(the first is line 1\)"),
+    ("head d0", "head d0\nhead zz", "head 'zz' is on no edge"),
 ], ids=["type-value", "type-bare", "vertex-short", "vertex-long",
         "edge-short", "edge-long", "head-short", "head-long",
         "unknown-directive", "missing-type", "dart-in-two-edges",
-        "bdarts-twice", "type-twice"])
+        "bdarts-twice", "type-twice", "head-on-no-edge"])
 def test_parse_web_rejections(old, new, message):
     text = corpus.web_text("single-y")
     assert old in text
